@@ -23,8 +23,8 @@ use apples_bench::grid_exp::{
 };
 use apples_grid::metrics::{FleetMetrics, JobRecord};
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, run_with_sink, GridConfig};
-use metasim::simtrace::WriterSink;
+use apples_grid::{run, GridConfig, GridOutcome, SchedRegime};
+use metasim::simtrace::{EventSink, NoopSink, WriterSink};
 use metasim::SimTime;
 
 fn usage() -> ! {
@@ -125,12 +125,16 @@ fn parse<T: std::str::FromStr>(s: &str) -> T {
 /// Re-run the first trial to get its per-job records (the sweep only
 /// keeps fleet metrics; determinism makes the re-run free of surprise).
 fn single_trial_records(cfg: &GridExpConfig) -> Vec<JobRecord> {
-    let (grid, workload) = first_trial_config(cfg);
-    run(&grid, &workload).expect("grid stream").records
+    run_first_trial(cfg, &mut NoopSink)
+        .expect("grid stream")
+        .records
 }
 
-/// The service and workload configuration of the first trial.
-fn first_trial_config(cfg: &GridExpConfig) -> (GridConfig, WorkloadConfig) {
+/// Stream the first trial's configuration, narrating into `sink`.
+fn run_first_trial(
+    cfg: &GridExpConfig,
+    sink: &mut dyn EventSink,
+) -> Result<GridOutcome, apples_grid::GridError> {
     let grid = GridConfig {
         seed: cfg.seed,
         max_in_flight: cfg.max_in_flight,
@@ -145,19 +149,18 @@ fn first_trial_config(cfg: &GridExpConfig) -> (GridConfig, WorkloadConfig) {
         seed: cfg.seed,
         ..WorkloadConfig::default()
     };
-    (grid, workload)
+    run(&grid, SchedRegime::Selfish, &workload, sink)
 }
 
 /// Re-run the first trial with a JSONL sink attached and write the
 /// event stream to `path`.
 fn write_trace(cfg: &GridExpConfig, path: &str) {
-    let (grid, workload) = first_trial_config(cfg);
     let file = std::fs::File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");
         std::process::exit(2);
     });
     let mut sink = WriterSink::new(std::io::BufWriter::new(file));
-    let result = run_with_sink(&grid, &workload, &mut sink);
+    let result = run_first_trial(cfg, &mut sink);
     if let Some(e) = sink.take_error() {
         eprintln!("writing {path}: {e}");
         std::process::exit(2);
@@ -173,9 +176,8 @@ fn write_trace(cfg: &GridExpConfig, path: &str) {
 /// Re-run the first trial with a metrics sink attached and write the
 /// Prometheus exposition to `path`.
 fn write_metrics(cfg: &GridExpConfig, path: &str) {
-    let (grid, workload) = first_trial_config(cfg);
     let mut sink = obsv::MetricsSink::new();
-    run_with_sink(&grid, &workload, &mut sink).expect("grid stream");
+    run_first_trial(cfg, &mut sink).expect("grid stream");
     if let Err(e) = std::fs::write(path, sink.registry().expose()) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(2);

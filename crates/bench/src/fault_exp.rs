@@ -19,7 +19,8 @@
 use crate::table;
 use apples_grid::metrics::FleetMetrics;
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
-use apples_grid::{run, FaultInjection, GridConfig, Regime};
+use apples_grid::{run, FaultInjection, GridConfig, Regime, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, SimTime};
 
 /// Parameters of the fault sweep.
@@ -101,7 +102,9 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                     regime: Regime::Aware,
                     ..grid.clone()
                 },
+                SchedRegime::Selfish,
                 &workload,
+                &mut NoopSink,
             )
             .expect("aware stream");
             let blind = run(
@@ -109,10 +112,12 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                     regime: Regime::Blind,
                     ..grid.clone()
                 },
+                SchedRegime::Selfish,
                 &WorkloadConfig {
                     retry: RetryPolicy::with_attempts(1),
                     ..workload.clone()
                 },
+                &mut NoopSink,
             )
             .expect("blind stream");
             FaultTrial {

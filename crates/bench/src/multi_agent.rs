@@ -33,8 +33,10 @@
 //! general job-stream service of `apples-grid`; this module is a thin
 //! wrapper fixing the workload shape to staged same-size Jacobi jobs.
 
-use apples_grid::service::{run_jobs, GridConfig};
-use apples_grid::workload::{JobKind, JobSpec};
+use apples_grid::service::GridConfig;
+use apples_grid::workload::{JobKind, JobSpec, RetryPolicy};
+use apples_grid::{run_regime_jobs_with_sink, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
 pub use apples_grid::service::Regime;
@@ -77,7 +79,15 @@ pub fn run_staged(
         ..GridConfig::default()
     };
     let duration = SimTime::from_micros(gap.as_micros() * iterations_per_agent.len() as u64);
-    let outcome = run_jobs(&cfg, &jobs, duration).expect("staged stream");
+    let outcome = run_regime_jobs_with_sink(
+        &cfg,
+        SchedRegime::Selfish,
+        &jobs,
+        duration,
+        RetryPolicy::default(),
+        &mut NoopSink,
+    )
+    .expect("staged stream");
     outcome
         .records
         .into_iter()

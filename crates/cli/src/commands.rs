@@ -544,50 +544,47 @@ pub fn grid(p: &Parsed) -> CmdResult {
     let cfg = service.config();
     let trace_path = p.get("trace", "");
     let metrics_path = p.get("metrics", "");
-    let out = if trace_path.is_empty() && metrics_path.is_empty() {
-        service.run_regime(sched, &workload)?
+    // Fan the one event stream out to whichever consumers were asked
+    // for: a JSONL writer (--trace) and/or a metrics registry
+    // (--metrics). With neither, the fan-out is disabled and the stream
+    // builds no events at all.
+    let mut writer = if trace_path.is_empty() {
+        None
     } else {
-        // Fan the one event stream out to whichever consumers were
-        // asked for: a JSONL writer (--trace) and/or a metrics
-        // registry (--metrics).
-        let mut writer = if trace_path.is_empty() {
-            None
-        } else {
-            let file = std::fs::File::create(trace_path)
-                .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
-            Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
-                file,
-            )))
-        };
-        let mut metrics = if metrics_path.is_empty() {
-            None
-        } else {
-            Some(obsv::MetricsSink::new())
-        };
-        let out = {
-            let mut fan = obsv::FanoutSink::new();
-            if let Some(w) = writer.as_mut() {
-                fan.push(w);
-            }
-            if let Some(m) = metrics.as_mut() {
-                fan.push(m);
-            }
-            service.run_regime_with_sink(sched, &workload, &mut fan)
-        };
-        if let Some(mut sink) = writer {
-            if let Some(e) = sink.take_error() {
-                return Err(format!("writing {trace_path}: {e}").into());
-            }
-            sink.into_inner()
-                .into_inner()
-                .map_err(|e| format!("flushing {trace_path}: {e}"))?;
-        }
-        if let Some(sink) = metrics {
-            std::fs::write(metrics_path, sink.registry().expose())
-                .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
-        }
-        out?
+        let file = std::fs::File::create(trace_path)
+            .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
+        Some(metasim::simtrace::WriterSink::new(std::io::BufWriter::new(
+            file,
+        )))
     };
+    let mut metrics = if metrics_path.is_empty() {
+        None
+    } else {
+        Some(obsv::MetricsSink::new())
+    };
+    let out = {
+        let mut fan = obsv::FanoutSink::new();
+        if let Some(w) = writer.as_mut() {
+            fan.push(w);
+        }
+        if let Some(m) = metrics.as_mut() {
+            fan.push(m);
+        }
+        service.run(sched, &workload, &mut fan)
+    };
+    if let Some(mut sink) = writer {
+        if let Some(e) = sink.take_error() {
+            return Err(format!("writing {trace_path}: {e}").into());
+        }
+        sink.into_inner()
+            .into_inner()
+            .map_err(|e| format!("flushing {trace_path}: {e}"))?;
+    }
+    if let Some(sink) = metrics {
+        std::fs::write(metrics_path, sink.registry().expose())
+            .map_err(|e| format!("cannot write {metrics_path}: {e}"))?;
+    }
+    let out = out?;
 
     if p.switch("json") {
         println!("{}", out.fleet.to_json());
@@ -976,7 +973,7 @@ pub fn metrics(p: &Parsed) -> CmdResult {
     let sched = sched_regime_of(p)?;
     let service = GridService::new(cfg)?;
     let mut sink = obsv::MetricsSink::new();
-    service.run_regime_with_sink(sched, &workload, &mut sink)?;
+    service.run(sched, &workload, &mut sink)?;
     let exposition = sink.registry().expose();
     let out_path = p.get("out", "");
     if out_path.is_empty() {

@@ -47,12 +47,14 @@ USAGE:
                        [--max-in-flight K] [--blind] [--csv] [--json]
                        [--fault-rate C] [--link-fault-rate L] [--mean-outage SECS]
                        [--permanent F] [--max-attempts K] [--backoff SECS]
-                       [--trace FILE] [--metrics FILE]
+                       [--trace FILE] [--metrics FILE] [--horizon SECS]
       Stream a multi-tenant job mix through the testbed; fleet metrics.
       --regime picks the scheduling policy: selfish first-decider-wins
       AppLeS agents (default), a centralized batch queue (FCFS + EASY
       backfilling on the estimator's predictions), or fractional
-      processor sharing resized on every arrival/departure.
+      processor sharing resized on every arrival/departure. Knobs a
+      regime does not model are errors: batch and fractional reject
+      --blind; fractional rejects --max-in-flight and link faults.
       --topo swaps the Figure-2 testbed for a generated topology
       (star | tree | fat-tree | clusters, e.g. --topo fat-tree:k=8 or
       --topo clusters:clusters=8,segs=4,hosts=8).
@@ -73,8 +75,12 @@ USAGE:
       that. --report writes a markdown report with per-regime
       critical-path composition, the diff against the selfish
       baseline, and utilization/queue timelines. Same seed, same
-      report, bit for bit.
-  apples-cli validate  [same flags as grid] [--horizon SECS]
+      report, bit for bit. The race always runs the light load
+      profile, while grid defaults to moderate: `grid --profile light
+      --regime R` with the same rate, duration, seed, fault rate and
+      attempts reproduces the race's done/failed counts for R.
+  apples-cli validate  [grid's flags except --regime, --trace, --metrics,
+                       --csv, --json]
       Statically check a grid configuration without running it: every
       problem is printed as a typed [code] diagnostic and the exit
       status is nonzero if any are found.
@@ -101,7 +107,8 @@ USAGE:
       busy-host utilization, queue depth, backlog, imposed load.
       Default 60 s fixed windows as a table; --aligned makes one row
       per distinct event time; --jsonl emits the byte-stable export.
-  apples-cli metrics   [same flags as grid] [--out FILE]
+  apples-cli metrics   [grid's flags except --trace, --metrics, --csv,
+                       --json] [--out FILE]
       Run a seeded grid scenario with the metrics registry attached
       and dump a Prometheus text-format snapshot.
   apples-cli snapshot-diff A B
@@ -127,6 +134,33 @@ USAGE:
 
 Profiles: dedicated | light | moderate (default) | heavy
 ";
+
+/// Value flags every grid scenario reads (`grid`, `metrics`, `validate`).
+const SCENARIO_FLAGS: &str = "rate duration seed profile topo horizon max-in-flight \
+     fault-rate link-fault-rate mean-outage permanent max-attempts backoff";
+
+/// The value flags and switches `command` accepts, as space-separated
+/// lists: shared scenario flags, the command's own flags, switches.
+/// Anything else is a parse error, so a flag a command would ignore
+/// never runs silently.
+fn flags_of(command: &str) -> [&'static str; 3] {
+    match command {
+        "grid" => [SCENARIO_FLAGS, "regime trace metrics", "sp2 blind csv json"],
+        "metrics" => [SCENARIO_FLAGS, "regime out", "sp2 blind"],
+        "validate" => [SCENARIO_FLAGS, "", "sp2 blind"],
+        "race" => [
+            "",
+            "rate duration seed topo fault-rate mean-outage max-attempts report",
+            "quiet",
+        ],
+        _ => [
+            "",
+            "n iterations profile seed source metric max-hosts warmup host until unit depth \
+             events runs phase wait avail out hosts jobs check topo",
+            "sp2 json",
+        ],
+    }
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -155,48 +189,13 @@ fn main() {
     if raw[0] == "lint" {
         std::process::exit(commands::lint(&raw[1..]));
     }
-    let parsed = match Parsed::parse(
-        &raw,
-        &[
-            "n",
-            "iterations",
-            "profile",
-            "seed",
-            "source",
-            "metric",
-            "max-hosts",
-            "warmup",
-            "host",
-            "until",
-            "unit",
-            "depth",
-            "events",
-            "runs",
-            "phase",
-            "wait",
-            "avail",
-            "rate",
-            "duration",
-            "max-in-flight",
-            "fault-rate",
-            "link-fault-rate",
-            "mean-outage",
-            "permanent",
-            "max-attempts",
-            "backoff",
-            "horizon",
-            "trace",
-            "metrics",
-            "out",
-            "hosts",
-            "jobs",
-            "check",
-            "topo",
-            "regime",
-            "report",
-        ],
-        &["sp2", "csv", "json", "blind", "quiet"],
-    ) {
+    let [shared, own, switches] = flags_of(&raw[0]);
+    let flags: Vec<&str> = shared
+        .split_whitespace()
+        .chain(own.split_whitespace())
+        .collect();
+    let switches: Vec<&str> = switches.split_whitespace().collect();
+    let parsed = match Parsed::parse(&raw, &flags, &switches) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n");

@@ -1,0 +1,108 @@
+//! The regime front doors: `grid --regime R` and `race` agree on the
+//! same knobs, and both refuse flags they would ignore.
+
+use std::process::{Command, Output};
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_apples-cli"))
+        .args(args)
+        .output()
+        .expect("spawn apples-cli")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The knobs both front doors are given.
+const KNOBS: [&str; 12] = [
+    "--topo",
+    "star:hosts=6",
+    "--rate",
+    "0.004",
+    "--duration",
+    "1000",
+    "--seed",
+    "1996",
+    "--fault-rate",
+    "10",
+    "--max-attempts",
+    "2",
+];
+
+/// The number after `label` on one of `grid`'s summary lines.
+fn grid_count(text: &str, label: &str) -> usize {
+    text.lines()
+        .find_map(|l| l.strip_prefix(label))
+        .and_then(|rest| rest.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {label:?} line in:\n{text}"))
+}
+
+#[test]
+fn grid_and_race_agree_on_done_and_failed_counts() {
+    let race = cli(&[["race", "--quiet"].as_slice(), &KNOBS].concat());
+    assert!(race.status.success(), "race failed: {race:?}");
+    let table = stdout(&race);
+    let mut failed = 0;
+    for regime in ["selfish", "batch", "fractional"] {
+        // The race runs the light profile; grid must be told to.
+        let args = [
+            ["grid", "--profile", "light", "--regime", regime].as_slice(),
+            &KNOBS,
+        ]
+        .concat();
+        let grid = cli(&args);
+        assert!(
+            grid.status.success(),
+            "grid --regime {regime} failed: {grid:?}"
+        );
+        let text = stdout(&grid);
+        let want = (
+            grid_count(&text, "jobs completed"),
+            grid_count(&text, "jobs failed"),
+        );
+        let row: Vec<&str> = table
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.get(1) == Some(&regime))
+            .unwrap_or_else(|| panic!("no {regime} row in:\n{table}"));
+        let got: (usize, usize) = (row[3].parse().unwrap(), row[4].parse().unwrap());
+        assert_eq!(got, want, "{regime}: race (done, failed) vs grid");
+        failed += got.1;
+    }
+    assert!(
+        failed > 0,
+        "the faults must cost some job its budget:\n{table}"
+    );
+}
+
+#[test]
+fn race_rejects_flags_it_would_ignore() {
+    for flag in [
+        ["--profile", "heavy"].as_slice(),
+        &["--backoff", "5"],
+        &["--blind"],
+    ] {
+        let out = cli(&[["race"].as_slice(), flag].concat());
+        assert_eq!(out.status.code(), Some(2), "race {flag:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {}", flag[0])), "{err}");
+    }
+}
+
+#[test]
+fn fractional_rejects_an_admission_bound() {
+    let out = cli(&[
+        "grid",
+        "--regime",
+        "fractional",
+        "--max-in-flight",
+        "4",
+        "--duration",
+        "300",
+    ]);
+    assert!(!out.status.success(), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("fractional regime does not model"), "{err}");
+    assert!(err.contains("max_in_flight"), "{err}");
+}

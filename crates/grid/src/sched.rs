@@ -9,11 +9,11 @@
 //!
 //! * [`SchedRegime::Selfish`] — first-decider-wins AppLeS agents, one
 //!   per job, each optimizing its own completion time against live
-//!   (or blind) forecasts. Exactly [`run_jobs_with_retry_sink`].
+//!   (or blind) forecasts.
 //! * [`SchedRegime::Batch`] — a centralized space-shared batch queue:
 //!   FCFS with EASY backfilling. The reservation oracle is the same
 //!   application-level runtime prediction the selfish agents act on
-//!   ([`decide_with_prediction`]), handed to a resource-level policy:
+//!   ([`crate::service`]'s `decide`), handed to a resource-level policy:
 //!   the head of the queue gets a reservation at the earliest
 //!   predicted drain of its hosts, and a later job may jump it only
 //!   if it starts on free hosts *now* and cannot delay that
@@ -31,16 +31,27 @@
 //!   topology as one batched [`StepSeries::with_impositions`] rebuild
 //!   per host at the end of the run.
 //!
+//! Each regime supplies only its policy. Setup, per-job state, the
+//! lifecycle events and records, the retry-or-fail decision and the
+//! final fold are shared (`crate::lifecycle`).
+//!
+//! ## Entry points
+//!
+//! [`run`] realizes a [`WorkloadConfig`]; [`run_regime_jobs_with_sink`]
+//! streams an explicit job list; [`GridService::run`] validates first.
+//! [`run_batch_with_log`] and [`run_fractional_with_log`] also return
+//! the audit logs the invariant tests read. Every one takes an
+//! [`EventSink`]; pass [`NoopSink`] for none.
+//!
 //! ## Comparability contract
 //!
 //! All three regimes consume the same `Vec<JobSpec>` (same seed →
 //! same arrivals, same kinds) and the same realized [`FaultSpec`]
-//! (via [`realize_faults`], keyed by the grid seed). Every submitted
-//! job appears exactly once in the outcome records, completed or
-//! failed — no regime may lose or duplicate work. Stretch, slowdown
-//! and goodput comparisons ride on that invariant; the regime-race
-//! bench (`bench::regime_race`) and the property tests below enforce
-//! it.
+//! (keyed by the grid seed). Every submitted job appears exactly once
+//! in the outcome records, completed or failed — no regime may lose or
+//! duplicate work. Stretch, slowdown and goodput comparisons ride on
+//! that invariant; the regime-race bench (`bench::regime_race`) and the
+//! property tests enforce it.
 //!
 //! ## Modeling simplifications
 //!
@@ -49,18 +60,25 @@
 //! the topology, and link contention between co-running batch jobs is
 //! not modeled (background load from the testbed profile still is).
 //! Failed attempts tear down instantly, as in the selfish stream.
-//! The fractional regime is host-centric: link faults are ignored,
-//! `max_in_flight` does not apply (processor sharing has no queue),
-//! and a host crash revokes its residents entirely — a restarted job
-//! loses its progress (no checkpointing across PS restarts).
+//! The fractional regime is host-centric, and a host crash revokes its
+//! residents entirely — a restarted job loses its progress (no
+//! checkpointing across PS restarts).
+//!
+//! Knobs a regime would ignore are rejected with
+//! [`GridError::InvalidConfig`] before the stream starts: the blind
+//! information regime ([`Regime::Blind`]) under batch or fractional
+//! (both plan from static nominal information), and a finite
+//! `max_in_flight` or realized link faults under fractional
+//! (processor sharing has no admission queue and models hosts only).
 //!
 //! [`StepSeries::with_impositions`]: metasim::load::StepSeries::with_impositions
+//! [`FaultSpec`]: metasim::FaultSpec
+//! [`GridService::run`]: crate::GridService::run
+//! [`Regime::Blind`]: crate::Regime::Blind
+//! [`NoopSink`]: metasim::simtrace::NoopSink
 
-use crate::metrics::{slowdown_of, FleetMetrics, JobRecord};
-use crate::service::{
-    build_topology, decide_with_prediction, host_names_of, realize_faults, retryable,
-    run_jobs_with_retry_sink, validate_config, GridConfig, GridError, GridOutcome, GridService,
-};
+use crate::lifecycle::{Lifecycle, Next};
+use crate::service::{decide, run_selfish, GridConfig, GridError, GridOutcome};
 use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
 use apples::actuator::actuate_with_sink;
 use apples::hat::Hat;
@@ -69,7 +87,7 @@ use apples::schedule::Schedule;
 use apples::ApplesError;
 use metasim::load::Imposition;
 use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
-use metasim::{apply_faults_with_sink, HostId, SimTime, Topology};
+use metasim::{HostId, SimTime, Topology};
 use simcore::EventQueue;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -121,17 +139,11 @@ impl std::fmt::Display for SchedRegime {
     }
 }
 
-/// Realize `workload` and stream it under `regime`.
-pub fn run_regime(
-    cfg: &GridConfig,
-    regime: SchedRegime,
-    workload: &WorkloadConfig,
-) -> Result<GridOutcome, GridError> {
-    run_regime_with_sink(cfg, regime, workload, &mut NoopSink)
-}
-
-/// [`run_regime`], streaming trace events into `sink`.
-pub fn run_regime_with_sink(
+/// Realize `workload` and stream it under `regime`, narrating every
+/// job's lifecycle (submit → dispatch → retry → complete/fail), the
+/// agents' decisions, forecasts, faults, imposed load and executor
+/// events into `sink`.
+pub fn run(
     cfg: &GridConfig,
     regime: SchedRegime,
     workload: &WorkloadConfig,
@@ -148,9 +160,9 @@ pub fn run_regime_with_sink(
     )
 }
 
-/// Stream an explicit job list under `regime`. The selfish arm is
-/// exactly [`run_jobs_with_retry_sink`]; batch and fractional are the
-/// centralized engines below, over the same realized fault schedule.
+/// Stream an explicit job list (offsets from stream start) under
+/// `regime` and `retry`. `duration` is the submission-window length
+/// used for throughput and utilization denominators.
 pub fn run_regime_jobs_with_sink(
     cfg: &GridConfig,
     regime: SchedRegime,
@@ -159,48 +171,15 @@ pub fn run_regime_jobs_with_sink(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
+    let life = Lifecycle::new(cfg, regime, jobs, duration, retry, sink)?;
     match regime {
-        SchedRegime::Selfish => run_jobs_with_retry_sink(cfg, jobs, duration, retry, sink),
-        SchedRegime::Batch => run_batch_with_log(cfg, jobs, duration, retry, sink).map(|(o, _)| o),
-        SchedRegime::Fractional => {
-            run_fractional_with_log(cfg, jobs, duration, retry, sink).map(|(o, _)| o)
-        }
+        SchedRegime::Selfish => run_selfish(life, sink),
+        SchedRegime::Batch => BatchRun::new(life, sink).run().map(|(o, _)| o),
+        SchedRegime::Fractional => FracRun::new(life, sink).run().map(|(o, _)| o),
     }
 }
 
-impl GridService {
-    /// Validate `workload` against this service's testbed, then stream
-    /// it under `regime`.
-    pub fn run_regime(
-        &self,
-        regime: SchedRegime,
-        workload: &WorkloadConfig,
-    ) -> Result<GridOutcome, GridError> {
-        self.run_regime_with_sink(regime, workload, &mut NoopSink)
-    }
-
-    /// [`Self::run_regime`], streaming trace events into `sink`.
-    pub fn run_regime_with_sink(
-        &self,
-        regime: SchedRegime,
-        workload: &WorkloadConfig,
-        sink: &mut dyn EventSink,
-    ) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(self.config(), Some(workload));
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
-        run_regime_with_sink(self.config(), regime, workload, sink)
-    }
-}
-
-/// One job's static plan, made once on the pristine testbed.
+/// One job's static plan, made on the pristine testbed.
 ///
 /// The centralized regimes plan without NWS forecasts: a batch system
 /// knows the machines it owns, not the weather between them, and the
@@ -228,7 +207,7 @@ fn plan_static(
     user.excluded_hosts.extend(excluded.iter().copied());
     let (schedule, predicted_seconds) = {
         let pool = InfoPool::static_nominal(topo, &hat, &user, now);
-        decide_with_prediction(kind, &pool, sink)?
+        decide(kind, &pool, sink)?
     };
     let hosts = schedule.hosts();
     Ok(Planned {
@@ -237,6 +216,12 @@ fn plan_static(
         predicted_seconds,
         hosts,
     })
+}
+
+/// `now + seconds`, saturating at [`SimTime::MAX`].
+fn predicted_end(now: SimTime, seconds: f64) -> SimTime {
+    now.checked_add(SimTime::from_secs_f64(seconds.max(0.0)))
+        .unwrap_or(SimTime::MAX)
 }
 
 // ---------------------------------------------------------------------
@@ -278,15 +263,6 @@ enum BatchEvent {
     Enqueue { idx: usize },
 }
 
-struct BatchState<'a> {
-    spec: &'a JobSpec,
-    submit: SimTime,
-    attempts: u32,
-    dead_hosts: Vec<HostId>,
-    planned: Option<Planned>,
-    announced: bool,
-}
-
 struct Running {
     idx: usize,
     hosts: Vec<HostId>,
@@ -297,19 +273,13 @@ struct Running {
 }
 
 struct BatchRun<'a> {
-    cfg: &'a GridConfig,
-    retry: RetryPolicy,
-    duration: SimTime,
-    /// Fault-free snapshot used for planning and prediction.
-    pristine: Topology,
-    /// Live (fault-injected) topology used for actuation.
-    topo: Topology,
-    states: Vec<BatchState<'a>>,
-    /// FCFS queue of state indices, ordered by (enqueue time, id).
+    life: Lifecycle<'a>,
+    /// Each queued job's current plan, by lifecycle index.
+    planned: Vec<Option<Planned>>,
+    /// FCFS queue of lifecycle indices, ordered by (enqueue time, id).
     queue: Vec<(SimTime, usize, usize)>,
     running: Vec<Running>,
     events: EventQueue<(SimTime, u8), BatchEvent>,
-    records: Vec<JobRecord>,
     log: BatchLog,
     sink: &'a mut dyn EventSink,
 }
@@ -323,56 +293,27 @@ pub fn run_batch_with_log(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<(GridOutcome, BatchLog), GridError> {
-    retry.validate()?;
-    if cfg.max_in_flight == 0 {
-        return Err(GridError::InvalidConfig(
-            "max_in_flight must be at least 1".into(),
-        ));
-    }
-    let pristine = build_topology(cfg)?;
-    let mut topo = pristine.clone();
-    let fault_spec = realize_faults(cfg, &topo, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut topo, &fault_spec, sink)?;
-    }
-
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
-    let states: Vec<BatchState<'_>> = ordered
-        .iter()
-        .map(|j| BatchState {
-            spec: j,
-            submit: cfg.warmup + j.submit,
-            attempts: 0,
-            dead_hosts: Vec::new(),
-            planned: None,
-            announced: false,
-        })
-        .collect();
-
-    let mut run = BatchRun {
-        cfg,
-        retry,
-        duration,
-        pristine,
-        topo,
-        states,
-        queue: Vec::new(),
-        running: Vec::new(),
-        events: EventQueue::new(),
-        records: Vec::new(),
-        log: BatchLog::default(),
-        sink,
-    };
-    for idx in 0..run.states.len() {
-        let at = run.states[idx].submit;
-        run.events
-            .schedule((at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
-    }
-    run.run()
+    let life = Lifecycle::new(cfg, SchedRegime::Batch, jobs, duration, retry, sink)?;
+    BatchRun::new(life, sink).run()
 }
 
-impl BatchRun<'_> {
+impl<'a> BatchRun<'a> {
+    fn new(life: Lifecycle<'a>, sink: &'a mut dyn EventSink) -> BatchRun<'a> {
+        let mut events = EventQueue::new();
+        for (idx, job) in life.jobs.iter().enumerate() {
+            events.schedule((job.submit, EV_ENQUEUE), BatchEvent::Enqueue { idx });
+        }
+        BatchRun {
+            planned: vec![None; life.jobs.len()],
+            life,
+            queue: Vec::new(),
+            running: Vec::new(),
+            events,
+            log: BatchLog::default(),
+            sink,
+        }
+    }
+
     fn run(mut self) -> Result<(GridOutcome, BatchLog), GridError> {
         while let Some(((now, _), _, ev)) = self.events.pop() {
             match ev {
@@ -381,62 +322,41 @@ impl BatchRun<'_> {
             }
             self.try_start_queued(now)?;
         }
-        self.records.sort_by_key(|r| r.id);
-        let host_names: Vec<String> = self
-            .topo
-            .hosts()
-            .iter()
-            .map(|h| h.spec.name.clone())
-            .collect();
-        let fleet =
-            FleetMetrics::from_records(&self.records, self.duration.as_secs_f64(), &host_names);
-        Ok((
-            GridOutcome {
-                records: self.records,
-                fleet,
-            },
-            self.log,
-        ))
+        Ok((self.life.finish(), self.log))
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        if !self.states[idx].announced {
-            self.states[idx].announced = true;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobSubmitted {
-                    job: id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    at: now,
-                });
-            }
-        }
+        self.life.submit(idx, now, self.sink);
+        let job = &self.life.jobs[idx];
+        let id = job.spec.id;
         match plan_static(
-            &self.pristine,
-            &self.states[idx].spec.kind,
-            &self.states[idx].dead_hosts,
+            &self.life.pristine,
+            &job.spec.kind,
+            &job.dead_hosts,
             now,
             self.sink,
         ) {
             Ok(p) => {
-                self.states[idx].planned = Some(p);
+                self.planned[idx] = Some(p);
                 let key = (now, id);
                 let pos = self.queue.partition_point(|&(t, i, _)| (t, i) < key);
                 self.queue.insert(pos, (now, id, idx));
+                Ok(())
             }
             Err(err) => {
                 // A planning failure consumes an attempt, mirroring the
                 // selfish stream's accounting.
-                self.states[idx].attempts += 1;
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobDispatched {
-                        job: id,
-                        at: now,
-                        attempt: self.states[idx].attempts,
-                    });
-                }
-                self.handle_attempt_failure(idx, now, err)?;
+                self.life.dispatch(idx, now, self.sink);
+                self.fail(idx, &err, now)
             }
+        }
+    }
+
+    /// Retry or record job `idx`'s failed attempt at `now`.
+    fn fail(&mut self, idx: usize, err: &ApplesError, now: SimTime) -> Result<(), GridError> {
+        if let Next::Retry(at) = self.life.fail(idx, err, now, self.sink)? {
+            self.events
+                .schedule((at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
         }
         Ok(())
     }
@@ -463,11 +383,10 @@ impl BatchRun<'_> {
             let Some(&(_, _, head)) = self.queue.first() else {
                 return Ok(());
             };
-            if self.running.len() >= self.cfg.max_in_flight {
+            if self.running.len() >= self.life.cfg.max_in_flight {
                 return Ok(());
             }
-            let head_hosts = self.states[head]
-                .planned
+            let head_hosts = self.planned[head]
                 .as_ref()
                 .map(|p| p.hosts.clone())
                 .ok_or_else(|| GridError::Internal("queued job has no plan".into()))?;
@@ -497,17 +416,18 @@ impl BatchRun<'_> {
             let mut chosen = None;
             for qi in 1..self.queue.len() {
                 let (_, _, idx) = self.queue[qi];
-                let Some(p) = self.states[idx].planned.as_ref() else {
+                let Some(p) = self.planned[idx].as_ref() else {
                     continue;
                 };
                 let candidate = if self.hosts_free(&p.hosts) {
                     Some(p.clone())
                 } else {
-                    let mut excluded = self.states[idx].dead_hosts.clone();
+                    let job = &self.life.jobs[idx];
+                    let mut excluded = job.dead_hosts.clone();
                     excluded.extend(busy.iter().copied());
                     plan_static(
-                        &self.pristine,
-                        &self.states[idx].spec.kind,
+                        &self.life.pristine,
+                        &job.spec.kind,
                         &excluded,
                         now,
                         &mut NoopSink,
@@ -518,11 +438,8 @@ impl BatchRun<'_> {
                     continue;
                 };
                 let disjoint = p.hosts.iter().all(|h| !head_hosts.contains(h));
-                let predicted_end = now
-                    .checked_add(SimTime::from_secs_f64(p.predicted_seconds.max(0.0)))
-                    .unwrap_or(SimTime::MAX);
-                if disjoint || predicted_end <= resv {
-                    self.states[idx].planned = Some(p);
+                if disjoint || predicted_end(now, p.predicted_seconds) <= resv {
+                    self.planned[idx] = Some(p);
                     chosen = Some(qi);
                     break;
                 }
@@ -530,8 +447,7 @@ impl BatchRun<'_> {
             let Some(qi) = chosen else {
                 return Ok(());
             };
-            let (_, _, idx) = self.queue.remove(qi);
-            let id = self.states[idx].spec.id;
+            let (_, id, idx) = self.queue.remove(qi);
             if self.sink.enabled() {
                 self.sink.record(TraceEvent::JobBackfilled {
                     job: id,
@@ -551,122 +467,28 @@ impl BatchRun<'_> {
     }
 
     fn start_job(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let submit = self.states[idx].submit;
-        self.states[idx].attempts += 1;
-        let attempts = self.states[idx].attempts;
-        let planned = self.states[idx]
-            .planned
-            .clone()
+        let planned = self.planned[idx]
+            .take()
             .ok_or_else(|| GridError::Internal("started job has no plan".into()))?;
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobDispatched {
-                job: id,
-                at: now,
-                attempt: attempts,
-            });
-        }
-        match actuate_with_sink(&self.topo, &planned.hat, &planned.schedule, now, self.sink) {
+        self.life.dispatch(idx, now, self.sink);
+        let topo = &self.life.live;
+        match actuate_with_sink(topo, &planned.hat, &planned.schedule, now, self.sink) {
             Ok(report) => {
-                let hosts = host_names_of(&self.topo, &planned.hosts)?;
-                let wait_seconds = now.saturating_sub(submit).as_secs_f64();
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobCompleted {
-                        job: id,
-                        at: report.finish,
-                        exec_seconds: report.elapsed_seconds,
-                    });
-                }
-                let predicted_end = now
-                    .checked_add(SimTime::from_secs_f64(planned.predicted_seconds.max(0.0)))
-                    .unwrap_or(SimTime::MAX);
+                let exec = report.elapsed_seconds;
+                let hosts = &planned.hosts;
+                self.life
+                    .complete(idx, report.finish, exec, hosts, 0, self.sink)?;
                 self.running.push(Running {
                     idx,
                     hosts: planned.hosts,
-                    predicted_end,
+                    predicted_end: predicted_end(now, planned.predicted_seconds),
                 });
                 self.events
                     .schedule((report.finish, EV_COMPLETED), BatchEvent::Completed { idx });
-                self.records.push(JobRecord {
-                    id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    submit,
-                    start: now,
-                    finish: report.finish,
-                    hosts,
-                    wait_seconds,
-                    exec_seconds: report.elapsed_seconds,
-                    slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                    attempts,
-                    reschedules: 0,
-                    completed: true,
-                });
+                Ok(())
             }
-            Err(err) => self.handle_attempt_failure(idx, now, err)?,
+            Err(err) => self.fail(idx, &err, now),
         }
-        Ok(())
-    }
-
-    fn handle_attempt_failure(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        err: ApplesError,
-    ) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let Some((lost_host, lost_at)) = retryable(&err) else {
-            return Err(GridError::Job {
-                id,
-                message: err.to_string(),
-            });
-        };
-        if let Some(h) = lost_host {
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
-            }
-        }
-        let attempts = self.states[idx].attempts;
-        let give_up = lost_at.unwrap_or(now).max(now);
-        if attempts >= self.retry.max_attempts {
-            let submit = self.states[idx].submit;
-            let wait_seconds = give_up.saturating_sub(submit).as_secs_f64();
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobFailed {
-                    job: id,
-                    at: give_up,
-                    attempts,
-                });
-            }
-            self.records.push(JobRecord {
-                id,
-                kind: self.states[idx].spec.kind.name().to_string(),
-                submit,
-                start: now,
-                finish: give_up,
-                hosts: Vec::new(),
-                wait_seconds,
-                exec_seconds: 0.0,
-                slowdown: slowdown_of(wait_seconds, 0.0),
-                attempts,
-                reschedules: 0,
-                completed: false,
-            });
-            return Ok(());
-        }
-        let retry_at = give_up
-            + self
-                .retry
-                .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobRetried {
-                job: id,
-                at: retry_at,
-                attempt: attempts,
-            });
-        }
-        self.events
-            .schedule((retry_at, EV_ENQUEUE), BatchEvent::Enqueue { idx });
-        Ok(())
     }
 }
 
@@ -717,18 +539,9 @@ enum FracEvent {
     Enqueue { idx: usize },
 }
 
-struct FracState<'a> {
-    spec: &'a JobSpec,
-    submit: SimTime,
-    attempts: u32,
-    dead_hosts: Vec<HostId>,
-    announced: bool,
-}
-
 struct ActiveJob {
     idx: usize,
     id: usize,
-    start: SimTime,
     /// Dedicated-equivalent work left, in seconds. Work, not a
     /// timestamp: it drains at the job's fractional rate.
     remaining: f64,
@@ -736,20 +549,10 @@ struct ActiveJob {
 }
 
 struct FracRun<'a> {
-    cfg: &'a GridConfig,
-    retry: RetryPolicy,
-    duration: SimTime,
-    /// Fault-free snapshot used for planning and dedicated what-if
-    /// actuation.
-    pristine: Topology,
-    /// Live topology: faults applied up front, realized occupancy
-    /// written back at the end.
-    live: Topology,
-    states: Vec<FracState<'a>>,
+    life: Lifecycle<'a>,
     active: Vec<ActiveJob>,
     down: BTreeSet<HostId>,
     events: EventQueue<(SimTime, u8), FracEvent>,
-    records: Vec<JobRecord>,
     samples: Vec<ShareSample>,
     impositions: BTreeMap<HostId, Vec<Imposition>>,
     sink: &'a mut dyn EventSink,
@@ -764,59 +567,33 @@ pub fn run_fractional_with_log(
     retry: RetryPolicy,
     sink: &mut dyn EventSink,
 ) -> Result<(GridOutcome, FractionalLog), GridError> {
-    retry.validate()?;
-    let pristine = build_topology(cfg)?;
-    let mut live = pristine.clone();
-    let fault_spec = realize_faults(cfg, &live, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut live, &fault_spec, sink)?;
-    }
-
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
-    let states: Vec<FracState<'_>> = ordered
-        .iter()
-        .map(|j| FracState {
-            spec: j,
-            submit: cfg.warmup + j.submit,
-            attempts: 0,
-            dead_hosts: Vec::new(),
-            announced: false,
-        })
-        .collect();
-
-    let mut run = FracRun {
-        cfg,
-        retry,
-        duration,
-        pristine,
-        live,
-        states,
-        active: Vec::new(),
-        down: BTreeSet::new(),
-        events: EventQueue::new(),
-        records: Vec::new(),
-        samples: Vec::new(),
-        impositions: BTreeMap::new(),
-        sink,
-    };
-    for idx in 0..run.states.len() {
-        let at = run.states[idx].submit;
-        run.events
-            .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
-    }
-    for f in &fault_spec.host_faults {
-        run.events
-            .schedule((f.at, EV_HOST_DOWN), FracEvent::HostDown(f.host));
-        if let Some(r) = f.recover {
-            run.events
-                .schedule((r, EV_HOST_UP), FracEvent::HostUp(f.host));
-        }
-    }
-    run.run()
+    let life = Lifecycle::new(cfg, SchedRegime::Fractional, jobs, duration, retry, sink)?;
+    FracRun::new(life, sink).run()
 }
 
-impl FracRun<'_> {
+impl<'a> FracRun<'a> {
+    fn new(life: Lifecycle<'a>, sink: &'a mut dyn EventSink) -> FracRun<'a> {
+        let mut events = EventQueue::new();
+        for (idx, job) in life.jobs.iter().enumerate() {
+            events.schedule((job.submit, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
+        }
+        for f in &life.faults.host_faults {
+            events.schedule((f.at, EV_HOST_DOWN), FracEvent::HostDown(f.host));
+            if let Some(r) = f.recover {
+                events.schedule((r, EV_HOST_UP), FracEvent::HostUp(f.host));
+            }
+        }
+        FracRun {
+            life,
+            active: Vec::new(),
+            down: BTreeSet::new(),
+            events,
+            samples: Vec::new(),
+            impositions: BTreeMap::new(),
+            sink,
+        }
+    }
+
     fn run(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
         let mut now = SimTime::ZERO;
         loop {
@@ -841,7 +618,7 @@ impl FracRun<'_> {
                         FracEvent::HostUp(h) => {
                             self.down.remove(&h);
                         }
-                        FracEvent::HostDown(h) => self.host_down(h, now)?,
+                        FracEvent::HostDown(h) => self.host_down(h, now),
                         FracEvent::Enqueue { idx } => self.process_enqueue(idx, now)?,
                     }
                 }
@@ -870,11 +647,7 @@ impl FracRun<'_> {
             if share <= 0.0 {
                 continue;
             }
-            let dt_secs = (j.remaining / share).max(0.0);
-            let t = now
-                .checked_add(SimTime::from_secs_f64(dt_secs))
-                .unwrap_or(SimTime::MAX);
-            let key = (t, j.id);
+            let key = (predicted_end(now, j.remaining / share), j.id);
             match best {
                 None => best = Some(key),
                 Some(b) if key < b => best = Some(key),
@@ -941,38 +714,17 @@ impl FracRun<'_> {
                 continue;
             };
             let j = self.active.remove(pos);
-            let st = &self.states[j.idx];
-            let exec_seconds = now.saturating_sub(j.start).as_secs_f64();
-            let wait_seconds = j.start.saturating_sub(st.submit).as_secs_f64();
-            let hosts = host_names_of(&self.pristine, &j.hosts)?;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobCompleted {
-                    job: j.id,
-                    at: now,
-                    exec_seconds,
-                });
-            }
-            self.records.push(JobRecord {
-                id: j.id,
-                kind: st.spec.kind.name().to_string(),
-                submit: st.submit,
-                start: j.start,
-                finish: now,
-                hosts,
-                wait_seconds,
-                exec_seconds,
-                slowdown: slowdown_of(wait_seconds, exec_seconds),
-                attempts: st.attempts,
-                reschedules: 0,
-                completed: true,
-            });
+            let started = self.life.jobs[j.idx].started;
+            let exec = now.saturating_sub(started).as_secs_f64();
+            self.life
+                .complete(j.idx, now, exec, &j.hosts, 0, self.sink)?;
         }
         Ok(())
     }
 
     /// A host crash revokes every resident: the job restarts from
     /// scratch (no PS checkpointing) under the retry policy.
-    fn host_down(&mut self, h: HostId, now: SimTime) -> Result<(), GridError> {
+    fn host_down(&mut self, h: HostId, now: SimTime) {
         self.down.insert(h);
         let victims: Vec<usize> = self
             .active
@@ -989,178 +741,60 @@ impl FracRun<'_> {
                 self.sink
                     .record(TraceEvent::PlacementRevoked { host: h, at: now });
             }
-            let idx = j.idx;
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
-            }
-            let attempts = self.states[idx].attempts;
-            if attempts >= self.retry.max_attempts {
-                let st = &self.states[idx];
-                let wait_seconds = now.saturating_sub(st.submit).as_secs_f64();
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobFailed {
-                        job: id,
-                        at: now,
-                        attempts,
-                    });
-                }
-                self.records.push(JobRecord {
-                    id,
-                    kind: st.spec.kind.name().to_string(),
-                    submit: st.submit,
-                    start: j.start,
-                    finish: now,
-                    hosts: Vec::new(),
-                    wait_seconds,
-                    exec_seconds: 0.0,
-                    slowdown: slowdown_of(wait_seconds, 0.0),
-                    attempts,
-                    reschedules: 0,
-                    completed: false,
-                });
-            } else {
-                let retry_at = now
-                    + self
-                        .retry
-                        .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-                if self.sink.enabled() {
-                    self.sink.record(TraceEvent::JobRetried {
-                        job: id,
-                        at: retry_at,
-                        attempt: attempts,
-                    });
-                }
+            let next = self.life.lose(j.idx, Some(h), None, now, self.sink);
+            if let Next::Retry(at) = next {
                 self.events
-                    .schedule((retry_at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
+                    .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx: j.idx });
             }
         }
-        Ok(())
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        if !self.states[idx].announced {
-            self.states[idx].announced = true;
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobSubmitted {
-                    job: id,
-                    kind: self.states[idx].spec.kind.name().to_string(),
-                    at: now,
-                });
-            }
-        }
-        self.states[idx].attempts += 1;
-        let attempts = self.states[idx].attempts;
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobDispatched {
-                job: id,
-                at: now,
-                attempt: attempts,
-            });
-        }
+        self.life.submit(idx, now, self.sink);
+        self.life.dispatch(idx, now, self.sink);
+        let job = &self.life.jobs[idx];
+        let id = job.spec.id;
         // A central PS scheduler sees the whole system: exclude both
         // hosts this job has watched die and hosts currently down.
-        let mut excluded = self.states[idx].dead_hosts.clone();
+        let mut excluded = job.dead_hosts.clone();
         excluded.extend(self.down.iter().copied());
-        let outcome = plan_static(
-            &self.pristine,
-            &self.states[idx].spec.kind,
-            &excluded,
-            now,
-            self.sink,
-        )
-        .and_then(|p| {
-            // What-if actuation on the pristine testbed measures the
-            // job's dedicated-equivalent work; the executor events are
-            // hypothetical, so they go to a noop sink.
-            actuate_with_sink(&self.pristine, &p.hat, &p.schedule, now, &mut NoopSink)
-                .map(|report| (p, report))
-        });
+        let pristine = &self.life.pristine;
+        let outcome =
+            plan_static(pristine, &job.spec.kind, &excluded, now, self.sink).and_then(|p| {
+                // What-if actuation on the pristine testbed measures the
+                // job's dedicated-equivalent work; the executor events are
+                // hypothetical, so they go to a noop sink.
+                actuate_with_sink(pristine, &p.hat, &p.schedule, now, &mut NoopSink)
+                    .map(|report| (p, report))
+            });
         match outcome {
             Ok((p, report)) => {
                 // The what-if run above is the only place the dedicated
                 // execution time of this attempt is known; publish it so
                 // profilers can split the PS window into compute vs.
                 // dilution (the executor trace has no events for it).
+                let dedicated_seconds = report.elapsed_seconds.max(0.0);
                 if self.sink.enabled() {
                     self.sink.record(TraceEvent::JobWorkMeasured {
                         job: id,
                         at: now,
-                        dedicated_seconds: report.elapsed_seconds.max(0.0),
+                        dedicated_seconds,
                     });
                 }
                 self.active.push(ActiveJob {
                     idx,
                     id,
-                    start: now,
-                    remaining: report.elapsed_seconds.max(0.0),
+                    remaining: dedicated_seconds,
                     hosts: p.hosts,
                 });
             }
-            Err(err) => self.handle_failure(idx, now, err)?,
-        }
-        Ok(())
-    }
-
-    fn handle_failure(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        err: ApplesError,
-    ) -> Result<(), GridError> {
-        let id = self.states[idx].spec.id;
-        let Some((lost_host, lost_at)) = retryable(&err) else {
-            return Err(GridError::Job {
-                id,
-                message: err.to_string(),
-            });
-        };
-        if let Some(h) = lost_host {
-            if !self.states[idx].dead_hosts.contains(&h) {
-                self.states[idx].dead_hosts.push(h);
+            Err(err) => {
+                if let Next::Retry(at) = self.life.fail(idx, &err, now, self.sink)? {
+                    self.events
+                        .schedule((at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
+                }
             }
         }
-        let attempts = self.states[idx].attempts;
-        let give_up = lost_at.unwrap_or(now).max(now);
-        if attempts >= self.retry.max_attempts {
-            let st = &self.states[idx];
-            let wait_seconds = give_up.saturating_sub(st.submit).as_secs_f64();
-            if self.sink.enabled() {
-                self.sink.record(TraceEvent::JobFailed {
-                    job: id,
-                    at: give_up,
-                    attempts,
-                });
-            }
-            self.records.push(JobRecord {
-                id,
-                kind: st.spec.kind.name().to_string(),
-                submit: st.submit,
-                start: now,
-                finish: give_up,
-                hosts: Vec::new(),
-                wait_seconds,
-                exec_seconds: 0.0,
-                slowdown: slowdown_of(wait_seconds, 0.0),
-                attempts,
-                reschedules: 0,
-                completed: false,
-            });
-            return Ok(());
-        }
-        let retry_at = give_up
-            + self
-                .retry
-                .backoff_jittered(attempts, self.cfg.seed ^ id as u64);
-        if self.sink.enabled() {
-            self.sink.record(TraceEvent::JobRetried {
-                job: id,
-                at: retry_at,
-                attempt: attempts,
-            });
-        }
-        self.events
-            .schedule((retry_at, EV_FRAC_ENQUEUE), FracEvent::Enqueue { idx });
         Ok(())
     }
 
@@ -1171,9 +805,8 @@ impl FracRun<'_> {
     ///
     /// [`with_impositions`]: metasim::load::StepSeries::with_impositions
     fn finish(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
-        let impositions = std::mem::take(&mut self.impositions);
-        for (h, imps) in &impositions {
-            let hm = self.live.host_mut(*h)?;
+        for (h, imps) in &self.impositions {
+            let hm = self.life.live.host_mut(*h)?;
             let scaled = hm.availability().with_impositions(imps);
             hm.set_availability(scaled);
             if self.sink.enabled() {
@@ -1187,32 +820,19 @@ impl FracRun<'_> {
                 }
             }
         }
-        self.records.sort_by_key(|r| r.id);
-        let host_names: Vec<String> = self
-            .live
-            .hosts()
-            .iter()
-            .map(|h| h.spec.name.clone())
-            .collect();
-        let fleet =
-            FleetMetrics::from_records(&self.records, self.duration.as_secs_f64(), &host_names);
-        Ok((
-            GridOutcome {
-                records: self.records,
-                fleet,
-            },
-            FractionalLog {
-                samples: self.samples,
-            },
-        ))
+        let log = FractionalLog {
+            samples: self.samples,
+        };
+        Ok((self.life.finish(), log))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{FaultInjection, GridService, Regime};
     use crate::workload::{ArrivalProcess, JobMix};
-    use metasim::{FaultSpec, HostFault};
+    use metasim::{FaultSpec, HostFault, LinkFault, LinkId};
 
     fn small_workload(seed: u64) -> WorkloadConfig {
         WorkloadConfig {
@@ -1228,6 +848,14 @@ mod tests {
 
     fn cfg() -> GridConfig {
         GridConfig::default()
+    }
+
+    fn run_quiet(
+        cfg: &GridConfig,
+        regime: SchedRegime,
+        w: &WorkloadConfig,
+    ) -> Result<GridOutcome, GridError> {
+        run(cfg, regime, w, &mut NoopSink)
     }
 
     #[test]
@@ -1246,7 +874,7 @@ mod tests {
         let jobs = w.realize();
         let ids: Vec<usize> = jobs.iter().map(|j| j.id).collect();
         for regime in SchedRegime::ALL {
-            let out = run_regime(&cfg, regime, &w).unwrap();
+            let out = run_quiet(&cfg, regime, &w).unwrap();
             let mut got: Vec<usize> = out.records.iter().map(|r| r.id).collect();
             got.sort_unstable();
             let mut want = ids.clone();
@@ -1260,8 +888,8 @@ mod tests {
         let cfg = cfg();
         let w = small_workload(7);
         for regime in SchedRegime::ALL {
-            let a = run_regime(&cfg, regime, &w).unwrap();
-            let b = run_regime(&cfg, regime, &w).unwrap();
+            let a = run_quiet(&cfg, regime, &w).unwrap();
+            let b = run_quiet(&cfg, regime, &w).unwrap();
             assert_eq!(a.records, b.records, "regime {regime} not deterministic");
             assert_eq!(a.fleet, b.fleet);
         }
@@ -1362,7 +990,7 @@ mod tests {
     #[test]
     fn regimes_survive_fault_injection_without_losing_jobs() {
         let mut cfg = cfg();
-        cfg.faults = crate::service::FaultInjection::Spec(FaultSpec {
+        cfg.faults = FaultInjection::Spec(FaultSpec {
             host_faults: vec![HostFault {
                 host: HostId(0),
                 at: SimTime::from_secs(900),
@@ -1377,7 +1005,7 @@ mod tests {
         };
         let jobs = w.realize();
         for regime in SchedRegime::ALL {
-            let out = run_regime(&cfg, regime, &w).unwrap();
+            let out = run_quiet(&cfg, regime, &w).unwrap();
             assert_eq!(
                 out.records.len(),
                 jobs.len(),
@@ -1391,8 +1019,64 @@ mod tests {
         let svc = GridService::new(cfg()).unwrap();
         let w = small_workload(3);
         for regime in SchedRegime::ALL {
-            let out = svc.run_regime(regime, &w).unwrap();
+            let out = svc.run(regime, &w, &mut NoopSink).unwrap();
             assert!(!out.records.is_empty());
         }
+    }
+
+    /// Run the one-job stream of `small_workload` under `regime` and
+    /// return the rejection message, if any.
+    fn rejection(cfg: &GridConfig, regime: SchedRegime) -> Option<String> {
+        let w = WorkloadConfig {
+            duration: SimTime::from_secs(400),
+            ..small_workload(1)
+        };
+        match run_quiet(cfg, regime, &w) {
+            Err(GridError::InvalidConfig(m)) => Some(m),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn centralized_regimes_reject_the_blind_regime() {
+        let blind = GridConfig {
+            regime: Regime::Blind,
+            ..cfg()
+        };
+        for regime in [SchedRegime::Batch, SchedRegime::Fractional] {
+            let m = rejection(&blind, regime).expect("blind must be rejected");
+            assert!(m.contains("blind"), "{regime}: {m}");
+        }
+        assert_eq!(rejection(&blind, SchedRegime::Selfish), None);
+    }
+
+    #[test]
+    fn fractional_rejects_an_admission_bound() {
+        let bounded = GridConfig {
+            max_in_flight: 4,
+            ..cfg()
+        };
+        let m = rejection(&bounded, SchedRegime::Fractional).expect("bound must be rejected");
+        assert!(m.contains("max_in_flight"), "{m}");
+        assert_eq!(rejection(&bounded, SchedRegime::Batch), None);
+        assert_eq!(rejection(&bounded, SchedRegime::Selfish), None);
+    }
+
+    #[test]
+    fn fractional_rejects_link_faults() {
+        let faulted = GridConfig {
+            faults: FaultInjection::Spec(FaultSpec {
+                host_faults: Vec::new(),
+                link_faults: vec![LinkFault {
+                    link: LinkId(0),
+                    at: SimTime::from_secs(900),
+                    recover: Some(SimTime::from_secs(1200)),
+                }],
+            }),
+            ..cfg()
+        };
+        let m = rejection(&faulted, SchedRegime::Fractional).expect("link faults rejected");
+        assert!(m.contains("link faults"), "{m}");
+        assert_eq!(rejection(&faulted, SchedRegime::Batch), None);
     }
 }

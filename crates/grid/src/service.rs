@@ -42,14 +42,17 @@
 //! discards the attempt without writing its load back (tear-down: a
 //! placement that died never finished occupying its hosts for the
 //! recorded window), excludes the dead host, and retries the job under
-//! the workload's [`RetryPolicy`] with exponential backoff. Aware
+//! the workload's [`crate::RetryPolicy`] with exponential backoff —
+//! the job lifecycle every regime shares (`crate::lifecycle`). Aware
 //! stencil jobs additionally run under [`ReschedulingAgent`], which
 //! checkpoints at phase boundaries and re-plans remnant iterations on
 //! the survivors instead of restarting from scratch. Jobs that exhaust
 //! their attempts are recorded with `completed = false`, never dropped.
 
-use crate::metrics::{slowdown_of, FleetMetrics, JobRecord};
-use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
+use crate::lifecycle::{Lifecycle, Next};
+use crate::metrics::{FleetMetrics, JobRecord};
+use crate::sched::SchedRegime;
+use crate::workload::{JobKind, WorkloadConfig};
 use apples::actuator::{actuate_with_sink, ActuationDetail, ActuationReport};
 use apples::hat::Hat;
 use apples::info::InfoPool;
@@ -58,10 +61,10 @@ use apples::schedule::Schedule;
 use apples::{ApplesError, Coordinator};
 use apples_apps::nile::plan_farm;
 use metasim::load::Imposition;
-use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
+use metasim::simtrace::{EventSink, TraceEvent};
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::topogen::{self, TopoGenConfig, TopoSpec};
-use metasim::{apply_faults_with_sink, FaultModel, FaultSpec, SimError};
+use metasim::{FaultModel, FaultSpec, SimError};
 use metasim::{HostId, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 use simcore::EventQueue;
@@ -191,46 +194,11 @@ impl From<SimError> for GridError {
 /// Everything a finished stream yields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridOutcome {
-    /// Per-job records in submission order.
+    /// Per-job records in job-id order (submission order for realized
+    /// workloads).
     pub records: Vec<JobRecord>,
     /// Fleet-level reduction of the records.
     pub fleet: FleetMetrics,
-}
-
-/// Realize `workload` and stream it through the service under the
-/// workload's retry policy.
-pub fn run(cfg: &GridConfig, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
-    run_with_sink(cfg, workload, &mut NoopSink)
-}
-
-/// [`run`], streaming every job's lifecycle (submit → dispatch → retry
-/// → complete/fail), the agents' decisions, forecasts, faults, imposed
-/// load, and executor events into `sink`.
-pub fn run_with_sink(
-    cfg: &GridConfig,
-    workload: &WorkloadConfig,
-    sink: &mut dyn EventSink,
-) -> Result<GridOutcome, GridError> {
-    workload.validate()?;
-    run_jobs_with_retry_sink(
-        cfg,
-        &workload.realize(),
-        workload.duration,
-        workload.retry,
-        sink,
-    )
-}
-
-/// Stream an explicit job list (offsets from stream start) through the
-/// service with the default (single-attempt) retry policy. `duration`
-/// is the submission-window length used for throughput and utilization
-/// denominators.
-pub fn run_jobs(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-) -> Result<GridOutcome, GridError> {
-    run_jobs_with_retry(cfg, jobs, duration, RetryPolicy::default())
 }
 
 /// One pre-run diagnostic: a stable machine-readable code plus prose.
@@ -400,16 +368,7 @@ impl GridService {
     /// and wrap it. Every diagnostic is reported, joined into one
     /// [`GridError::InvalidConfig`].
     pub fn new(cfg: GridConfig) -> Result<GridService, GridError> {
-        let diags = validate_config(&cfg, None);
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
+        check(&cfg, None)?;
         Ok(GridService { cfg })
     }
 
@@ -419,54 +378,33 @@ impl GridService {
     }
 
     /// Validate `workload` against this service's testbed (including
-    /// the static memory-fit check), then stream it.
-    pub fn run(&self, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(&self.cfg, Some(workload));
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
-        run(&self.cfg, workload)
-    }
-
-    /// [`Self::run`], streaming trace events into `sink`.
-    pub fn run_with_sink(
+    /// the static memory-fit check), then stream it under `regime`,
+    /// narrating into `sink`.
+    pub fn run(
         &self,
+        regime: SchedRegime,
         workload: &WorkloadConfig,
         sink: &mut dyn EventSink,
     ) -> Result<GridOutcome, GridError> {
-        let diags = validate_config(&self.cfg, Some(workload));
-        if !diags.is_empty() {
-            return Err(GridError::InvalidConfig(
-                diags
-                    .iter()
-                    .map(Diagnostic::to_string)
-                    .collect::<Vec<_>>()
-                    .join("; "),
-            ));
-        }
-        run_with_sink(&self.cfg, workload, sink)
+        check(&self.cfg, Some(workload))?;
+        crate::sched::run(&self.cfg, regime, workload, sink)
     }
+}
 
-    /// Stream an explicit job list with the default retry policy.
-    pub fn run_jobs(&self, jobs: &[JobSpec], duration: SimTime) -> Result<GridOutcome, GridError> {
-        run_jobs(&self.cfg, jobs, duration)
+/// [`validate_config`], with every diagnostic joined into one
+/// [`GridError::InvalidConfig`].
+fn check(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> Result<(), GridError> {
+    let diags = validate_config(cfg, workload);
+    if diags.is_empty() {
+        return Ok(());
     }
-
-    /// Stream an explicit job list under `retry`.
-    pub fn run_jobs_with_retry(
-        &self,
-        jobs: &[JobSpec],
-        duration: SimTime,
-        retry: RetryPolicy,
-    ) -> Result<GridOutcome, GridError> {
-        run_jobs_with_retry(&self.cfg, jobs, duration, retry)
-    }
+    Err(GridError::InvalidConfig(
+        diags
+            .iter()
+            .map(Diagnostic::to_string)
+            .collect::<Vec<_>>()
+            .join("; "),
+    ))
 }
 
 /// What one placement attempt produced.
@@ -478,92 +416,35 @@ enum AttemptOutcome {
     Phased(RescheduleReport),
 }
 
-/// A failure the retry policy may absorb: the revoked/unreachable host
-/// (when the failure names one) and the simulated time the placement
-/// was lost (when known).
-pub(crate) fn retryable(err: &ApplesError) -> Option<(Option<HostId>, Option<SimTime>)> {
-    match err {
-        ApplesError::Sim(SimError::PlacementLost { host, at }) => {
-            Some((Some(HostId(*host)), Some(*at)))
-        }
-        ApplesError::Sim(SimError::NeverCompletes { .. }) => Some((None, None)),
-        ApplesError::NoFeasibleResources
-        | ApplesError::PlanningFailed(_)
-        | ApplesError::NoViableSchedule => Some((None, None)),
-        _ => None,
-    }
-}
-
-/// Realize the configured fault injection into a concrete schedule over
-/// the submission window (deterministic per `cfg.seed`). Shared by the
-/// selfish stream loop and the centralized regimes in [`crate::sched`]
-/// so every regime faces the exact same faults.
-pub(crate) fn realize_faults(
-    cfg: &GridConfig,
-    topo: &Topology,
-    duration: SimTime,
-) -> Result<FaultSpec, SimError> {
-    match &cfg.faults {
-        FaultInjection::None => Ok(FaultSpec::none()),
-        FaultInjection::Spec(s) => Ok(s.clone()),
-        FaultInjection::Random(m) => m.realize(topo, cfg.warmup, cfg.warmup + duration, cfg.seed),
-    }
-}
-
-/// Stream an explicit job list through the service under `retry`.
-pub fn run_jobs_with_retry(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
-) -> Result<GridOutcome, GridError> {
-    run_jobs_with_retry_sink(cfg, jobs, duration, retry, &mut NoopSink)
-}
-
-/// [`run_jobs_with_retry`], streaming trace events into `sink`.
-pub fn run_jobs_with_retry_sink(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
+/// The selfish regime: admit jobs FCFS under the in-flight bound, one
+/// AppLeS agent per job deciding from the shared (aware) or pristine
+/// (blind) Weather Service, then write the job's usage back into the
+/// live topology. Each job runs its whole attempt chain before the next
+/// is admitted, which is what keeps the shared service's sample stream
+/// in admission order.
+pub(crate) fn run_selfish(
+    mut life: Lifecycle<'_>,
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
-    retry.validate()?;
-    if cfg.max_in_flight == 0 {
-        return Err(GridError::InvalidConfig(
-            "max_in_flight must be at least 1".into(),
-        ));
-    }
-    let pristine = build_topology(cfg)?;
-    let mut topo = pristine.clone();
-
-    // Realize and apply the fault schedule to the live topology. The
-    // `pristine` snapshot used by blind agents stays fault-free.
-    let fault_spec = realize_faults(cfg, &topo, duration)?;
-    if !fault_spec.is_empty() {
-        apply_faults_with_sink(&mut topo, &fault_spec, sink)?;
-    }
-    let faults_on = !fault_spec.is_empty();
-
-    let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
-    ordered.sort_by_key(|j| (j.submit, j.id));
-
-    // Blind agents share one pre-stream snapshot; aware agents share
-    // one service advanced in admission order over the live topology.
+    let cfg = life.cfg;
+    // Blind agents share one pre-stream snapshot of the fault-free
+    // testbed; aware agents share one service advanced in admission
+    // order over the live topology.
     let mut blind_ws = None;
     if cfg.regime == Regime::Blind {
-        let mut ws = WeatherService::for_topology(&pristine, WeatherServiceConfig::default());
-        ws.advance(&pristine, cfg.warmup);
+        let mut ws = WeatherService::for_topology(&life.pristine, WeatherServiceConfig::default());
+        ws.advance(&life.pristine, cfg.warmup);
         blind_ws = Some(ws);
     }
-    let mut shared_ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
+    let mut shared_ws = WeatherService::for_topology(&life.live, WeatherServiceConfig::default());
+    let faults_on = !life.faults.is_empty();
 
     // Finish times of admitted jobs, for the FCFS in-flight bound.
     let mut in_flight: EventQueue<SimTime, ()> = EventQueue::new();
-    let mut records = Vec::with_capacity(ordered.len());
 
-    for job in ordered {
-        let submit = cfg.warmup + job.submit;
+    for idx in 0..life.jobs.len() {
+        let submit = life.jobs[idx].submit;
+        let kind = life.jobs[idx].spec.kind;
         let mut start = submit;
         while in_flight.len() >= cfg.max_in_flight {
             let Some((freed, _, ())) = in_flight.pop() else {
@@ -571,41 +452,24 @@ pub fn run_jobs_with_retry_sink(
             };
             start = start.max(freed);
         }
-        if sink.enabled() {
-            sink.record(TraceEvent::JobSubmitted {
-                job: job.id,
-                kind: job.kind.name().to_string(),
-                at: submit,
-            });
-        }
+        life.submit(idx, submit, sink);
 
-        let (hat, base_user) = job.kind.hat_and_user();
+        let (hat, base_user) = kind.hat_and_user();
         // Aware stencil jobs run phase-wise under faults so a mid-run
         // revocation costs only the failed phase, not the whole job.
         let phased =
-            faults_on && cfg.regime == Regime::Aware && matches!(job.kind, JobKind::Jacobi { .. });
+            faults_on && cfg.regime == Regime::Aware && matches!(kind, JobKind::Jacobi { .. });
 
-        let mut attempts: u32 = 0;
-        let mut reschedules: u32 = 0;
-        // Hosts the service has watched die under this job's
-        // placements; excluded from subsequent attempts.
-        let mut dead_hosts: Vec<HostId> = Vec::new();
-
-        let record = loop {
-            attempts += 1;
-            if sink.enabled() {
-                sink.record(TraceEvent::JobDispatched {
-                    job: job.id,
-                    at: start,
-                    attempt: attempts,
-                });
-            }
+        let finish = loop {
+            life.dispatch(idx, start, sink);
             let mut user = base_user.clone();
-            user.excluded_hosts.extend(dead_hosts.iter().copied());
+            user.excluded_hosts
+                .extend(life.jobs[idx].dead_hosts.iter().copied());
+            let topo = &life.live;
 
             let outcome: Result<AttemptOutcome, ApplesError> = if phased {
                 let mut agent = ReschedulingAgent::new(Coordinator::new(hat.clone(), user));
-                if let JobKind::Jacobi { iterations, .. } = job.kind {
+                if let JobKind::Jacobi { iterations, .. } = kind {
                     // Four checkpoints per job bounds lost work to a
                     // quarter of the solve without paying a replanning
                     // pass per handful of iterations.
@@ -617,218 +481,114 @@ pub fn run_jobs_with_retry_sink(
                 // not advanced beyond the next job's start. (Sampling
                 // is deterministic, so this is observationally the same
                 // stream.)
-                let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
+                let mut ws = WeatherService::for_topology(topo, WeatherServiceConfig::default());
                 agent
-                    .run_stencil_with_sink(&topo, &mut ws, start, sink)
+                    .run_stencil_with_sink(topo, &mut ws, start, sink)
                     .map(AttemptOutcome::Phased)
             } else {
-                let schedule = match (&blind_ws, cfg.regime) {
-                    (Some(ws), Regime::Blind) => {
-                        let pool = InfoPool::with_nws(&pristine, ws, &hat, &user, cfg.warmup);
-                        decide(&job.kind, &pool, sink)
+                let schedule = match &blind_ws {
+                    Some(ws) => {
+                        let pool = InfoPool::with_nws(&life.pristine, ws, &hat, &user, cfg.warmup);
+                        decide(&kind, &pool, sink)
                     }
-                    _ => {
-                        shared_ws.advance_with_sink(&topo, start, sink);
-                        let pool = InfoPool::with_nws(&topo, &shared_ws, &hat, &user, start);
-                        decide(&job.kind, &pool, sink)
+                    None => {
+                        shared_ws.advance_with_sink(topo, start, sink);
+                        let pool = InfoPool::with_nws(topo, &shared_ws, &hat, &user, start);
+                        decide(&kind, &pool, sink)
                     }
                 };
-                schedule.and_then(|schedule| {
-                    actuate_with_sink(&topo, &hat, &schedule, start, sink)
+                schedule.and_then(|(schedule, _)| {
+                    actuate_with_sink(topo, &hat, &schedule, start, sink)
                         .map(|report| AttemptOutcome::OneShot(schedule, report))
                 })
             };
 
             match outcome {
                 Ok(AttemptOutcome::OneShot(schedule, report)) => {
-                    impose_job_load(&mut topo, &hat, &schedule, &report, start, sink)?;
-                    let hosts = host_names_of(&topo, &schedule.hosts())?;
-                    let wait_seconds = start.saturating_sub(submit).as_secs_f64();
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobCompleted {
-                            job: job.id,
-                            at: report.finish,
-                            exec_seconds: report.elapsed_seconds,
-                        });
-                    }
-                    break JobRecord {
-                        id: job.id,
-                        kind: job.kind.name().to_string(),
-                        submit,
-                        start,
-                        finish: report.finish,
-                        hosts,
-                        wait_seconds,
-                        exec_seconds: report.elapsed_seconds,
-                        slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                        attempts,
-                        reschedules,
-                        completed: true,
-                    };
+                    impose_job_load(&mut life.live, &hat, &schedule, &report, start, sink)?;
+                    let hosts = schedule.hosts();
+                    let exec = report.elapsed_seconds;
+                    life.complete(idx, report.finish, exec, &hosts, 0, sink)?;
+                    break report.finish;
                 }
                 Ok(AttemptOutcome::Phased(report)) => {
+                    let hosts = impose_phases(&mut life.live, &report, sink)?;
                     // Saturate rather than truncate: a `usize as u32`
                     // cast would silently wrap a pathological count.
-                    reschedules = reschedules
-                        .saturating_add(u32::try_from(report.revocations).unwrap_or(u32::MAX));
-                    let mut used: Vec<HostId> = Vec::new();
-                    // Collect each host's per-phase impositions and
-                    // apply them in one batched series rebuild per host
-                    // instead of one per (phase, worker). Phase windows
-                    // on one host are disjoint in time, so the batched
-                    // result equals sequential application; LoadImposed
-                    // events keep the original per-phase order.
-                    let mut batched: Vec<(HostId, Vec<Imposition>)> = Vec::new();
-                    for ph in &report.phases {
-                        let phase_end = ph.start + SimTime::from_secs_f64(ph.elapsed_seconds);
-                        for (w, &h) in ph.hosts.iter().enumerate() {
-                            let busy = ph.compute_seconds.get(w).copied().unwrap_or(0.0);
-                            if ph.elapsed_seconds > 0.0 {
-                                let utilization = (busy / ph.elapsed_seconds).clamp(0.0, 1.0);
-                                let factor = 1.0 - utilization;
-                                let imp = Imposition::new(ph.start, phase_end, factor);
-                                match batched.iter_mut().find(|(bh, _)| *bh == h) {
-                                    Some((_, imps)) => imps.push(imp),
-                                    None => batched.push((h, vec![imp])),
-                                }
-                                if sink.enabled() {
-                                    sink.record(TraceEvent::LoadImposed {
-                                        host: h,
-                                        at: ph.start,
-                                        until: phase_end,
-                                        factor,
-                                    });
-                                }
-                            }
-                            if !used.contains(&h) {
-                                used.push(h);
-                            }
-                        }
-                    }
-                    for (h, imps) in &batched {
-                        let hm = topo.host_mut(*h)?;
-                        let scaled = hm.availability().with_impositions(imps);
-                        hm.set_availability(scaled);
-                    }
-                    let hosts = host_names_of(&topo, &used)?;
-                    let wait_seconds = start.saturating_sub(submit).as_secs_f64();
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobCompleted {
-                            job: job.id,
-                            at: report.finish,
-                            exec_seconds: report.elapsed_seconds,
-                        });
-                    }
-                    break JobRecord {
-                        id: job.id,
-                        kind: job.kind.name().to_string(),
-                        submit,
-                        start,
-                        finish: report.finish,
-                        hosts,
-                        wait_seconds,
-                        exec_seconds: report.elapsed_seconds,
-                        slowdown: slowdown_of(wait_seconds, report.elapsed_seconds),
-                        attempts,
-                        reschedules,
-                        completed: true,
-                    };
+                    let reschedules = u32::try_from(report.revocations).unwrap_or(u32::MAX);
+                    let exec = report.elapsed_seconds;
+                    life.complete(idx, report.finish, exec, &hosts, reschedules, sink)?;
+                    break report.finish;
                 }
-                Err(err) => {
-                    let Some((lost_host, lost_at)) = retryable(&err) else {
-                        return Err(GridError::Job {
-                            id: job.id,
-                            message: err.to_string(),
-                        });
-                    };
-                    if let Some(h) = lost_host {
-                        if !dead_hosts.contains(&h) {
-                            dead_hosts.push(h);
-                        }
-                    }
-                    if attempts >= retry.max_attempts {
-                        // Out of budget: record the failure. Nothing
-                        // was imposed for any failed attempt, so the
-                        // topology carries no trace of the lost work.
-                        let give_up = lost_at.unwrap_or(start).max(start);
-                        let wait_seconds = give_up.saturating_sub(submit).as_secs_f64();
-                        if sink.enabled() {
-                            sink.record(TraceEvent::JobFailed {
-                                job: job.id,
-                                at: give_up,
-                                attempts,
-                            });
-                        }
-                        break JobRecord {
-                            id: job.id,
-                            kind: job.kind.name().to_string(),
-                            submit,
-                            start,
-                            finish: give_up,
-                            hosts: Vec::new(),
-                            wait_seconds,
-                            exec_seconds: 0.0,
-                            slowdown: slowdown_of(wait_seconds, 0.0),
-                            attempts,
-                            reschedules,
-                            completed: false,
-                        };
-                    }
-                    // Jittered per (seed, job): jobs revoked by the
-                    // same fault spread out instead of thundering back
-                    // in lockstep, deterministically per seed.
-                    start = lost_at.unwrap_or(start).max(start)
-                        + retry.backoff_jittered(attempts, cfg.seed ^ job.id as u64);
-                    if sink.enabled() {
-                        sink.record(TraceEvent::JobRetried {
-                            job: job.id,
-                            at: start,
-                            attempt: attempts,
-                        });
-                    }
-                }
+                Err(err) => match life.fail(idx, &err, start, sink)? {
+                    Next::Retry(at) => start = at,
+                    Next::Failed(at) => break at,
+                },
             }
         };
-        in_flight.schedule(record.finish, ());
-        records.push(record);
+        in_flight.schedule(finish, ());
     }
-
-    let host_names: Vec<String> = topo.hosts().iter().map(|h| h.spec.name.clone()).collect();
-    let fleet = FleetMetrics::from_records(&records, duration.as_secs_f64(), &host_names);
-    Ok(GridOutcome { records, fleet })
+    Ok(life.finish())
 }
 
-/// Resolve host ids to their testbed names.
-pub(crate) fn host_names_of(topo: &Topology, hosts: &[HostId]) -> Result<Vec<String>, GridError> {
-    hosts
-        .iter()
-        .map(|&h| {
-            topo.host(h)
-                .map(|x| x.spec.name.clone())
-                .map_err(GridError::from)
-        })
-        .collect()
+/// Write a phase-wise job's per-phase usage back into the topology and
+/// return the hosts it used, in first-use order.
+///
+/// Each host's per-phase impositions are applied in one batched series
+/// rebuild instead of one per (phase, worker). Phase windows on one
+/// host are disjoint in time, so the batched result equals sequential
+/// application; `LoadImposed` events keep the per-phase order.
+fn impose_phases(
+    topo: &mut Topology,
+    report: &RescheduleReport,
+    sink: &mut dyn EventSink,
+) -> Result<Vec<HostId>, GridError> {
+    let mut used: Vec<HostId> = Vec::new();
+    let mut batched: Vec<(HostId, Vec<Imposition>)> = Vec::new();
+    for ph in &report.phases {
+        let phase_end = ph.start + SimTime::from_secs_f64(ph.elapsed_seconds);
+        for (w, &h) in ph.hosts.iter().enumerate() {
+            let busy = ph.compute_seconds.get(w).copied().unwrap_or(0.0);
+            if ph.elapsed_seconds > 0.0 {
+                let utilization = (busy / ph.elapsed_seconds).clamp(0.0, 1.0);
+                let factor = 1.0 - utilization;
+                let imp = Imposition::new(ph.start, phase_end, factor);
+                match batched.iter_mut().find(|(bh, _)| *bh == h) {
+                    Some((_, imps)) => imps.push(imp),
+                    None => batched.push((h, vec![imp])),
+                }
+                if sink.enabled() {
+                    sink.record(TraceEvent::LoadImposed {
+                        host: h,
+                        at: ph.start,
+                        until: phase_end,
+                        factor,
+                    });
+                }
+            }
+            if !used.contains(&h) {
+                used.push(h);
+            }
+        }
+    }
+    for (h, imps) in &batched {
+        let hm = topo.host_mut(*h)?;
+        let scaled = hm.availability().with_impositions(imps);
+        hm.set_availability(scaled);
+    }
+    Ok(used)
 }
 
-/// Plan one job: stencil and pipeline hats go through the Coordinator's
+/// Plan one job, surfacing the estimator's predicted runtime in
+/// seconds: stencil and pipeline hats go through the Coordinator's
 /// select → plan → estimate → choose loop; task farms are planned by
 /// their Site Manager ([`plan_farm`]), as in the paper's NILE case
 /// study, over every feasible host with the data and result home on
-/// the fastest-forecast host.
-fn decide(
-    kind: &JobKind,
-    pool: &InfoPool<'_>,
-    sink: &mut dyn EventSink,
-) -> Result<Schedule, ApplesError> {
-    decide_with_prediction(kind, pool, sink).map(|(schedule, _)| schedule)
-}
-
-/// [`decide`], also surfacing the estimator's predicted runtime in
-/// seconds. The centralized batch scheduler ([`crate::sched`]) uses
-/// that prediction as its EASY-backfilling reservation oracle — the
-/// same application-level estimate the selfish agents act on, handed
-/// to a resource-level policy instead.
-pub(crate) fn decide_with_prediction(
+/// the fastest-forecast host. The centralized batch scheduler
+/// ([`crate::sched`]) uses the prediction as its EASY-backfilling
+/// reservation oracle — the same application-level estimate the
+/// selfish agents act on, handed to a resource-level policy instead.
+pub(crate) fn decide(
     kind: &JobKind,
     pool: &InfoPool<'_>,
     sink: &mut dyn EventSink,
@@ -992,10 +752,35 @@ fn impose_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{ArrivalProcess, JobMix};
+    use crate::sched::{run, run_regime_jobs_with_sink};
+    use crate::workload::{ArrivalProcess, JobMix, JobSpec, RetryPolicy};
+    use metasim::simtrace::NoopSink;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
+    }
+
+    fn stream(cfg: &GridConfig, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
+        run(cfg, SchedRegime::Selfish, workload, &mut NoopSink)
+    }
+
+    fn traced_selfish(
+        cfg: &GridConfig,
+        jobs: &[JobSpec],
+        duration: SimTime,
+        retry: RetryPolicy,
+        sink: &mut dyn EventSink,
+    ) -> Result<GridOutcome, GridError> {
+        run_regime_jobs_with_sink(cfg, SchedRegime::Selfish, jobs, duration, retry, sink)
+    }
+
+    fn selfish(
+        cfg: &GridConfig,
+        jobs: &[JobSpec],
+        duration: SimTime,
+        retry: RetryPolicy,
+    ) -> Result<GridOutcome, GridError> {
+        traced_selfish(cfg, jobs, duration, retry, &mut NoopSink)
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<&str> {
@@ -1110,7 +895,10 @@ mod tests {
         assert!(codes(&diags).contains(&"memory-overcommit"), "{diags:?}");
         // And the service refuses to run it.
         let svc = GridService::new(cfg).unwrap();
-        assert!(matches!(svc.run(&w), Err(GridError::InvalidConfig(_))));
+        assert!(matches!(
+            svc.run(SchedRegime::Selfish, &w, &mut NoopSink),
+            Err(GridError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -1157,8 +945,8 @@ mod tests {
             duration: s(1200.0),
             ..WorkloadConfig::default()
         };
-        let a = run(&cfg, &workload).expect("stream a");
-        let b = run(&cfg, &workload).expect("stream b");
+        let a = stream(&cfg, &workload).expect("stream a");
+        let b = stream(&cfg, &workload).expect("stream b");
         assert_eq!(a.records, b.records);
         assert_eq!(a.fleet, b.fleet);
         assert!(!a.records.is_empty(), "workload produced no jobs");
@@ -1171,14 +959,15 @@ mod tests {
             ..GridConfig::default()
         };
         let jobs = probe_jobs(6000, 400);
-        let aware = run_jobs(&cfg, &jobs, s(300.0)).expect("aware");
-        let blind = run_jobs(
+        let aware = selfish(&cfg, &jobs, s(300.0), RetryPolicy::default()).expect("aware");
+        let blind = selfish(
             &GridConfig {
                 regime: Regime::Blind,
                 ..cfg.clone()
             },
             &jobs,
             s(300.0),
+            RetryPolicy::default(),
         )
         .expect("blind");
         // The first job decides from identical information either way.
@@ -1225,7 +1014,7 @@ mod tests {
                 },
             })
             .collect();
-        let out = run_jobs(&cfg, &jobs, s(10.0)).expect("bounded stream");
+        let out = selfish(&cfg, &jobs, s(10.0), RetryPolicy::default()).expect("bounded stream");
         // With one slot, each job starts when its predecessor finishes.
         for pair in out.records.windows(2) {
             assert!(pair[1].start >= pair[0].finish);
@@ -1233,7 +1022,13 @@ mod tests {
         assert!(out.records[1].wait_seconds > 0.0);
         assert!(out.records[2].wait_seconds > out.records[1].wait_seconds);
         // Unbounded admission: no waiting.
-        let free = run_jobs(&GridConfig::default(), &jobs, s(10.0)).expect("free stream");
+        let free = selfish(
+            &GridConfig::default(),
+            &jobs,
+            s(10.0),
+            RetryPolicy::default(),
+        )
+        .expect("free stream");
         assert!(free.records.iter().all(|r| r.wait_seconds == 0.0));
     }
 
@@ -1260,7 +1055,7 @@ mod tests {
                 kind: JobKind::NileFarm { events: 10_000 },
             },
         ];
-        let out = run_jobs(&cfg, &jobs, s(60.0)).expect("mixed stream");
+        let out = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("mixed stream");
         assert_eq!(out.records.len(), 3);
         for r in &out.records {
             assert!(r.exec_seconds > 0.0, "{} did not run", r.kind);
@@ -1280,7 +1075,7 @@ mod tests {
             ..GridConfig::default()
         };
         assert!(matches!(
-            run_jobs(&cfg, &[], s(10.0)),
+            selfish(&cfg, &[], s(10.0), RetryPolicy::default()),
             Err(GridError::InvalidConfig(_))
         ));
         let bad_retry = crate::workload::RetryPolicy {
@@ -1288,7 +1083,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_jobs_with_retry(&GridConfig::default(), &[], s(10.0), bad_retry),
+            selfish(&GridConfig::default(), &[], s(10.0), bad_retry),
             Err(GridError::InvalidConfig(_))
         ));
     }
@@ -1323,12 +1118,12 @@ mod tests {
             faults: FaultInjection::Spec(faults),
             ..GridConfig::default()
         };
-        let blind = run_jobs(&cfg, &jobs, s(60.0)).expect("blind stream");
+        let blind = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("blind stream");
         assert_eq!(blind.fleet.jobs_failed, 1, "{:?}", blind.records);
         assert!(!blind.records[0].completed);
         assert_eq!(blind.records[0].exec_seconds, 0.0);
 
-        let retrying = run_jobs_with_retry(
+        let retrying = selfish(
             &GridConfig {
                 regime: Regime::Aware,
                 ..cfg.clone()
@@ -1364,8 +1159,8 @@ mod tests {
             retry: crate::workload::RetryPolicy::with_attempts(3),
             ..WorkloadConfig::default()
         };
-        let a = run(&cfg, &workload).expect("stream a");
-        let b = run(&cfg, &workload).expect("stream b");
+        let a = stream(&cfg, &workload).expect("stream a");
+        let b = stream(&cfg, &workload).expect("stream b");
         assert_eq!(a.records, b.records);
         assert_eq!(a.fleet, b.fleet);
     }
@@ -1390,11 +1185,10 @@ mod tests {
             },
         ];
         let mut sink = VecSink::default();
-        let traced =
-            run_jobs_with_retry_sink(&cfg, &jobs, s(60.0), RetryPolicy::default(), &mut sink)
-                .expect("traced stream");
+        let traced = traced_selfish(&cfg, &jobs, s(60.0), RetryPolicy::default(), &mut sink)
+            .expect("traced stream");
         // Tracing must not perturb the simulation.
-        let plain = run_jobs(&cfg, &jobs, s(60.0)).expect("plain stream");
+        let plain = selfish(&cfg, &jobs, s(60.0), RetryPolicy::default()).expect("plain stream");
         assert_eq!(traced.records, plain.records);
 
         let kinds: std::collections::BTreeSet<&str> =
@@ -1471,7 +1265,7 @@ mod tests {
             let (hat, user) = job.kind.hat_and_user();
             ws.advance(&topo, start);
             let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, start);
-            let schedule = decide(&job.kind, &pool, &mut NoopSink).expect("plan");
+            let schedule = decide(&job.kind, &pool, &mut NoopSink).expect("plan").0;
             let report =
                 actuate_with_sink(&topo, &hat, &schedule, start, &mut NoopSink).expect("run");
             impose_job_load(&mut topo, &hat, &schedule, &report, start, &mut NoopSink)

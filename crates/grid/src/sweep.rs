@@ -7,8 +7,10 @@
 //! completion order, keeping sweep output deterministic.
 
 use crate::metrics::FleetMetrics;
-use crate::service::{run, GridConfig, GridError};
+use crate::sched::{run, SchedRegime::Selfish};
+use crate::service::{GridConfig, GridError};
 use crate::workload::WorkloadConfig;
+use metasim::simtrace::NoopSink;
 
 /// One trial's summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,10 +41,8 @@ pub fn sweep_seeds(
                     ..workload.clone()
                 };
                 scope.spawn(move |_| {
-                    run(&trial_cfg, &trial_workload).map(|out| TrialResult {
-                        seed,
-                        fleet: out.fleet,
-                    })
+                    let fleet = run(&trial_cfg, Selfish, &trial_workload, &mut NoopSink)?.fleet;
+                    Ok(TrialResult { seed, fleet })
                 })
             })
             .collect();

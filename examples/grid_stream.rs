@@ -9,7 +9,8 @@
 //! ```
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, GridConfig, Regime};
+use apples_grid::{run, GridConfig, Regime, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
 fn main() {
@@ -30,7 +31,7 @@ fn main() {
             regime,
             ..GridConfig::default()
         };
-        let out = run(&cfg, &workload).expect("job stream");
+        let out = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("job stream");
         let f = &out.fleet;
         println!(
             "{:?}: {} jobs, mean exec {:.1} s, p95 latency {:.1} s",

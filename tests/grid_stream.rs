@@ -3,8 +3,11 @@
 //! bit, and the aware information regime must actually observe the
 //! load earlier tenants impose.
 
-use apples_grid::workload::{ArrivalProcess, JobKind, JobMix, JobSpec, WorkloadConfig};
-use apples_grid::{run, run_jobs, GridConfig, Regime};
+use apples_grid::workload::{
+    ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
+};
+use apples_grid::{run, run_regime_jobs_with_sink, GridConfig, Regime, SchedRegime};
+use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
 fn s(x: f64) -> SimTime {
@@ -35,8 +38,8 @@ fn same_seed_and_workload_reproduce_fleet_metrics_exactly() {
         ..GridConfig::default()
     };
     let workload = stream_workload();
-    let a = run(&cfg, &workload).expect("first run");
-    let b = run(&cfg, &workload).expect("second run");
+    let a = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("first run");
+    let b = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("second run");
     assert!(a.fleet.jobs > 0, "stream should admit at least one job");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);
@@ -54,7 +57,7 @@ fn both_regimes_complete_every_admitted_job() {
             regime,
             ..GridConfig::default()
         };
-        let out = run(&cfg, &workload).expect("stream");
+        let out = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("stream");
         assert_eq!(out.records.len(), n_submitted, "{regime:?} lost jobs");
         for r in &out.records {
             assert!(r.exec_seconds > 0.0);
@@ -91,7 +94,17 @@ fn aware_probe_observes_earlier_tenants_load() {
             regime,
             ..GridConfig::default()
         };
-        outcomes.push(run_jobs(&cfg, &jobs, duration).expect("probe stream"));
+        outcomes.push(
+            run_regime_jobs_with_sink(
+                &cfg,
+                SchedRegime::Selfish,
+                &jobs,
+                duration,
+                RetryPolicy::default(),
+                &mut NoopSink,
+            )
+            .expect("probe stream"),
+        );
     }
     let (aware, blind) = (&outcomes[0], &outcomes[1]);
     let aware_probe = aware.records.last().expect("probe");
@@ -147,8 +160,8 @@ fn long_soak_stream_stays_deterministic() {
         seed: 7,
         ..GridConfig::default()
     };
-    let a = run(&cfg, &workload).expect("first soak");
-    let b = run(&cfg, &workload).expect("second soak");
+    let a = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("first soak");
+    let b = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("second soak");
     assert!(a.fleet.jobs >= 20, "soak should admit a real stream");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);

@@ -7,8 +7,8 @@
 //! across two runs of the same seed, so they can gate regressions.
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, run_with_sink, GridConfig};
-use metasim::simtrace::VecSink;
+use apples_grid::{run, GridConfig, SchedRegime};
+use metasim::simtrace::{NoopSink, VecSink};
 use metasim::SimTime;
 use obsv::{FanoutSink, MetricsSink, Profile, PHASES};
 
@@ -24,7 +24,13 @@ fn workload() -> WorkloadConfig {
 
 fn run_traced() -> Vec<metasim::simtrace::TraceEvent> {
     let mut sink = VecSink::new();
-    run_with_sink(&GridConfig::default(), &workload(), &mut sink).expect("traced stream");
+    run(
+        &GridConfig::default(),
+        SchedRegime::Selfish,
+        &workload(),
+        &mut sink,
+    )
+    .expect("traced stream");
     sink.events
 }
 
@@ -91,7 +97,13 @@ fn jsonl_roundtrip_profile_matches_in_memory_profile() {
 fn metrics_exposition_is_byte_identical_across_runs() {
     let expose = || {
         let mut sink = MetricsSink::new();
-        run_with_sink(&GridConfig::default(), &workload(), &mut sink).expect("metered stream");
+        run(
+            &GridConfig::default(),
+            SchedRegime::Selfish,
+            &workload(),
+            &mut sink,
+        )
+        .expect("metered stream");
         sink.registry().expose()
     };
     let a = expose();
@@ -114,9 +126,21 @@ fn fanout_sink_feeds_both_consumers_without_perturbing_the_run() {
         let mut fan = FanoutSink::new();
         fan.push(&mut trace);
         fan.push(&mut metrics);
-        run_with_sink(&GridConfig::default(), &workload(), &mut fan).expect("fanout stream")
+        run(
+            &GridConfig::default(),
+            SchedRegime::Selfish,
+            &workload(),
+            &mut fan,
+        )
+        .expect("fanout stream")
     };
-    let plain = run(&GridConfig::default(), &workload()).expect("plain stream");
+    let plain = run(
+        &GridConfig::default(),
+        SchedRegime::Selfish,
+        &workload(),
+        &mut NoopSink,
+    )
+    .expect("plain stream");
     assert_eq!(
         traced.records, plain.records,
         "fan-out must not perturb the simulation"

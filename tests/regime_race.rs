@@ -8,9 +8,38 @@ use apples_grid::{
     run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, FaultInjection,
     GridConfig, SchedRegime,
 };
-use metasim::simtrace::NoopSink;
+use metasim::simtrace::{NoopSink, TraceEvent, VecSink};
 use metasim::{FaultModel, SimTime};
 use proptest::prelude::*;
+
+/// One job's lifecycle events in a trace.
+#[derive(Default)]
+struct Lifecycle {
+    submitted: u32,
+    dispatched: u32,
+    retried: u32,
+    /// `(completed, at)` of every `JobCompleted` / `JobFailed`.
+    terminal: Vec<(bool, SimTime)>,
+}
+
+impl Lifecycle {
+    fn of(events: &[TraceEvent], id: usize) -> Lifecycle {
+        let mut l = Lifecycle::default();
+        for e in events {
+            match *e {
+                TraceEvent::JobSubmitted { job, .. } if job == id => l.submitted += 1,
+                TraceEvent::JobDispatched { job, .. } if job == id => l.dispatched += 1,
+                TraceEvent::JobRetried { job, .. } if job == id => l.retried += 1,
+                TraceEvent::JobCompleted { job, at, .. } if job == id => {
+                    l.terminal.push((true, at))
+                }
+                TraceEvent::JobFailed { job, at, .. } if job == id => l.terminal.push((false, at)),
+                _ => {}
+            }
+        }
+        l
+    }
+}
 
 fn workload(seed: u64, gap_secs: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -48,7 +77,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// No regime may lose or duplicate work: every submitted job id
-    /// appears exactly once in the outcome, completed or failed.
+    /// appears exactly once in the outcome, completed or failed, and
+    /// its trace follows the lifecycle its record reports: one
+    /// submission, one dispatch per attempt, one retry between
+    /// consecutive attempts, and one terminal event at the record's
+    /// finish.
     #[test]
     fn regimes_conserve_the_job_set(seed in 0u64..1000, crash_rate in 0.0f64..3.0) {
         let w = workload(seed, 180);
@@ -57,8 +90,9 @@ proptest! {
         let mut want: Vec<usize> = jobs.iter().map(|j| j.id).collect();
         want.sort_unstable();
         for regime in SchedRegime::ALL {
+            let mut sink = VecSink::new();
             let out = run_regime_jobs_with_sink(
-                &cfg, regime, &jobs, w.duration, w.retry, &mut NoopSink,
+                &cfg, regime, &jobs, w.duration, w.retry, &mut sink,
             ).expect("stream");
             let mut got: Vec<usize> = out.records.iter().map(|r| r.id).collect();
             got.sort_unstable();
@@ -66,6 +100,15 @@ proptest! {
             for r in &out.records {
                 prop_assert!(r.finish >= r.start, "job {} finished before starting", r.id);
                 prop_assert!(r.start >= r.submit, "job {} started before submission", r.id);
+                let l = Lifecycle::of(&sink.events, r.id);
+                prop_assert_eq!(l.submitted, 1, "{} job {}: submissions", regime, r.id);
+                prop_assert_eq!(l.dispatched, r.attempts, "{} job {}: dispatches", regime, r.id);
+                prop_assert_eq!(l.retried + 1, r.attempts, "{} job {}: retries", regime, r.id);
+                prop_assert_eq!(
+                    &l.terminal,
+                    &[(r.completed, r.finish)],
+                    "{} job {}: terminal events", regime, r.id
+                );
             }
         }
     }

@@ -75,6 +75,8 @@ fn sim_crates_enable_the_cross_file_passes() {
         // grid-crate policy, not slip through as an unlisted module.
         "crates/grid/src/sched.rs",
         "crates/grid/src/service.rs",
+        // The shared job lifecycle every regime runs through.
+        "crates/grid/src/lifecycle.rs",
         // The span-tree and time-series layers are new in PR 10; both
         // fold the deterministic trace, so the full policy applies.
         "crates/obsv/src/span.rs",
