@@ -13,8 +13,8 @@
 //! Reported per (topology, regime):
 //!
 //! * **stretch** — `(finish − submit) / dedicated_exec`, where the
-//!   denominator is the job kind's execution time alone on the same
-//!   (fault-free) topology. Stretch folds queue wait *and* contention
+//!   denominator is the execution time of the job's own kind (class
+//!   *and* size) alone on the same (fault-free) topology. Stretch folds queue wait *and* contention
 //!   into one application-centric number: 1.0 means "as if I had the
 //!   system to myself".
 //! * **slowdown** — the classic `(wait + exec) / exec` from the job
@@ -28,6 +28,7 @@
 //! byte-identical report, which is what the CI determinism gate
 //! checks.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::table;
@@ -35,7 +36,8 @@ use apples_grid::workload::{
     ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
 };
 use apples_grid::{
-    percentile, run_regime_jobs_with_sink, FaultInjection, GridConfig, GridError, SchedRegime,
+    percentile, run_regime_jobs_with_sink, FaultInjection, GridConfig, GridError, JobRecord,
+    SchedRegime,
 };
 use metasim::simtrace::{NoopSink, VecSink};
 use metasim::topogen::TopoSpec;
@@ -195,6 +197,34 @@ fn reference_execs(
     Ok(refs)
 }
 
+/// Each job's dedicated-execution reference, by job id: the reference
+/// of the job's full [`JobKind`]. A record only carries its kind's
+/// class name, which the three Jacobi sizes of the default mix share,
+/// so the reference must come through the job id.
+fn dedicated_by_id(jobs: &[JobSpec], refs: &[(JobKind, f64)]) -> BTreeMap<usize, f64> {
+    jobs.iter()
+        .filter_map(|j| {
+            let (_, exec) = refs.iter().find(|(k, _)| *k == j.kind)?;
+            Some((j.id, *exec))
+        })
+        .collect()
+}
+
+/// Stretch of every completed record against its own job's dedicated
+/// execution, floored at 1.0. Records without a usable reference are
+/// skipped.
+fn stretches(records: &[JobRecord], dedicated: &BTreeMap<usize, f64>) -> Vec<f64> {
+    records
+        .iter()
+        .filter(|r| r.completed)
+        .filter_map(|r| {
+            let d = *dedicated.get(&r.id)?;
+            let response = r.finish.saturating_sub(r.submit).as_secs_f64();
+            (d.is_finite() && d > 0.0).then(|| (response / d).max(1.0))
+        })
+        .collect()
+}
+
 /// Race every regime over every topology in `cfg`.
 pub fn run_race(cfg: &RaceConfig) -> Result<Vec<RaceTrial>, GridError> {
     run_race_with(cfg, &mut |_, _| {})
@@ -251,7 +281,7 @@ pub fn run_race_with(
         // exact same job stream and the exact same fault schedule
         // (both keyed by cfg.seed).
         let jobs = workload.realize();
-        let refs = reference_execs(&grid, &jobs, retry)?;
+        let dedicated = dedicated_by_id(&jobs, &reference_execs(&grid, &jobs, retry)?);
 
         let mut cells = Vec::with_capacity(SchedRegime::ALL.len());
         for regime in SchedRegime::ALL {
@@ -276,20 +306,8 @@ pub fn run_race_with(
                 .counter_value("apples_backfills_total", &[])
                 .unwrap_or(0.0) as u64;
 
-            let completed: Vec<&apples_grid::JobRecord> =
-                out.records.iter().filter(|r| r.completed).collect();
-            let mut stretches: Vec<f64> = Vec::with_capacity(completed.len());
-            for r in &completed {
-                let response = r.finish.saturating_sub(r.submit).as_secs_f64();
-                let dedicated = refs
-                    .iter()
-                    .find(|(k, _)| k.name() == r.kind)
-                    .map(|(_, e)| *e)
-                    .unwrap_or(f64::NAN);
-                if dedicated.is_finite() && dedicated > 0.0 {
-                    stretches.push((response / dedicated).max(1.0));
-                }
-            }
+            let completed: Vec<&JobRecord> = out.records.iter().filter(|r| r.completed).collect();
+            let stretches = stretches(&out.records, &dedicated);
             let slowdowns: Vec<f64> = completed.iter().map(|r| r.slowdown).collect();
             cells.push(RegimeCell {
                 regime,
@@ -568,6 +586,50 @@ mod tests {
             crash_rate: 0.5,
             ..RaceConfig::default()
         }
+    }
+
+    #[test]
+    fn stretch_divides_by_each_jobs_own_size() {
+        // Two Jacobi sizes share the class name `jacobi2d`; each job
+        // responds in exactly its own dedicated time, so both
+        // stretches are 1.0.
+        let small = JobKind::Jacobi {
+            n: 800,
+            iterations: 60,
+        };
+        let large = JobKind::Jacobi {
+            n: 1200,
+            iterations: 1500,
+        };
+        let jobs: Vec<JobSpec> = [small, large]
+            .into_iter()
+            .enumerate()
+            .map(|(id, kind)| JobSpec {
+                id,
+                submit: SimTime::ZERO,
+                kind,
+            })
+            .collect();
+        let refs = [(small, 10.0), (large, 560.0)];
+        let record = |id: usize, secs: f64| JobRecord {
+            id,
+            kind: "jacobi2d".into(),
+            submit: SimTime::from_secs(600),
+            start: SimTime::from_secs(600),
+            finish: SimTime::from_secs(600) + SimTime::from_secs_f64(secs),
+            hosts: vec![],
+            wait_seconds: 0.0,
+            exec_seconds: secs,
+            slowdown: 1.0,
+            attempts: 1,
+            reschedules: 0,
+            completed: true,
+        };
+        let records = [record(0, 10.0), record(1, 560.0)];
+        assert_eq!(
+            stretches(&records, &dedicated_by_id(&jobs, &refs)),
+            vec![1.0, 1.0]
+        );
     }
 
     #[test]
