@@ -2,9 +2,10 @@
 
 //! # apples-bench — the experiment harness
 //!
-//! One module per paper artifact; each figure binary under `src/bin/`
-//! is a thin `main` around these functions, and the Criterion benches
-//! under `benches/` time the same entry points. See DESIGN.md for the
+//! One module per paper artifact. Each experiment has one front door:
+//! a figure binary under `src/bin/` or an `apples-cli` subcommand,
+//! both thin wrappers around these functions, and the Criterion
+//! benches under `benches/` time the same entry points. See DESIGN.md for the
 //! experiment ↔ module index and EXPERIMENTS.md for recorded results.
 
 pub mod ablation;

@@ -633,6 +633,36 @@ mod tests {
     }
 
     #[test]
+    fn uncontended_selfish_stretch_is_about_one() {
+        // Seed 5 streams seven jobs on the tree, none overlapping
+        // another: Jacobi 1200²×300 first, then 800²×60 and
+        // 1200²×1500, plus a farm job. Keyed by class name, the last
+        // Jacobi's stretch would divide by the first Jacobi's solo
+        // time (5× less work). Keyed by the job's own kind, only the
+        // light profile's background load separates a job from its
+        // solo run: every stretch stays under 1.3 (1.22 at most).
+        let cfg = RaceConfig {
+            topos: vec!["tree:hosts=16,arity=2,per_seg=4".into()],
+            rate_hz: 0.0004,
+            duration_secs: 20_000.0,
+            seed: 5,
+            crash_rate: 0.0,
+            ..RaceConfig::default()
+        };
+        let trials = run_race(&cfg).unwrap();
+        let selfish = &trials[0].cells[0];
+        assert_eq!(selfish.regime, SchedRegime::Selfish);
+        assert_eq!((selfish.jobs, selfish.completed), (7, 7));
+        // With seven stretches, p99 interpolates 94% of the way from
+        // the second largest to the largest.
+        assert!(
+            selfish.stretch_p99 < 1.3,
+            "uncontended selfish stretch p99 {}",
+            selfish.stretch_p99
+        );
+    }
+
+    #[test]
     fn topo_list_splitting_respects_spec_internal_commas() {
         assert_eq!(
             split_topo_list("figure-2,clusters:clusters=2,segs=2,hosts=4,star:hosts=6,per_seg=3"),

@@ -2,7 +2,8 @@
 //!
 //! Grammar: `apples-cli <command> [--flag value]... [--switch]...`.
 //! Flags may be given as `--key value` or `--key=value`. Unknown flags
-//! are an error (catches typos early).
+//! are an error (catches typos early), and so is a value flag given
+//! twice (the first value would otherwise be silently dropped).
 
 use std::collections::BTreeMap;
 
@@ -65,6 +66,9 @@ impl Parsed {
                         .ok_or_else(|| ArgError(format!("--{key} needs a value")))?
                         .clone(),
                 };
+                if flags.contains_key(&key) {
+                    return Err(ArgError(format!("--{key} given twice")));
+                }
                 flags.insert(key, value);
             } else {
                 return Err(ArgError(format!("unknown flag --{key}")));
@@ -136,6 +140,12 @@ mod tests {
     fn switch_with_value_is_an_error() {
         let err = parse(&["schedule", "--sp2=yes"]).unwrap_err();
         assert!(err.0.contains("takes no value"));
+    }
+
+    #[test]
+    fn repeated_value_flag_is_an_error() {
+        let err = parse(&["schedule", "--n", "600", "--n=800"]).unwrap_err();
+        assert_eq!(err.0, "--n given twice");
     }
 
     #[test]

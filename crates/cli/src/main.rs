@@ -1,47 +1,51 @@
 //! `apples-cli` — drive the AppLeS reproduction from the command line.
 //!
-//! ```text
-//! apples-cli testbed   [--profile P] [--seed N] [--sp2]
-//! apples-cli schedule  [--n N] [--iterations K] [--profile P] [--seed N]
-//!                      [--source nws|last-value|oracle|static]
-//!                      [--metric time|speedup|cost:<rate>]
-//!                      [--max-hosts K] [--sp2] [--warmup SECS]
-//! apples-cli compare   [--n N] [--iterations K] [--profile P] [--seed N]
-//! apples-cli forecast  [--host I] [--until SECS] [--profile P] [--seed N]
-//! apples-cli react     [--unit U] [--depth D] [--seed N]
-//! apples-cli nile      [--events E] [--runs R] [--seed N]
-//! ```
+//! `apples-cli help` prints every command and the flags it reads
+//! ([`USAGE`]). This is the one front door for every experiment it
+//! has a command for: each command runs the library scenario in
+//! `apples_bench` or `apples_apps` and prints its table.
 
 mod args;
 mod commands;
 
-use args::Parsed;
+use args::{ArgError, Parsed};
 
 const USAGE: &str = "\
 apples-cli — application-level scheduling on a simulated metacomputer
 
 USAGE:
   apples-cli testbed   [--profile P] [--seed N] [--sp2]
-      Print the Figure 2 SDSC/PCL testbed.
+      Print the Figure 2 SDSC/PCL testbed (FIG2): every host's speed,
+      memory, sharing policy, segment and mean availability, and every
+      link. --sp2 adds the two SP-2 nodes of Figure 6.
   apples-cli schedule  [--n N] [--iterations K] [--profile P] [--seed N]
                        [--source nws|last-value|oracle|static]
                        [--metric time|speedup|cost:<rate>]
                        [--max-hosts K] [--sp2] [--warmup SECS]
       Run an AppLeS agent on a Jacobi2D job and actuate its decision.
   apples-cli compare   [--n N] [--iterations K] [--profile P] [--seed N]
+                       [--sp2]
       AppLeS vs static Strip vs HPF Blocked, back-to-back (Figure 5 trial).
   apples-cli forecast  [--host I] [--until SECS] [--profile P] [--seed N]
+                       [--sp2]
       Watch the Network Weather Service track one host.
   apples-cli react     [--unit U] [--depth D] [--seed N]
-      The 3D-REACT pipeline on the CASA testbed (unit 0 sweeps sizes).
+      The 3D-REACT pipeline on the CASA testbed (T-REACT): single-site
+      vs pipelined hours, the pipeline-depth sweep at the best unit
+      size and the unit-size sweep. --unit U runs that one unit size
+      at depth --depth D (default 4); --depth needs --unit.
   apples-cli nile      [--events E] [--runs R] [--seed N]
-      The CLEO/NILE Site Manager's skim-vs-remote decision.
+      The CLEO/NILE Site Manager's skim-vs-remote decision (T-NILE),
+      swept over 1..32 analysis runs; --runs R prints that one row.
   apples-cli resched   [--n N] [--iterations K] [--phase P] [--seed N]
-      Phase-wise rescheduling vs one-shot across a mid-run load swap.
+      Phase-wise rescheduling vs one-shot across a mid-run load swap,
+      with the rescheduling agent's per-phase table (RESCHED).
   apples-cli advise    [--wait SECS] [--avail A] [--n N] [--iterations K]
       The wait-for-dedicated vs run-now-on-shared decision (3.2).
   apples-cli whatif    [--n N] [--iterations K] [--profile P] [--seed N]
-      Rank hypothetical hardware upgrades by this application's speedup.
+                       [--sp2]
+      Rank hypothetical hardware upgrades by this application's speedup
+      (T-WHATIF; Jacobi2D 2000x2000, 80 iterations by default).
   apples-cli grid      [--rate R] [--duration SECS] [--seed N] [--profile P]
                        [--regime selfish|batch|fractional] [--topo SPEC]
                        [--max-in-flight K] [--blind] [--csv] [--json]
@@ -119,17 +123,20 @@ USAGE:
       the current directory). --format github emits workflow-command
       annotations; --deny fails even on allowed findings of LINT.
       Exit 0 clean, 1 on unallowed or denied findings, 2 on usage.
-  apples-cli bench     [--hosts N[,N...]] [--topo SPEC] [--jobs N[,N...]]
-                       [--seed N] [--out FILE] [--check FILE] [--json]
+  apples-cli bench     [--hosts N[,N...]] [--topo SPEC1,SPEC2,...]
+                       [--jobs N[,N...]] [--seed N] [--out FILE]
+                       [--check FILE] [--json]
       Events/sec sweep of the simulation core (T-SCALE): incremental
       dirty-set engine vs the full-recompute baseline on a seeded
-      synthetic fleet. --topo adds a sweep point on a generated
-      topology instead (e.g. --topo fat-tree:k=8, 1024 hosts). The
-      default sweep includes the generated fat-tree point. Writes the
-      results to --out (default BENCH_event_engine.json) and appends
-      one line per run to the sibling *.history.jsonl trajectory;
-      --check validates an existing results file instead of running
-      and compares it against the last history point (nonzero exit if
+      synthetic fleet. --topo adds one sweep point per generated
+      topology in its comma-separated list instead (e.g. --topo
+      fat-tree:k=8 is 1024 hosts), each with the first --jobs value
+      (default 10000) jobs. The default sweep includes the generated
+      fat-tree point. Writes the results to --out (default
+      BENCH_event_engine.json) and appends one line per run to the
+      sibling *.history.jsonl trajectory; --check validates an
+      existing results file instead of running and compares it
+      against the last history point (nonzero exit if
       missing/malformed/mismatched).
 
 Profiles: dedicated | light | moderate (default) | heavy
@@ -139,27 +146,62 @@ Profiles: dedicated | light | moderate (default) | heavy
 const SCENARIO_FLAGS: &str = "rate duration seed profile topo horizon max-in-flight \
      fault-rate link-fault-rate mean-outage permanent max-attempts backoff";
 
-/// The value flags and switches `command` accepts, as space-separated
-/// lists: shared scenario flags, the command's own flags, switches.
-/// Anything else is a parse error, so a flag a command would ignore
-/// never runs silently.
-fn flags_of(command: &str) -> [&'static str; 3] {
-    match command {
-        "grid" => [SCENARIO_FLAGS, "regime trace metrics", "sp2 blind csv json"],
-        "metrics" => [SCENARIO_FLAGS, "regime out", "sp2 blind"],
-        "validate" => [SCENARIO_FLAGS, "", "sp2 blind"],
-        "race" => [
-            "",
-            "rate duration seed topo fault-rate mean-outage max-attempts report",
-            "quiet",
-        ],
-        _ => [
-            "",
-            "n iterations profile seed source metric max-hosts warmup host until unit depth \
-             events runs phase wait avail out hosts jobs check topo",
-            "sp2 json",
-        ],
-    }
+type Run = fn(&Parsed) -> commands::CmdResult;
+
+/// A flag-parsed command's handler and the flags it reads, as
+/// space-separated lists: shared scenario flags, the command's own
+/// value flags, switches. Anything else is a parse error, so a flag a
+/// command would ignore never runs silently. `None` for an unknown
+/// command.
+fn command_of(name: &str) -> Option<(Run, [&'static str; 3])> {
+    use commands as c;
+    Some(match name {
+        "testbed" => (c::testbed, ["", "profile seed", "sp2"]),
+        "schedule" => (
+            c::schedule,
+            [
+                "",
+                "n iterations profile seed source metric max-hosts warmup",
+                "sp2",
+            ],
+        ),
+        "compare" => (c::compare, ["", "n iterations profile seed", "sp2"]),
+        "forecast" => (c::forecast, ["", "host until profile seed", "sp2"]),
+        "react" => (c::react, ["", "unit depth seed", ""]),
+        "nile" => (c::nile, ["", "events runs seed", ""]),
+        "resched" => (c::resched, ["", "n iterations phase seed", ""]),
+        "advise" => (c::advise_cmd, ["", "wait avail n iterations", ""]),
+        "whatif" => (c::whatif, ["", "n iterations profile seed", "sp2"]),
+        "grid" => (
+            c::grid,
+            [SCENARIO_FLAGS, "regime trace metrics", "sp2 blind csv json"],
+        ),
+        "metrics" => (c::metrics, [SCENARIO_FLAGS, "regime out", "sp2 blind"]),
+        "validate" => (c::validate, [SCENARIO_FLAGS, "", "sp2 blind"]),
+        "race" => (
+            c::race,
+            [
+                "",
+                "rate duration seed topo fault-rate mean-outage max-attempts report",
+                "quiet",
+            ],
+        ),
+        "bench" => (c::bench, ["", "hosts topo jobs seed out check", "json"]),
+        _ => return None,
+    })
+}
+
+/// Parse `raw` (command first) against that command's own flags.
+fn parse_command(raw: &[String]) -> Result<(Run, Parsed), ArgError> {
+    let name = raw.first().map(String::as_str).unwrap_or_default();
+    let (run, [shared, own, switches]) =
+        command_of(name).ok_or_else(|| ArgError(format!("unknown command {name:?}")))?;
+    let flags: Vec<&str> = shared
+        .split_whitespace()
+        .chain(own.split_whitespace())
+        .collect();
+    let switches: Vec<&str> = switches.split_whitespace().collect();
+    Ok((run, Parsed::parse(raw, &flags, &switches)?))
 }
 
 fn main() {
@@ -189,13 +231,7 @@ fn main() {
     if raw[0] == "lint" {
         std::process::exit(commands::lint(&raw[1..]));
     }
-    let [shared, own, switches] = flags_of(&raw[0]);
-    let flags: Vec<&str> = shared
-        .split_whitespace()
-        .chain(own.split_whitespace())
-        .collect();
-    let switches: Vec<&str> = switches.split_whitespace().collect();
-    let parsed = match Parsed::parse(&raw, &flags, &switches) {
+    let (run, parsed) = match parse_command(&raw) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -203,27 +239,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match parsed.command.as_str() {
-        "testbed" => commands::testbed(&parsed),
-        "schedule" => commands::schedule(&parsed),
-        "compare" => commands::compare(&parsed),
-        "forecast" => commands::forecast(&parsed),
-        "react" => commands::react(&parsed),
-        "nile" => commands::nile(&parsed),
-        "resched" => commands::resched(&parsed),
-        "advise" => commands::advise_cmd(&parsed),
-        "whatif" => commands::whatif(&parsed),
-        "grid" => commands::grid(&parsed),
-        "race" => commands::race(&parsed),
-        "validate" => commands::validate(&parsed),
-        "metrics" => commands::metrics(&parsed),
-        "bench" => commands::bench(&parsed),
-        other => {
-            eprintln!("error: unknown command {other:?}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let result = run(&parsed);
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);
