@@ -323,16 +323,7 @@ pub fn plan_multi_site(
                 ..t.clone()
             },
         );
-        let site_pool = InfoPool {
-            topo: pool.topo,
-            weather: pool.weather,
-            hat: &site_hat,
-            user: pool.user,
-            source: pool.source,
-            now: pool.now,
-            oracle_window: pool.oracle_window,
-            nws_horizon: pool.nws_horizon,
-        };
+        let site_pool = pool.for_hat(&site_hat);
         let sched = plan_farm(&site_pool, &assigned[i], data_home, result_home)?;
         predicted = predicted.max(estimate_farm(&site_pool, &sched)?);
         per_site.push(sched);

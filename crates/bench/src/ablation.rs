@@ -46,12 +46,12 @@ pub fn forecast_trial(n: usize, iterations: usize, seed: u64, source: ForecastSo
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
     ws.advance(&tb.topo, WARMUP);
 
-    let mut pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
-    pool.source = source;
     // The oracle averages the true availability over the window the
     // run will actually occupy; a window far longer than the run
     // would smear out exactly the fluctuations that matter.
-    pool.oracle_window = SimTime::from_secs(60);
+    let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP)
+        .with_source(source)
+        .with_oracle_window(SimTime::from_secs(60));
     let agent = Coordinator::new(hat.clone(), user.clone());
     let decision = agent.decide(&pool).expect("decision");
     let sched = match decision.schedule() {

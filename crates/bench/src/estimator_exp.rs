@@ -8,7 +8,7 @@
 //! simulated execution time, summarized as a ratio distribution.
 
 use apples::estimator::estimate_stencil;
-use apples::info::{ForecastSource, InfoPool};
+use apples::info::InfoPool;
 use apples::schedule::{StencilPart, StencilSchedule};
 use apples_apps::jacobi2d::partition::jacobi_context;
 use metasim::exec::simulate_spmd;
@@ -99,8 +99,7 @@ pub fn run(samples: usize, seed: u64) -> (Vec<EstimatorSample>, Stats) {
         let t = hat.as_stencil().expect("stencil");
         let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
         ws.advance(&tb.topo, warmup);
-        let mut pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
-        pool.source = ForecastSource::Nws;
+        let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
 
         let sched = random_schedule(&mut rng, &tb.workstations(), n, 40);
         let Ok(predicted) = estimate_stencil(&pool, &sched) else {

@@ -126,8 +126,7 @@ pub fn schedule(p: &Parsed) -> CmdResult {
 
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
     ws.advance(&tb.topo, warmup);
-    let mut pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
-    pool.source = source;
+    let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup).with_source(source);
     let agent = Coordinator::new(hat.clone(), user.clone());
     let decision = agent.decide(&pool)?;
     let report = apples::actuator::actuate(&tb.topo, &hat, decision.schedule(), warmup)?;
@@ -470,8 +469,8 @@ pub fn advise_cmd(p: &Parsed) -> CmdResult {
 
     let hat = apples::hat::jacobi2d_hat(n, iterations);
     let user = UserSpec::default();
-    let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-    pool.source = ForecastSource::Oracle;
+    let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+        .with_source(ForecastSource::Oracle);
     let advice = advise(
         &pool,
         &[vec![HostId(0), HostId(1)], vec![HostId(2), HostId(3)]],
@@ -619,10 +618,11 @@ fn grid_setup(
 /// configuration: print every typed diagnostic, exit nonzero if any.
 pub fn validate(p: &Parsed) -> CmdResult {
     let (cfg, workload) = grid_setup(p)?;
-    let diags = apples_grid::validate_config(&cfg, Some(&workload));
+    let regime = sched_regime_of(p)?;
+    let diags = apples_grid::validate_config(&cfg, Some(&workload), Some(regime));
     if diags.is_empty() {
         println!(
-            "configuration OK: {} profile{}, horizon {}, seed {}",
+            "configuration OK: {} profile{}, {regime} regime, horizon {}, seed {}",
             p.get("profile", "moderate"),
             if cfg.with_sp2 { " with SP-2 nodes" } else { "" },
             cfg.horizon,
@@ -636,7 +636,7 @@ pub fn validate(p: &Parsed) -> CmdResult {
     Err(format!("{} configuration issue(s) found", diags.len()).into())
 }
 
-/// Parse the `--regime` flag shared by `grid`, `metrics` and `race`.
+/// Parse the `--regime` flag shared by `grid`, `metrics` and `validate`.
 fn sched_regime_of(p: &Parsed) -> Result<apples_grid::SchedRegime, ArgError> {
     let raw = p.get("regime", "selfish");
     apples_grid::SchedRegime::parse(raw).ok_or_else(|| {

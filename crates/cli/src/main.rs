@@ -83,11 +83,13 @@ USAGE:
       profile, while grid defaults to moderate: `grid --profile light
       --regime R` with the same rate, duration, seed, fault rate and
       attempts reproduces the race's done/failed counts for R.
-  apples-cli validate  [grid's flags except --regime, --trace, --metrics,
-                       --csv, --json]
+  apples-cli validate  [grid's flags except --trace, --metrics, --csv,
+                       --json]
       Statically check a grid configuration without running it: every
       problem is printed as a typed [code] diagnostic and the exit
-      status is nonzero if any are found.
+      status is nonzero if any are found. With --regime R, knobs R does
+      not model are [regime] diagnostics, as grid --regime R refuses
+      them.
   apples-cli trace summary FILE
       Summarize a JSONL trace: event counts by kind, time span.
   apples-cli trace diff A B
@@ -177,7 +179,7 @@ fn command_of(name: &str) -> Option<(Run, [&'static str; 3])> {
             [SCENARIO_FLAGS, "regime trace metrics", "sp2 blind csv json"],
         ),
         "metrics" => (c::metrics, [SCENARIO_FLAGS, "regime out", "sp2 blind"]),
-        "validate" => (c::validate, [SCENARIO_FLAGS, "", "sp2 blind"]),
+        "validate" => (c::validate, [SCENARIO_FLAGS, "regime", "sp2 blind"]),
         "race" => (
             c::race,
             [

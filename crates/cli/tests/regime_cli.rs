@@ -106,3 +106,21 @@ fn fractional_rejects_an_admission_bound() {
     assert!(err.contains("fractional regime does not model"), "{err}");
     assert!(err.contains("max_in_flight"), "{err}");
 }
+
+#[test]
+fn validate_reports_the_knobs_a_regime_does_not_model() {
+    let knobs = ["--max-in-flight", "2", "--duration", "300"];
+    let selfish = cli(&[["validate"].as_slice(), &knobs].concat());
+    assert!(selfish.status.success(), "{selfish:?}");
+    assert!(stdout(&selfish).contains("selfish regime"), "{selfish:?}");
+
+    let out = cli(&[["validate", "--regime", "fractional"].as_slice(), &knobs].concat());
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    assert!(
+        text.contains(
+            "[regime] the fractional regime does not model an admission bound (max_in_flight)"
+        ),
+        "{text}"
+    );
+}

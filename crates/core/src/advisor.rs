@@ -133,8 +133,8 @@ mod tests {
     fn advise_on(topo: &Topology) -> WaitAdvice {
         let hat = jacobi2d_hat(1000, 1000);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(topo, &hat, &user, SimTime::ZERO);
-        pool.source = crate::info::ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(topo, &hat, &user, SimTime::ZERO)
+            .with_source(crate::info::ForecastSource::Oracle);
         let dedicated = vec![HostId(0), HostId(1)];
         let shared = vec![HostId(2), HostId(3)];
         advise(&pool, &[dedicated, shared]).unwrap()

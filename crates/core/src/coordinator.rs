@@ -181,7 +181,7 @@ impl Coordinator {
     /// [`TraceEvent::CandidateConsidered`] per successfully planned
     /// candidate and [`TraceEvent::ScheduleChosen`] for the winner —
     /// the cost-model view behind the decision, timestamped at
-    /// `pool.now`.
+    /// `pool.now()`.
     pub fn decide_with_sink(
         &self,
         pool: &InfoPool<'_>,
@@ -190,7 +190,7 @@ impl Coordinator {
         let candidate_sets = self.selector.candidates(pool)?;
         if sink.enabled() {
             sink.record(TraceEvent::ResourceSelection {
-                at: pool.now,
+                at: pool.now(),
                 candidates: candidate_sets.len(),
             });
         }
@@ -236,7 +236,7 @@ impl Coordinator {
             );
             if sink.enabled() {
                 sink.record(TraceEvent::CandidateConsidered {
-                    at: pool.now,
+                    at: pool.now(),
                     index: considered.len(),
                     hosts: sched.hosts().len(),
                     predicted_seconds: predicted,
@@ -278,7 +278,7 @@ impl Coordinator {
             .ok_or(ApplesError::NoViableSchedule)?;
         if sink.enabled() {
             sink.record(TraceEvent::ScheduleChosen {
-                at: pool.now,
+                at: pool.now(),
                 index: chosen_index,
                 predicted_seconds: considered[chosen_index].predicted_seconds,
             });
@@ -353,8 +353,8 @@ mod tests {
         let topo = topo();
         let hat = jacobi2d_hat(1200, 50);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).unwrap();
         let hosts = d.schedule().hosts();
@@ -384,8 +384,8 @@ mod tests {
         assert_eq!(d.schedule().hosts().len(), 3);
         // ...but actuating it is slower than the oracle-informed pick.
         let static_run = actuate(&topo, &hat, d.schedule(), SimTime::ZERO).unwrap();
-        let mut oracle_pool = InfoPool::static_nominal(&topo, &hat, &agent.user, SimTime::ZERO);
-        oracle_pool.source = ForecastSource::Oracle;
+        let oracle_pool = InfoPool::static_nominal(&topo, &hat, &agent.user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
         let od = agent.decide(&oracle_pool).unwrap();
         let oracle_run = actuate(&topo, &hat, od.schedule(), SimTime::ZERO).unwrap();
         assert!(
@@ -422,8 +422,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).unwrap();
         assert_eq!(d.schedule().hosts().len(), 1, "{:?}", d.chosen());
@@ -437,8 +437,8 @@ mod tests {
             metric: PerformanceMetric::Speedup,
             ..Default::default()
         };
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).unwrap();
         // Objective is time/best-single: the winner must be < 1 (a
@@ -451,8 +451,8 @@ mod tests {
         let topo = topo();
         let hat = jacobi2d_hat(600, 10);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).unwrap();
         let report = d.report(&topo);

@@ -24,6 +24,7 @@ use crate::hat::Hat;
 use crate::user::UserSpec;
 use metasim::{HostId, SimError, SimTime, Topology};
 use nws::{ResourceKey, WeatherService};
+use std::cell::Cell;
 
 /// Where the pool's dynamic availability information comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,30 +40,75 @@ pub enum ForecastSource {
 }
 
 /// Shared information context for one scheduling decision.
+///
+/// Every availability answer is memoized: a pool forecasts each host
+/// and link at most once, however many candidates the selector, planner
+/// and estimator evaluate. The answer depends only on the topology, the
+/// weather service, `now` and the forecast settings, and none of them
+/// can change while the pool lives: the borrows are shared, `now` is
+/// fixed at construction, and the settings change only through the
+/// consuming `with_*` methods, which hand back a pool with an empty
+/// memo.
 pub struct InfoPool<'a> {
     /// The system being scheduled onto.
     pub topo: &'a Topology,
     /// The weather service (may be absent for static scheduling).
-    pub weather: Option<&'a WeatherService>,
+    weather: Option<&'a WeatherService>,
     /// The application template.
     pub hat: &'a Hat,
     /// The user specifications.
     pub user: &'a UserSpec,
-    /// Source of dynamic information.
-    pub source: ForecastSource,
-    /// The decision time: forecasts are for the window starting here.
-    pub now: SimTime,
-    /// Window length the oracle averages the true availability over.
-    pub oracle_window: SimTime,
-    /// When set and the source is NWS, forecasts use
-    /// [`WeatherService::forecast_mean_over`] with this horizon — the
-    /// expected duration of the run being scheduled (§3.2: forecasts
-    /// "for the time frame in which the application will be
-    /// scheduled"). `None` uses one-step forecasts.
-    pub nws_horizon: Option<SimTime>,
+    source: ForecastSource,
+    now: SimTime,
+    oracle_window: SimTime,
+    nws_horizon: Option<SimTime>,
+    memo: Memo,
+}
+
+/// Availability answers already given, indexed by host and link id.
+struct Memo {
+    cpu: Vec<Cell<Option<f64>>>,
+    link: Vec<Cell<Option<f64>>>,
+}
+
+impl Memo {
+    fn for_topology(topo: &Topology) -> Self {
+        Memo {
+            cpu: vec![Cell::new(None); topo.hosts().len()],
+            link: vec![Cell::new(None); topo.links().len()],
+        }
+    }
+
+    fn slot(&self, key: ResourceKey) -> Option<&Cell<Option<f64>>> {
+        match key {
+            ResourceKey::Cpu(h) => self.cpu.get(h.0),
+            ResourceKey::Link(l) => self.link.get(l.0),
+        }
+    }
 }
 
 impl<'a> InfoPool<'a> {
+    fn new(
+        topo: &'a Topology,
+        weather: Option<&'a WeatherService>,
+        hat: &'a Hat,
+        user: &'a UserSpec,
+        source: ForecastSource,
+        now: SimTime,
+    ) -> Self {
+        InfoPool {
+            topo,
+            weather,
+            hat,
+            user,
+            source,
+            now,
+            oracle_window: SimTime::from_secs(600),
+            nws_horizon: None,
+            memo: Memo::for_topology(topo),
+        }
+    }
+
     /// A pool using NWS forecasts.
     pub fn with_nws(
         topo: &'a Topology,
@@ -71,16 +117,7 @@ impl<'a> InfoPool<'a> {
         user: &'a UserSpec,
         now: SimTime,
     ) -> Self {
-        InfoPool {
-            topo,
-            weather: Some(weather),
-            hat,
-            user,
-            source: ForecastSource::Nws,
-            now,
-            oracle_window: SimTime::from_secs(600),
-            nws_horizon: None,
-        }
+        Self::new(topo, Some(weather), hat, user, ForecastSource::Nws, now)
     }
 
     /// A pool that assumes dedicated resources (static scheduling).
@@ -90,16 +127,57 @@ impl<'a> InfoPool<'a> {
         user: &'a UserSpec,
         now: SimTime,
     ) -> Self {
+        Self::new(topo, None, hat, user, ForecastSource::StaticNominal, now)
+    }
+
+    /// This pool reading dynamic information from `source`.
+    pub fn with_source(self, source: ForecastSource) -> Self {
         InfoPool {
-            topo,
-            weather: None,
-            hat,
-            user,
-            source: ForecastSource::StaticNominal,
-            now,
-            oracle_window: SimTime::from_secs(600),
-            nws_horizon: None,
+            source,
+            memo: Memo::for_topology(self.topo),
+            ..self
         }
+    }
+
+    /// This pool with the window the oracle averages the true
+    /// availability over (600 s unless set).
+    pub fn with_oracle_window(self, oracle_window: SimTime) -> Self {
+        InfoPool {
+            oracle_window,
+            memo: Memo::for_topology(self.topo),
+            ..self
+        }
+    }
+
+    /// This pool with NWS forecasts of the mean over `horizon` via
+    /// [`WeatherService::forecast_mean_over`] — the expected duration
+    /// of the run being scheduled (§3.2: forecasts "for the time frame
+    /// in which the application will be scheduled"). `None`, the
+    /// default, uses one-step forecasts.
+    pub fn with_nws_horizon(self, nws_horizon: Option<SimTime>) -> Self {
+        InfoPool {
+            nws_horizon,
+            memo: Memo::for_topology(self.topo),
+            ..self
+        }
+    }
+
+    /// A pool with the same information sources and settings for
+    /// another application template.
+    pub fn for_hat<'b>(&self, hat: &'b Hat) -> InfoPool<'b>
+    where
+        'a: 'b,
+    {
+        InfoPool {
+            hat,
+            memo: Memo::for_topology(self.topo),
+            ..*self
+        }
+    }
+
+    /// The decision time: forecasts are for the window starting here.
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
     /// Predicted CPU availability fraction of `host` for the imminent
@@ -123,8 +201,13 @@ impl<'a> InfoPool<'a> {
         })
     }
 
+    /// The memoized answer for `key`, computed on first use.
     fn availability(&self, key: ResourceKey, oracle: impl Fn(SimTime) -> f64) -> f64 {
-        match self.source {
+        let slot = self.memo.slot(key);
+        if let Some(v) = slot.and_then(Cell::get) {
+            return v;
+        }
+        let v = match self.source {
             ForecastSource::StaticNominal => 1.0,
             ForecastSource::Oracle => oracle(self.oracle_window),
             ForecastSource::LastValue => self
@@ -140,7 +223,11 @@ impl<'a> InfoPool<'a> {
                 })
                 .map(|f| f.value)
                 .unwrap_or(1.0),
+        };
+        if let Some(slot) = slot {
+            slot.set(Some(v));
         }
+        v
     }
 
     /// Predicted effective compute rate of `host` in Mflop/s: nominal
@@ -190,6 +277,7 @@ mod tests {
     use metasim::host::HostSpec;
     use metasim::load::LoadModel;
     use metasim::net::{LinkSpec, TopologyBuilder};
+    use metasim::LinkId;
     use nws::WeatherServiceConfig;
 
     fn s(x: f64) -> SimTime {
@@ -254,9 +342,9 @@ mod tests {
         let topo = b.instantiate(s(10_000.0), 0).unwrap();
         let hat = jacobi2d_hat(100, 1);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, s(100.0));
-        pool.source = ForecastSource::Oracle;
-        pool.oracle_window = s(50.0);
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, s(100.0))
+            .with_source(ForecastSource::Oracle)
+            .with_oracle_window(s(50.0));
         // Oracle window [100, 150] lies entirely in the 0.2 regime.
         assert!((pool.cpu_availability(HostId(0)) - 0.2).abs() < 1e-9);
     }
@@ -268,8 +356,8 @@ mod tests {
         let user = UserSpec::default();
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, s(100.0));
-        let mut pool = InfoPool::with_nws(&topo, &ws, &hat, &user, s(100.0));
-        pool.source = ForecastSource::LastValue;
+        let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, s(100.0))
+            .with_source(ForecastSource::LastValue);
         assert!((pool.cpu_availability(HostId(0)) - 0.5).abs() < 1e-9);
     }
 
@@ -299,9 +387,9 @@ mod tests {
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, s(50_000.0));
 
-        let mut pool = InfoPool::with_nws(&topo, &ws, &hat, &user, s(50_000.0));
+        let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, s(50_000.0));
         let one_step = pool.cpu_availability(HostId(0));
-        pool.nws_horizon = Some(s(100_000.0));
+        let pool = pool.with_nws_horizon(Some(s(100_000.0)));
         let long = pool.cpu_availability(HostId(0));
         // The one-step forecast sits near one of the two levels; the
         // long-horizon forecast regresses toward the middle.
@@ -309,6 +397,137 @@ mod tests {
             (long - 0.5).abs() < (one_step - 0.5).abs() + 1e-12,
             "long {long} should be nearer the mean than one-step {one_step}"
         );
+    }
+
+    /// Two hosts on one shared segment, every load fluctuating, so each
+    /// forecast source gives a different answer.
+    fn fluctuating_topo() -> Topology {
+        let flapping = |mean_idle, mean_busy| LoadModel::MarkovOnOff {
+            idle_avail: 0.9,
+            busy_avail: 0.2,
+            mean_idle: SimTime::from_secs(mean_idle),
+            mean_busy: SimTime::from_secs(mean_busy),
+        };
+        let mut b = TopologyBuilder::new();
+        let seg = b.add_segment(LinkSpec::shared(
+            "seg",
+            10.0,
+            SimTime::from_millis(2),
+            flapping(90, 60),
+        ));
+        b.add_host(HostSpec::workstation(
+            "a",
+            100.0,
+            64.0,
+            seg,
+            flapping(120, 120),
+        ));
+        b.add_host(HostSpec::workstation(
+            "b",
+            50.0,
+            64.0,
+            seg,
+            flapping(300, 100),
+        ));
+        b.instantiate(s(100_000.0), 11).unwrap()
+    }
+
+    #[test]
+    fn memoized_answers_match_the_direct_computation() {
+        let topo = fluctuating_topo();
+        assert_eq!((topo.hosts().len(), topo.links().len()), (2, 1));
+        let hat = jacobi2d_hat(100, 1);
+        let user = UserSpec::default();
+        let now = s(20_000.0);
+        let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
+        ws.advance(&topo, now);
+        let horizon = s(5_000.0);
+        let window = s(600.0);
+        let keys = [
+            ResourceKey::Cpu(HostId(0)),
+            ResourceKey::Cpu(HostId(1)),
+            ResourceKey::Link(LinkId(0)),
+        ];
+        // Each source's answer computed straight from the weather
+        // service or the realized load, with no pool in between.
+        let direct = |source: ForecastSource, horizon: Option<SimTime>, key: ResourceKey| {
+            let series = match key {
+                ResourceKey::Cpu(h) => topo.host(h).unwrap().availability(),
+                ResourceKey::Link(l) => topo.link(l).unwrap().availability(),
+            };
+            match source {
+                ForecastSource::StaticNominal => 1.0,
+                ForecastSource::Oracle => series.mean(now, now + window),
+                ForecastSource::LastValue => ws.current(key).unwrap().clamp(0.0, 1.0),
+                ForecastSource::Nws => {
+                    match horizon {
+                        Some(h) => ws.forecast_mean_over(key, h),
+                        None => ws.forecast(key),
+                    }
+                    .unwrap()
+                    .value
+                }
+            }
+        };
+        let query = |pool: &InfoPool<'_>, key: ResourceKey| match key {
+            ResourceKey::Cpu(h) => pool.cpu_availability(h),
+            ResourceKey::Link(l) => pool.link_availability(l),
+        };
+
+        let settings = [
+            (ForecastSource::Nws, None),
+            (ForecastSource::Nws, Some(horizon)),
+            (ForecastSource::LastValue, None),
+            (ForecastSource::Oracle, None),
+            (ForecastSource::StaticNominal, None),
+        ];
+        for (source, h) in settings {
+            let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, now)
+                .with_source(source)
+                .with_nws_horizon(h);
+            // The first query fills the memo, the second reads it.
+            for _ in 0..2 {
+                for key in keys {
+                    let (got, want) = (query(&pool, key), direct(source, h, key));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {h:?} {key:?}");
+                }
+            }
+        }
+
+        // A settings change after a query never serves the old answer.
+        for key in keys {
+            let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, now);
+            let one_step = query(&pool, key);
+            let pool = pool.with_nws_horizon(Some(horizon));
+            let mean_over = query(&pool, key);
+            assert_eq!(
+                mean_over.to_bits(),
+                direct(ForecastSource::Nws, Some(horizon), key).to_bits()
+            );
+            assert_ne!(
+                one_step, mean_over,
+                "{key:?}: horizon must change the forecast"
+            );
+            let pool = pool.with_source(ForecastSource::Oracle);
+            let oracle = query(&pool, key);
+            assert_eq!(
+                oracle.to_bits(),
+                direct(ForecastSource::Oracle, None, key).to_bits()
+            );
+            assert_ne!(
+                oracle, mean_over,
+                "{key:?}: the oracle must differ from the NWS"
+            );
+            let pool = pool.with_oracle_window(s(60.0));
+            let series = match key {
+                ResourceKey::Cpu(h) => topo.host(h).unwrap().availability(),
+                ResourceKey::Link(l) => topo.link(l).unwrap().availability(),
+            };
+            assert_eq!(
+                query(&pool, key).to_bits(),
+                series.mean(now, now + s(60.0)).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -560,8 +560,8 @@ mod tests {
         let topo = b.instantiate(s(100_000.0), 0).unwrap();
         let hat = jacobi2d_hat(600, 10);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = crate::info::ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(crate::info::ForecastSource::Oracle);
         let sched = plan_strip(&pool, &[HostId(0), HostId(1)]).unwrap();
         let loaded = sched.parts.iter().find(|p| p.host == HostId(0)).unwrap();
         assert!(

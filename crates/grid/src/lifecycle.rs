@@ -87,7 +87,9 @@ impl<'a> Lifecycle<'a> {
         let pristine = build_topology(cfg)?;
         let mut live = pristine.clone();
         let faults = realize_faults(cfg, &live, duration)?;
-        reject_ignored_knobs(cfg, regime, &faults)?;
+        if let Some(m) = unmodeled_knob(cfg, regime, &faults) {
+            return Err(GridError::InvalidConfig(m));
+        }
         if !faults.is_empty() {
             apply_faults_with_sink(&mut live, &faults, sink)?;
         }
@@ -307,7 +309,7 @@ fn retryable(err: &ApplesError) -> Option<(Option<HostId>, Option<SimTime>)> {
 
 /// Realize the configured fault injection into a concrete schedule over
 /// the submission window.
-fn realize_faults(
+pub(crate) fn realize_faults(
     cfg: &GridConfig,
     topo: &Topology,
     duration: SimTime,
@@ -319,16 +321,19 @@ fn realize_faults(
     }
 }
 
-/// Refuse a knob `regime` would otherwise silently drop: the
-/// centralized regimes plan from static nominal information, so they
-/// have no blind variant; processor sharing has no admission queue and
-/// models host capacity only.
-fn reject_ignored_knobs(
+/// The knob `regime` would silently drop under `cfg` and the realized
+/// `faults`, as the message refusing it: the centralized regimes plan
+/// from static nominal information, so they have no blind variant;
+/// processor sharing has no admission queue and models host capacity
+/// only. `None` when the regime models every knob that is set. Both the
+/// stream setup and [`crate::validate_config`] refuse through this one
+/// check.
+pub(crate) fn unmodeled_knob(
     cfg: &GridConfig,
     regime: SchedRegime,
     faults: &FaultSpec,
-) -> Result<(), GridError> {
-    let ignored = match regime {
+) -> Option<String> {
+    let knob = match regime {
         SchedRegime::Selfish => None,
         _ if cfg.regime == Regime::Blind => Some("the blind information regime"),
         SchedRegime::Fractional if cfg.max_in_flight != usize::MAX => {
@@ -337,10 +342,5 @@ fn reject_ignored_knobs(
         SchedRegime::Fractional if !faults.link_faults.is_empty() => Some("link faults"),
         _ => None,
     };
-    match ignored {
-        Some(knob) => Err(GridError::InvalidConfig(format!(
-            "the {regime} regime does not model {knob}"
-        ))),
-        None => Ok(()),
-    }
+    knob.map(|knob| format!("the {regime} regime does not model {knob}"))
 }

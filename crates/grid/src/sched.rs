@@ -1025,16 +1025,23 @@ mod tests {
     }
 
     /// Run the one-job stream of `small_workload` under `regime` and
-    /// return the rejection message, if any.
+    /// return the rejection message, if any. The validator must report
+    /// the same refusal as its `regime` diagnostic.
     fn rejection(cfg: &GridConfig, regime: SchedRegime) -> Option<String> {
         let w = WorkloadConfig {
             duration: SimTime::from_secs(400),
             ..small_workload(1)
         };
-        match run_quiet(cfg, regime, &w) {
+        let refused = match run_quiet(cfg, regime, &w) {
             Err(GridError::InvalidConfig(m)) => Some(m),
             _ => None,
-        }
+        };
+        let diagnosed = crate::validate_config(cfg, Some(&w), Some(regime))
+            .into_iter()
+            .find(|d| d.code == "regime")
+            .map(|d| d.message);
+        assert_eq!(diagnosed, refused, "{regime}: validator vs stream setup");
+        refused
     }
 
     #[test]

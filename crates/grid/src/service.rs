@@ -49,7 +49,7 @@
 //! the survivors instead of restarting from scratch. Jobs that exhaust
 //! their attempts are recorded with `completed = false`, never dropped.
 
-use crate::lifecycle::{Lifecycle, Next};
+use crate::lifecycle::{realize_faults, unmodeled_knob, Lifecycle, Next};
 use crate::metrics::{FleetMetrics, JobRecord};
 use crate::sched::SchedRegime;
 use crate::workload::{JobKind, WorkloadConfig};
@@ -287,8 +287,16 @@ pub(crate) fn build_topology(cfg: &GridConfig) -> Result<Topology, SimError> {
 /// * `arrivals` / `job-mix` / `retry` — the corresponding workload knob
 ///   was rejected;
 /// * `memory-overcommit` — a job kind in the mix cannot fit on the
-///   testbed's hosts even when spread perfectly.
-pub fn validate_config(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> Vec<Diagnostic> {
+///   testbed's hosts even when spread perfectly;
+/// * `regime` — `regime` is given and does not model a knob that is
+///   set, exactly as the stream setup would refuse it. Random faults
+///   are realized over the workload's window for this check, so
+///   without a workload only explicit link faults count.
+pub fn validate_config(
+    cfg: &GridConfig,
+    workload: Option<&WorkloadConfig>,
+    regime: Option<SchedRegime>,
+) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut push = |code: &str, message: String| {
         out.push(Diagnostic {
@@ -352,6 +360,19 @@ pub fn validate_config(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> V
         }
     }
 
+    if let Some(regime) = regime {
+        let window = workload.map_or(SimTime::ZERO, |w| w.duration);
+        // An invalid fault model is already reported above.
+        if let Ok(faults) = realize_faults(cfg, &topo, window) {
+            if let Some(message) = unmodeled_knob(cfg, regime, &faults) {
+                out.push(Diagnostic {
+                    code: "regime".into(),
+                    message,
+                });
+            }
+        }
+    }
+
     out
 }
 
@@ -394,7 +415,7 @@ impl GridService {
 /// [`validate_config`], with every diagnostic joined into one
 /// [`GridError::InvalidConfig`].
 fn check(cfg: &GridConfig, workload: Option<&WorkloadConfig>) -> Result<(), GridError> {
-    let diags = validate_config(cfg, workload);
+    let diags = validate_config(cfg, workload, None);
     if diags.is_empty() {
         return Ok(());
     }
@@ -799,7 +820,7 @@ mod tests {
             max_in_flight: 0,
             ..GridConfig::default()
         };
-        let diags = validate_config(&cfg, None);
+        let diags = validate_config(&cfg, None, None);
         assert!(codes(&diags).contains(&"admission"), "{diags:?}");
         let err = GridService::new(cfg).unwrap_err();
         assert!(matches!(err, GridError::InvalidConfig(_)));
@@ -816,7 +837,7 @@ mod tests {
             }),
             ..GridConfig::default()
         };
-        let diags = validate_config(&cfg, None);
+        let diags = validate_config(&cfg, None, None);
         assert!(codes(&diags).contains(&"fault-model"), "{diags:?}");
         assert!(GridService::new(cfg).is_err());
     }
@@ -834,7 +855,7 @@ mod tests {
             }),
             ..GridConfig::default()
         };
-        let diags = validate_config(&cfg, None);
+        let diags = validate_config(&cfg, None, None);
         assert!(codes(&diags).contains(&"fault-beyond-horizon"), "{diags:?}");
         assert!(GridService::new(cfg).is_err());
     }
@@ -852,7 +873,7 @@ mod tests {
             }),
             ..GridConfig::default()
         };
-        let diags = validate_config(&cfg, None);
+        let diags = validate_config(&cfg, None, None);
         assert!(
             codes(&diags).contains(&"fault-on-unknown-host"),
             "{diags:?}"
@@ -872,7 +893,7 @@ mod tests {
             },
             ..WorkloadConfig::default()
         };
-        let diags = validate_config(&cfg, Some(&w));
+        let diags = validate_config(&cfg, Some(&w), None);
         let c = codes(&diags);
         assert!(c.contains(&"arrivals"), "{c:?}");
         assert!(c.contains(&"job-mix"), "{c:?}");
@@ -891,7 +912,7 @@ mod tests {
             }),
             ..WorkloadConfig::default()
         };
-        let diags = validate_config(&cfg, Some(&w));
+        let diags = validate_config(&cfg, Some(&w), None);
         assert!(codes(&diags).contains(&"memory-overcommit"), "{diags:?}");
         // And the service refuses to run it.
         let svc = GridService::new(cfg).unwrap();
@@ -908,7 +929,7 @@ mod tests {
                 with_sp2,
                 ..GridConfig::default()
             };
-            let diags = validate_config(&cfg, Some(&WorkloadConfig::default()));
+            let diags = validate_config(&cfg, Some(&WorkloadConfig::default()), None);
             assert!(diags.is_empty(), "shipped config flagged: {diags:?}");
         }
     }

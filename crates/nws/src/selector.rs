@@ -2,15 +2,21 @@
 //!
 //! Every predictor in the battery runs on the full measurement stream.
 //! When a new measurement arrives, each predictor's *previous* forecast
-//! is scored against it (a postcast), and the cumulative error decides
-//! which predictor answers live forecast queries. Different predictors
-//! win on different signal regimes — last-value on random walks, long
-//! means on stationary noise, medians on bursty spikes — and selection
-//! tracks the regime automatically.
+//! is scored against it (a postcast). Each member keeps an
+//! exponentially decayed sum of its absolute postcast errors, and the
+//! lowest sum decides which predictor answers live forecast queries.
+//! Different predictors win on different signal regimes — last-value on
+//! random walks, long means on stationary noise, medians on bursty
+//! spikes — and selection tracks the regime automatically.
+//!
+//! The reported error ([`AdaptiveSelector::best_error`]) is that sum
+//! divided by its decayed weight `Σ_{k<n} 0.995^k` over the member's `n`
+//! scored postcasts. The weight is a running sum updated with each
+//! postcast, so a query costs O(1) however long the history is.
 
 use crate::forecast::{standard_suite, Forecaster};
 
-/// Exponential decay applied to cumulative errors so the selector can
+/// Exponential decay applied to accumulated errors so the selector can
 /// abandon a predictor whose regime has passed.
 const ERROR_DECAY: f64 = 0.995;
 
@@ -29,8 +35,11 @@ const ERROR_DECAY: f64 = 0.995;
 /// ```
 pub struct AdaptiveSelector {
     members: Vec<Box<dyn Forecaster>>,
-    /// Decayed cumulative absolute error per member.
+    /// Decayed sum of absolute errors per member.
     err: Vec<f64>,
+    /// Decayed weight behind each `err`: `Σ_{k<scored} ERROR_DECAY^k`,
+    /// kept as a running sum so [`AdaptiveSelector::best_error`] is O(1).
+    weight: Vec<f64>,
     /// Number of scored postcasts per member.
     scored: Vec<u64>,
     samples_seen: u64,
@@ -59,6 +68,7 @@ impl AdaptiveSelector {
         AdaptiveSelector {
             members,
             err: vec![0.0; n],
+            weight: vec![0.0; n],
             scored: vec![0; n],
             samples_seen: 0,
         }
@@ -70,6 +80,7 @@ impl AdaptiveSelector {
         for (i, m) in self.members.iter().enumerate() {
             if let Some(p) = m.forecast() {
                 self.err[i] = self.err[i] * ERROR_DECAY + (p - value).abs();
+                self.weight[i] += ERROR_DECAY.powi(self.scored[i] as i32);
                 self.scored[i] += 1;
             }
         }
@@ -109,10 +120,7 @@ impl AdaptiveSelector {
                 f64::INFINITY
             } else {
                 // Normalize the decayed sum by its decayed weight.
-                let w: f64 = (0..self.scored[i])
-                    .map(|k| ERROR_DECAY.powi(k as i32))
-                    .sum();
-                self.err[i] / w
+                self.err[i] / self.weight[i]
             }
         })
     }
@@ -128,6 +136,7 @@ impl AdaptiveSelector {
             m.reset();
         }
         self.err.iter_mut().for_each(|e| *e = 0.0);
+        self.weight.iter_mut().for_each(|w| *w = 0.0);
         self.scored.iter_mut().for_each(|s| *s = 0);
         self.samples_seen = 0;
     }
@@ -206,6 +215,51 @@ mod tests {
         let p = s.forecast().unwrap();
         assert!((p - 0.42).abs() < 1e-9);
         assert!(s.best_error().unwrap() < 1e-9);
+    }
+
+    /// `best_error` as it was computed before the running weight: the
+    /// decay normalizer rebuilt from scratch on every call.
+    fn summed_best_error(s: &AdaptiveSelector) -> Option<f64> {
+        s.best_index().map(|i| {
+            if s.scored[i] == 0 {
+                f64::INFINITY
+            } else {
+                let w: f64 = (0..s.scored[i]).map(|k| ERROR_DECAY.powi(k as i32)).sum();
+                s.err[i] / w
+            }
+        })
+    }
+
+    #[test]
+    fn running_weight_matches_the_summed_normalizer_bit_for_bit() {
+        let mut s = AdaptiveSelector::new();
+        let same = |s: &AdaptiveSelector| {
+            let (fast, slow) = (s.best_error(), summed_best_error(s));
+            assert_eq!(
+                fast.map(f64::to_bits),
+                slow.map(f64::to_bits),
+                "{fast:?} vs {slow:?}"
+            );
+        };
+        // A drifting, noisy, occasionally spiking signal, so the winning
+        // member changes along the way.
+        let signal = |i: u64| {
+            let noise = (i.wrapping_mul(2_654_435_761) % 1_000) as f64 / 1_000.0;
+            let level = 0.5 + 0.4 * (i as f64 / 700.0).sin();
+            let spike = if i.is_multiple_of(97) { -0.3 } else { 0.0 };
+            (level + 0.1 * noise + spike).clamp(0.0, 1.0)
+        };
+        same(&s);
+        for i in 0..5_000 {
+            s.update(signal(i));
+            same(&s);
+        }
+        s.reset();
+        same(&s);
+        for i in 0..1_500 {
+            s.update(signal(i * 7 + 3));
+            same(&s);
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn main() {
 
         let hat = jacobi2d_hat(1200, 800);
         let user = UserSpec::default();
-        let mut pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO);
-        pool.source = ForecastSource::Oracle;
+        let pool = InfoPool::static_nominal(&topo, &hat, &user, SimTime::ZERO)
+            .with_source(ForecastSource::Oracle);
 
         let advice = advise(
             &pool,

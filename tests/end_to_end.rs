@@ -80,8 +80,7 @@ fn oracle_information_never_loses_badly_to_nws() {
     let hat = jacobi2d_hat(1200, 40);
     let user = UserSpec::default();
     let t_for = |source: ForecastSource| {
-        let mut pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, now);
-        pool.source = source;
+        let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, now).with_source(source);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).expect("decision");
         actuate(&tb.topo, &hat, d.schedule(), now)
