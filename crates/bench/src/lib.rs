@@ -4,8 +4,7 @@
 //!
 //! One module per paper artifact. Each experiment has one front door:
 //! a figure binary under `src/bin/` or an `apples-cli` subcommand,
-//! both thin wrappers around these functions, and the Criterion
-//! benches under `benches/` time the same entry points. See DESIGN.md for the
+//! both thin wrappers around these functions. See DESIGN.md for the
 //! experiment ↔ module index and EXPERIMENTS.md for recorded results.
 
 pub mod ablation;

@@ -1,10 +1,7 @@
 //! §2.3's 3D-REACT measurements: single-site vs distributed pipeline,
 //! and the pipeline-size tradeoff.
 
-use apples_apps::react3d::{
-    casa_testbed, distributed_run, single_site_run, sweep_pipeline_sizes, CasaTestbed,
-};
-use metasim::SimTime;
+use apples_apps::react3d::{casa_testbed, single_site_run, sweep_pipeline_sizes, CasaTestbed};
 
 /// The complete §2.3 experiment result.
 #[derive(Debug, Clone)]
@@ -54,15 +51,6 @@ pub fn run(seed: u64) -> ReactResult {
         sweep,
         speedup: best_single / distributed_hours,
     }
-}
-
-/// A single distributed run in seconds (for the Criterion bench).
-pub fn distributed_seconds(seed: u64, unit: usize) -> f64 {
-    let tb = casa_testbed(seed).expect("casa testbed");
-    distributed_run(&tb, unit, 4)
-        .expect("run")
-        .makespan(SimTime::ZERO)
-        .as_secs_f64()
 }
 
 #[cfg(test)]

@@ -28,8 +28,9 @@
 //!   across its hosts; its dedicated-equivalent work (measured by a
 //!   what-if actuation on the pristine testbed) drains at that rate.
 //!   The realized per-host occupancy is written back onto the live
-//!   topology as one batched [`StepSeries::with_impositions`] rebuild
-//!   per host at the end of the run.
+//!   topology at the end of the run, as one batched in-place
+//!   [`StepSeries::impose`] per host: `O(log n + w)` for the `w`
+//!   change points the windows cover, plus one tail move.
 //!
 //! Each regime supplies only its policy. Setup, per-job state, the
 //! lifecycle events and records, the retry-or-fail decision and the
@@ -71,7 +72,7 @@
 //! `max_in_flight` or realized link faults under fractional
 //! (processor sharing has no admission queue and models hosts only).
 //!
-//! [`StepSeries::with_impositions`]: metasim::load::StepSeries::with_impositions
+//! [`StepSeries::impose`]: metasim::load::StepSeries::impose
 //! [`FaultSpec`]: metasim::FaultSpec
 //! [`GridService::run`]: crate::GridService::run
 //! [`Regime::Blind`]: crate::Regime::Blind
@@ -799,16 +800,14 @@ impl<'a> FracRun<'a> {
     }
 
     /// Write the realized per-host occupancy back onto the live
-    /// topology: one batched [`with_impositions`] rebuild per host —
-    /// the high-rate path the incremental sweep in `metasim::load` was
-    /// built for.
+    /// topology: one batched in-place [`impose`] per host, costing
+    /// `O(log n + w)` for the `w` points the run's windows cover plus
+    /// one tail move.
     ///
-    /// [`with_impositions`]: metasim::load::StepSeries::with_impositions
+    /// [`impose`]: metasim::load::StepSeries::impose
     fn finish(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
         for (h, imps) in &self.impositions {
-            let hm = self.life.live.host_mut(*h)?;
-            let scaled = hm.availability().with_impositions(imps);
-            hm.set_availability(scaled);
+            self.life.live.host_mut(*h)?.availability_mut().impose(imps);
             if self.sink.enabled() {
                 for imp in imps {
                     self.sink.record(TraceEvent::LoadImposed {

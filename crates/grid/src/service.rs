@@ -555,10 +555,13 @@ pub(crate) fn run_selfish(
 /// Write a phase-wise job's per-phase usage back into the topology and
 /// return the hosts it used, in first-use order.
 ///
-/// Each host's per-phase impositions are applied in one batched series
-/// rebuild instead of one per (phase, worker). Phase windows on one
-/// host are disjoint in time, so the batched result equals sequential
-/// application; `LoadImposed` events keep the per-phase order.
+/// Each host's per-phase impositions are applied in one batched
+/// in-place [`StepSeries::impose`] instead of one per (phase, worker).
+/// Phase windows on one host are disjoint in time, so the batched
+/// result equals sequential application; `LoadImposed` events keep the
+/// per-phase order.
+///
+/// [`StepSeries::impose`]: metasim::load::StepSeries::impose
 fn impose_phases(
     topo: &mut Topology,
     report: &RescheduleReport,
@@ -593,9 +596,7 @@ fn impose_phases(
         }
     }
     for (h, imps) in &batched {
-        let hm = topo.host_mut(*h)?;
-        let scaled = hm.availability().with_impositions(imps);
-        hm.set_availability(scaled);
+        topo.host_mut(*h)?.availability_mut().impose(imps);
     }
     Ok(used)
 }
@@ -727,11 +728,9 @@ fn impose_host(
     factor: f64,
     sink: &mut dyn EventSink,
 ) -> Result<(), GridError> {
-    let h = topo.host_mut(host)?;
-    let scaled = h
-        .availability()
-        .with_impositions(&[Imposition::new(from, to, factor)]);
-    h.set_availability(scaled);
+    topo.host_mut(host)?
+        .availability_mut()
+        .impose(&[Imposition::new(from, to, factor)]);
     if sink.enabled() {
         sink.record(TraceEvent::LoadImposed {
             host,
@@ -759,13 +758,10 @@ fn impose_route(
         return Ok(());
     }
     for link_id in topo.route(from_host, to_host)? {
-        let scaled = {
-            let l = topo.link(link_id)?;
-            let fraction = (mb / (l.spec.bandwidth_mbps * window)).clamp(0.0, 1.0);
-            l.availability()
-                .with_impositions(&[Imposition::new(from, to, 1.0 - fraction)])
-        };
-        topo.link_mut(link_id)?.set_availability(scaled);
+        let l = topo.link_mut(link_id)?;
+        let fraction = (mb / (l.spec.bandwidth_mbps * window)).clamp(0.0, 1.0);
+        l.availability_mut()
+            .impose(&[Imposition::new(from, to, 1.0 - fraction)]);
     }
     Ok(())
 }

@@ -258,8 +258,7 @@ pub fn apply_faults_with_sink(
     spec.validate(topo)?;
     for f in &spec.host_faults {
         let h = topo.host_mut(f.host)?;
-        let crashed = faulted_series(h.availability(), f.at, f.recover);
-        h.set_availability(crashed);
+        cut_fault(h.availability_mut(), f.at, f.recover);
         h.add_fault_window(f.at, f.recover);
         if sink.enabled() {
             sink.record(TraceEvent::HostFaultInjected {
@@ -271,8 +270,7 @@ pub fn apply_faults_with_sink(
     }
     for f in &spec.link_faults {
         let l = topo.link_mut(f.link)?;
-        let dark = faulted_series(l.availability(), f.at, f.recover);
-        l.set_availability(dark);
+        cut_fault(l.availability_mut(), f.at, f.recover);
         if sink.enabled() {
             sink.record(TraceEvent::LinkFaultInjected {
                 link: f.link,
@@ -284,22 +282,14 @@ pub fn apply_faults_with_sink(
     Ok(())
 }
 
-/// A resource's availability with one fault window cut out of it: zero
-/// over `[at, recover)`, and — for a permanent fault — zero forever,
-/// truncating whatever the load process would have done afterwards.
-fn faulted_series(series: &StepSeries, at: SimTime, recover: Option<SimTime>) -> StepSeries {
+/// Cut one fault window out of a resource's availability, in place:
+/// zero over `[at, recover)`, and — for a permanent fault — zero
+/// forever, truncating whatever the load process would have done
+/// afterwards.
+fn cut_fault(series: &mut StepSeries, at: SimTime, recover: Option<SimTime>) {
     match recover {
-        Some(until) => series.with_impositions(&[Imposition::new(at, until, 0.0)]),
-        None => {
-            let mut pts: Vec<(SimTime, f64)> = series
-                .points()
-                .iter()
-                .copied()
-                .filter(|&(t, _)| t < at)
-                .collect();
-            pts.push((at, 0.0));
-            StepSeries::from_points(pts)
-        }
+        Some(until) => series.impose(&[Imposition::new(at, until, 0.0)]),
+        None => series.zero_from(at),
     }
 }
 
@@ -356,6 +346,40 @@ mod tests {
         assert_eq!(h.availability().value_at(s(49.0)), 1.0);
         assert_eq!(h.availability().value_at(s(1e9)), 0.0);
         assert_eq!(h.dead_from(SimTime::ZERO), Some(s(50.0)));
+    }
+
+    #[test]
+    fn permanent_fault_truncation_matches_a_rebuild() {
+        // Oracle: keep the points before the crash, append the zero,
+        // and rebuild the whole series.
+        fn rebuilt(series: &StepSeries, at: SimTime) -> StepSeries {
+            let mut pts: Vec<(SimTime, f64)> = series
+                .points()
+                .iter()
+                .copied()
+                .filter(|&(t, _)| t < at)
+                .collect();
+            pts.push((at, 0.0));
+            StepSeries::from_points(pts)
+        }
+        let series = StepSeries::from_points(vec![
+            (s(0.0), 0.7),
+            (s(4.0), f64::EPSILON / 2.0),
+            (s(9.0), 0.3),
+            (s(15.0), 0.0),
+            (s(21.0), 0.9),
+        ]);
+        // At zero, on a point, just after a point whose value is within
+        // `f64::EPSILON` of zero, between points, on a zero point, and
+        // past the last point.
+        for at in [0.0, 4.0, 5.0, 12.0, 15.0, 21.0, 40.0] {
+            let mut cut = series.clone();
+            cut_fault(&mut cut, s(at), None);
+            let bits = |ss: &StepSeries| -> Vec<(SimTime, u64)> {
+                ss.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&cut), bits(&rebuilt(&series, s(at))), "crash at {at}");
+        }
     }
 
     #[test]

@@ -182,6 +182,12 @@ impl Host {
         self.avail = avail;
     }
 
+    /// The availability process, for in-place write-back of imposed
+    /// load and faults ([`StepSeries::impose`]).
+    pub fn availability_mut(&mut self) -> &mut StepSeries {
+        &mut self.avail
+    }
+
     /// Startup delay before any work can begin (queue wait for
     /// space-shared hosts; zero for time-shared hosts).
     pub fn startup_wait(&self) -> SimTime {
@@ -403,14 +409,13 @@ mod tests {
 
     #[test]
     fn checked_compute_revokes_on_mid_run_crash() {
-        use crate::load::{Imposition, StepSeries};
+        use crate::load::Imposition;
         let spec = HostSpec::dedicated("node", 10.0, 64.0, seg());
         let mut h = Host::instantiate(HostId(3), spec, s(1000.0), 0).unwrap();
         // Crash at t = 5 with recovery at t = 50; 100 Mflop at
         // 10 Mflop/s started at t = 0 would be in flight at the crash.
-        let crashed =
-            StepSeries::constant(1.0).with_impositions(&[Imposition::new(s(5.0), s(50.0), 0.0)]);
-        h.set_availability(crashed);
+        h.availability_mut()
+            .impose(&[Imposition::new(s(5.0), s(50.0), 0.0)]);
         h.add_fault_window(s(5.0), Some(s(50.0)));
         match h.compute_finish_checked(SimTime::ZERO, 100.0, 1.0) {
             Err(SimError::PlacementLost { host, at }) => {

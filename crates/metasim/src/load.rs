@@ -171,57 +171,55 @@ impl StepSeries {
         }
     }
 
-    /// A copy of the series with values inside `[from, to)` multiplied
-    /// by `factor` (clamped back into `[0, 1]`). This is how one
-    /// application's resource usage is imposed on the availability
-    /// another application sees: running at a 60% share on a host for
-    /// some window scales the host's availability by 0.4 there.
-    pub fn scaled_in_window(&self, from: SimTime, to: SimTime, factor: f64) -> StepSeries {
-        self.with_impositions(&[Imposition::new(from, to, factor)])
-    }
-
-    /// A copy of the series with a whole set of [`Imposition`]s applied
-    /// at once. Overlapping windows compose multiplicatively: two jobs
-    /// each taking a 50% share of a host leave 25% of it for a third
-    /// observer.
+    /// Apply a set of [`Imposition`]s in place. Overlapping windows
+    /// compose multiplicatively: two jobs each taking a 50% share of a
+    /// host leave 25% of it for a third observer.
     ///
-    /// One merged sweep over the union of change points: window edges
-    /// are walked alongside the base points with cursors, and a sorted
-    /// index list of the currently-open windows is maintained across
-    /// edges, so the combined factor is recomputed in `O(k)` at each of
-    /// the (at most `2n`) times the active set changes — `k` being the
-    /// overlap depth there, not the total imposition count. Layering
-    /// `n` impositions costs `O((points + n) log (points + n) + n·k)`,
-    /// not `O(points · n)` as with a per-time scan, not `O(n²)` as
-    /// with a full rescan of all windows per edge, and not `n` full
-    /// copies as with repeated [`scaled_in_window`] calls. The result
-    /// is exactly equal (bit for bit) to applying the windows
-    /// sequentially, because the index list is kept ascending and
-    /// overlapping factors are always multiplied in imposition order.
+    /// Only the span `[min from, max to]` can change. Its base points
+    /// are re-swept together with the window edges, and a sorted index
+    /// list of the open windows gives the combined factor at each edge
+    /// in `O(k)` for overlap depth `k`, multiplying factors in
+    /// imposition order. Each value is clamped into `[0, 1]` and
+    /// dropped when it repeats the last retained value within
+    /// `f64::EPSILON`. The prefix before the span is left alone: it is
+    /// already clamped and deduplicated, and deduplication only looks
+    /// forward. The suffix is re-deduplicated only until the last
+    /// retained value equals its original predecessor bit for bit;
+    /// from there on every decision matches the original one. A call
+    /// costs `O(log n + w)` for `w` points in the window (plus
+    /// `O(m log m)` to sort `m` window edges), and one move of the
+    /// tail when the point count changes.
     ///
-    /// Empty windows (`to <= from`) are ignored; factors are floored at
-    /// zero and the resulting values clamped back into `[0, 1]`.
-    ///
-    /// [`scaled_in_window`]: StepSeries::scaled_in_window
-    pub fn with_impositions(&self, impositions: &[Imposition]) -> StepSeries {
-        let live: Vec<&Imposition> = impositions.iter().filter(|i| i.to > i.from).collect();
-        if live.is_empty() {
-            return self.clone();
-        }
+    /// The result equals, bit for bit, a full rebuild that evaluates
+    /// every change point against every window. Empty windows
+    /// (`to <= from`) are ignored; factors are floored at zero.
+    pub fn impose(&mut self, impositions: &[Imposition]) {
         // Window edges: (time, is_end, imposition index), time-sorted.
-        let mut bounds: Vec<(SimTime, bool, usize)> = Vec::with_capacity(live.len() * 2);
-        for (k, imp) in live.iter().enumerate() {
-            bounds.push((imp.from, false, k));
-            bounds.push((imp.to, true, k));
+        let mut bounds: Vec<(SimTime, bool, usize)> = Vec::with_capacity(impositions.len() * 2);
+        for (k, imp) in impositions.iter().enumerate() {
+            if imp.to > imp.from {
+                bounds.push((imp.from, false, k));
+                bounds.push((imp.to, true, k));
+            }
         }
         bounds.sort_unstable();
-
-        // Change points of the result: the base series' own points plus
-        // every window edge. Values can only change at these times.
-        let mut times: Vec<SimTime> = self.points.iter().map(|&(t, _)| t).collect();
-        times.extend(bounds.iter().map(|&(t, _, _)| t));
-        times.sort_unstable();
-        times.dedup();
+        let (lo, hi) = match (bounds.first(), bounds.last()) {
+            (Some(first), Some(last)) => (first.0, last.0),
+            _ => return,
+        };
+        let pts = &self.points;
+        // Base points inside the span are `pts[start..end]`.
+        let start = pts.partition_point(|&(t, _)| t < lo);
+        let end = pts.partition_point(|&(t, _)| t <= hi);
+        let before = start.checked_sub(1).map(|i| pts[i].1);
+        let mut out: Vec<(SimTime, f64)> = Vec::with_capacity(end - start + bounds.len());
+        // Retain a point unless it repeats the last retained value.
+        let keep = |out: &mut Vec<(SimTime, f64)>, (t, v): (SimTime, f64)| {
+            let last = out.last().map(|p| p.1).or(before);
+            if !matches!(last, Some(prev) if (v - prev).abs() < f64::EPSILON) {
+                out.push((t, v));
+            }
+        };
 
         // Indices of the windows open at the sweep time, kept sorted
         // ascending: recomputing the product over this list multiplies
@@ -231,9 +229,17 @@ impl StepSeries {
         let mut active: Vec<usize> = Vec::new();
         let mut combined = 1.0f64;
         let mut bi = 0usize; // next unprocessed window edge
-        let mut pi = 0usize; // base point in force at the sweep time
-        let mut pts = Vec::with_capacity(times.len());
-        for t in times {
+        let mut next = start; // next unvisited base point in the span
+        loop {
+            let t = match (pts[next..end].first(), bounds.get(bi)) {
+                (Some(p), Some(b)) => p.0.min(b.0),
+                (Some(p), None) => p.0,
+                (None, Some(b)) => b.0,
+                (None, None) => break,
+            };
+            if next < end && pts[next].0 == t {
+                next += 1;
+            }
             let mut changed = false;
             while bi < bounds.len() && bounds[bi].0 == t {
                 let (_, is_end, k) = bounds[bi];
@@ -252,14 +258,40 @@ impl StepSeries {
                 bi += 1;
             }
             if changed {
-                combined = active.iter().map(|&k| live[k].factor.max(0.0)).product();
+                combined = active
+                    .iter()
+                    .map(|&k| impositions[k].factor.max(0.0))
+                    .product();
             }
-            while pi + 1 < self.points.len() && self.points[pi + 1].0 <= t {
-                pi += 1;
-            }
-            pts.push((t, self.points[pi].1 * combined));
+            // The base point in force at `t` is `pts[next - 1]`; `next`
+            // is at least one because `pts[0]` sits at zero <= `lo`.
+            keep(&mut out, (t, (pts[next - 1].1 * combined).clamp(0.0, 1.0)));
         }
-        StepSeries::from_points(pts)
+
+        // Past the span every value is the base's own; a suffix point
+        // can only be dropped while the last retained value differs
+        // from the one it was originally deduplicated against.
+        let mut resync = end;
+        while resync < pts.len() {
+            let last = out.last().map(|p| p.1).or(before);
+            if last.map(f64::to_bits) == Some(pts[resync - 1].1.to_bits()) {
+                break;
+            }
+            keep(&mut out, pts[resync]);
+            resync += 1;
+        }
+        self.points.splice(start..resync, out);
+    }
+
+    /// Pin the series to zero from `at` on, dropping every later change
+    /// point: what a permanent fault leaves of a resource.
+    pub(crate) fn zero_from(&mut self, at: SimTime) {
+        let keep = self.points.partition_point(|&(t, _)| t < at);
+        self.points.truncate(keep);
+        match self.points.last() {
+            Some(&(_, v)) if v.abs() < f64::EPSILON => {}
+            _ => self.points.push((at, 0.0)),
+        }
     }
 
     /// Sample the series at a fixed period over `[0, horizon]`, as a
@@ -282,8 +314,9 @@ impl StepSeries {
 /// underlying series is scaled by `factor`. A job taking a 60% share of
 /// a host for its run imposes `factor = 0.4` over that window.
 ///
-/// Apply a batch with [`StepSeries::with_impositions`]; overlapping
-/// windows compose multiplicatively.
+/// Apply a batch in place with [`StepSeries::impose`], which costs
+/// `O(log n + w)` for `w` points in the windows plus one tail move;
+/// overlapping windows compose multiplicatively.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Imposition {
     /// Start of the window (inclusive).
@@ -573,10 +606,17 @@ mod tests {
         assert_eq!(ss.time_to_complete(s(3.0), 0.0, 1.0).unwrap(), s(3.0));
     }
 
+    /// A copy of `ss` with `imps` imposed.
+    fn imposed(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
+        let mut out = ss.clone();
+        out.impose(imps);
+        out
+    }
+
     #[test]
-    fn scaled_in_window_scales_only_the_window() {
+    fn impose_scales_only_the_window() {
         let ss = StepSeries::from_points(vec![(s(0.0), 0.8), (s(20.0), 0.4)]);
-        let scaled = ss.scaled_in_window(s(5.0), s(25.0), 0.5);
+        let scaled = imposed(&ss, &[Imposition::new(s(5.0), s(25.0), 0.5)]);
         assert_eq!(scaled.value_at(s(0.0)), 0.8); // before window
         assert_eq!(scaled.value_at(s(10.0)), 0.4); // 0.8 * 0.5
         assert_eq!(scaled.value_at(s(22.0)), 0.2); // 0.4 * 0.5
@@ -585,9 +625,9 @@ mod tests {
     }
 
     #[test]
-    fn scaled_in_window_handles_interior_windows() {
+    fn impose_handles_interior_windows() {
         let ss = StepSeries::constant(1.0);
-        let scaled = ss.scaled_in_window(s(10.0), s(20.0), 0.25);
+        let scaled = imposed(&ss, &[Imposition::new(s(10.0), s(20.0), 0.25)]);
         assert_eq!(scaled.value_at(s(9.0)), 1.0);
         assert_eq!(scaled.value_at(s(10.0)), 0.25);
         assert_eq!(scaled.value_at(s(19.9)), 0.25);
@@ -595,16 +635,9 @@ mod tests {
     }
 
     #[test]
-    fn scaled_in_empty_window_is_identity() {
-        let ss = StepSeries::from_points(vec![(s(0.0), 0.6), (s(5.0), 0.9)]);
-        assert_eq!(ss.scaled_in_window(s(7.0), s(7.0), 0.1), ss);
-        assert_eq!(ss.scaled_in_window(s(9.0), s(3.0), 0.1), ss);
-    }
-
-    #[test]
     fn scaling_to_zero_blocks_the_window() {
         let ss = StepSeries::constant(1.0);
-        let scaled = ss.scaled_in_window(s(2.0), s(4.0), 0.0);
+        let scaled = imposed(&ss, &[Imposition::new(s(2.0), s(4.0), 0.0)]);
         assert_eq!(scaled.value_at(s(3.0)), 0.0);
         // Work started before the block resumes after it.
         let done = scaled.time_to_complete(SimTime::ZERO, 30.0, 10.0).unwrap();
@@ -614,10 +647,13 @@ mod tests {
     #[test]
     fn impositions_compose_multiplicatively() {
         let ss = StepSeries::constant(1.0);
-        let layered = ss.with_impositions(&[
-            Imposition::new(s(0.0), s(20.0), 0.5),
-            Imposition::new(s(10.0), s(30.0), 0.5),
-        ]);
+        let layered = imposed(
+            &ss,
+            &[
+                Imposition::new(s(0.0), s(20.0), 0.5),
+                Imposition::new(s(10.0), s(30.0), 0.5),
+            ],
+        );
         assert_eq!(layered.value_at(s(5.0)), 0.5); // first only
         assert_eq!(layered.value_at(s(15.0)), 0.25); // both overlap
         assert_eq!(layered.value_at(s(25.0)), 0.5); // second only
@@ -625,17 +661,18 @@ mod tests {
     }
 
     #[test]
-    fn with_impositions_matches_sequential_scaling() {
+    fn batched_impose_matches_sequential_scaling() {
         let ss = StepSeries::from_points(vec![(s(0.0), 0.9), (s(12.0), 0.6), (s(40.0), 0.3)]);
         let imps = [
             Imposition::new(s(5.0), s(25.0), 0.7),
             Imposition::new(s(18.0), s(50.0), 0.4),
             Imposition::new(s(20.0), s(20.0), 0.0), // empty: ignored
         ];
-        let batched = ss.with_impositions(&imps);
-        let sequential =
-            ss.scaled_in_window(s(5.0), s(25.0), 0.7)
-                .scaled_in_window(s(18.0), s(50.0), 0.4);
+        let batched = imposed(&ss, &imps);
+        let mut sequential = ss.clone();
+        for imp in &imps {
+            sequential.impose(std::slice::from_ref(imp));
+        }
         for t in [0.0, 5.0, 10.0, 18.0, 19.0, 25.0, 39.0, 45.0, 60.0] {
             assert!(
                 (batched.value_at(s(t)) - sequential.value_at(s(t))).abs() < 1e-12,
@@ -647,10 +684,10 @@ mod tests {
     }
 
     #[test]
-    fn with_impositions_sweep_matches_per_time_scan_exactly() {
-        // Oracle: the pre-simcore implementation — evaluate every
-        // change point by filtering the full imposition list. The
-        // merged sweep must reproduce it bit for bit.
+    fn impose_matches_per_time_scan_exactly() {
+        // Oracle: evaluate every change point by filtering the full
+        // imposition list, then rebuild the whole series. The in-place
+        // sweep must reproduce it bit for bit.
         fn scan(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
             let live: Vec<&Imposition> = imps.iter().filter(|i| i.to > i.from).collect();
             let mut times: Vec<SimTime> = ss.points().iter().map(|&(t, _)| t).collect();
@@ -692,25 +729,56 @@ mod tests {
             Imposition::new(s(40.0), s(45.0), -0.5),
             Imposition::new(s(45.0), s(55.0), 0.31),
         ];
-        assert_eq!(ss.with_impositions(&imps), scan(&ss, &imps));
+        assert_eq!(imposed(&ss, &imps), scan(&ss, &imps));
+        // A unit factor leaves a window edge that repeats its
+        // predecessor; it is dropped, and the suffix resyncs at once.
+        let unit = [Imposition::new(s(20.0), s(40.0), 1.0)];
+        assert_eq!(imposed(&ss, &unit), ss);
+        // A near-unit factor drops the window's closing edge as a
+        // repeat, so the first suffix point is compared against a value
+        // one ulp off its original predecessor and is dropped too; the
+        // suffix is re-deduplicated until the chain resyncs.
+        let near = StepSeries::from_points(vec![
+            (s(0.0), 0.5),
+            (s(10.0), 1.0),
+            (s(20.0), 1.0 - f64::EPSILON),
+            (s(30.0), 0.5),
+        ]);
+        let tilt = [Imposition::new(s(5.0), s(15.0), 1.0 - f64::EPSILON / 2.0)];
+        assert_eq!(
+            imposed(&near, &tilt).points(),
+            &[
+                (s(0.0), 0.5),
+                (s(10.0), 1.0 - f64::EPSILON / 2.0),
+                (s(30.0), 0.5)
+            ]
+        );
+        assert_eq!(imposed(&near, &tilt), scan(&near, &tilt));
     }
 
     #[test]
     fn empty_imposition_set_is_identity() {
         let ss = StepSeries::from_points(vec![(s(0.0), 0.6), (s(5.0), 0.9)]);
-        assert_eq!(ss.with_impositions(&[]), ss);
-        assert_eq!(
-            ss.with_impositions(&[Imposition::new(s(9.0), s(3.0), 0.1)]),
-            ss
-        );
+        assert_eq!(imposed(&ss, &[]), ss);
+        assert_eq!(imposed(&ss, &[Imposition::new(s(7.0), s(7.0), 0.1)]), ss);
+        assert_eq!(imposed(&ss, &[Imposition::new(s(9.0), s(3.0), 0.1)]), ss);
     }
 
     #[test]
     fn imposition_negative_factor_floors_at_zero() {
         let ss = StepSeries::constant(0.8);
-        let layered = ss.with_impositions(&[Imposition::new(s(1.0), s(2.0), -3.0)]);
+        let layered = imposed(&ss, &[Imposition::new(s(1.0), s(2.0), -3.0)]);
         assert_eq!(layered.value_at(s(1.5)), 0.0);
         assert_eq!(layered.value_at(s(2.5)), 0.8);
+    }
+
+    #[test]
+    fn zero_from_truncates_and_pins_at_zero() {
+        let mut ss = StepSeries::from_points(vec![(s(0.0), 0.6), (s(5.0), 0.9), (s(9.0), 0.2)]);
+        ss.zero_from(s(7.0));
+        assert_eq!(ss.points(), &[(s(0.0), 0.6), (s(5.0), 0.9), (s(7.0), 0.0)]);
+        ss.zero_from(SimTime::ZERO);
+        assert_eq!(ss, StepSeries::constant(0.0));
     }
 
     #[test]

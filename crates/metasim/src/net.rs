@@ -98,6 +98,12 @@ impl Link {
         self.avail = avail;
     }
 
+    /// The availability process, for in-place write-back of imposed
+    /// load and faults ([`StepSeries::impose`]).
+    pub fn availability_mut(&mut self) -> &mut StepSeries {
+        &mut self.avail
+    }
+
     /// Capacity usable by the application at time `t`, in MB/s.
     pub fn capacity_at(&self, t: SimTime) -> f64 {
         self.spec.bandwidth_mbps * self.avail.value_at(t)

@@ -207,7 +207,8 @@ proptest! {
                 )
             })
             .collect();
-        let loaded = base.with_impositions(&imps);
+        let mut loaded = base.clone();
+        loaded.impose(&imps);
         for &(t, v) in loaded.points() {
             prop_assert!((0.0..=1.0).contains(&v), "value {v} at {t:?}");
         }
@@ -318,52 +319,98 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Oracle for [`StepSeries::impose`]: evaluate every change point by
+/// filtering the full imposition list, then rebuild the whole series.
+fn scan_impositions(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
+    let live: Vec<&Imposition> = imps.iter().filter(|i| i.to > i.from).collect();
+    let mut times: Vec<SimTime> = ss.points().iter().map(|&(t, _)| t).collect();
+    for imp in &live {
+        times.push(imp.from);
+        times.push(imp.to);
+    }
+    times.sort_unstable();
+    times.dedup();
+    StepSeries::from_points(
+        times
+            .into_iter()
+            .map(|t| {
+                let combined: f64 = live
+                    .iter()
+                    .filter(|i| i.active_at(t))
+                    .map(|i| i.factor.max(0.0))
+                    .product();
+                (t, ss.value_at(t) * combined)
+            })
+            .collect(),
+    )
+}
 
-    /// The one-pass imposition sweep in `StepSeries::with_impositions`
-    /// reproduces the per-time scan — evaluate every change point by
-    /// filtering the full imposition list — bit for bit, on arbitrary
-    /// base series and arbitrary (overlapping, abutting, empty,
-    /// negative-factor) window sets.
+/// A series' change points with each value as its bit pattern.
+fn point_bits(ss: &StepSeries) -> Vec<(SimTime, u64)> {
+    ss.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+}
+
+/// A value or factor within `f64::EPSILON` of its neighbours for
+/// `mode` 0 (`0.3 + k·6e-17`) and 1 (`1 − k·1.2e-16`); `free` otherwise.
+fn near_epsilon(mode: u8, k: u32, free: f64) -> f64 {
+    match mode {
+        0 => 0.3 + f64::from(k) * 6e-17,
+        1 => 1.0 - f64::from(k) * 1.2e-16,
+        _ => free,
+    }
+}
+
+// 1024 cases: a suffix point is re-deduplicated only when a near-unit
+// factor meets values one ulp apart, which 128 cases never drew.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The in-place imposition sweep `StepSeries::impose` reproduces the
+    /// per-time scan bit for bit, applied in successive rounds the way
+    /// the grid layers job after job. Values and factors sit within
+    /// `f64::EPSILON` of their neighbours, factors include zero and
+    /// negatives, and windows start at zero, on an existing change
+    /// point, past the last one, or anywhere (overlapping, abutting or
+    /// empty).
     #[test]
     fn imposition_sweep_matches_per_time_scan(
-        base in prop::collection::vec((0u64..200_000, 0.0f64..1.0), 1..8),
-        windows in prop::collection::vec(
-            (0u64..200_000, 0u64..200_000, -0.5f64..1.5), 0..6),
+        base in prop::collection::vec((0u64..40, 0u8..3, 0u32..4, 0.0f64..1.0), 1..12),
+        rounds in prop::collection::vec(
+            prop::collection::vec(
+                (0u8..4, 0u64..50, 0u64..20, 0u8..5, 0u32..4, -0.5f64..1.5),
+                0..5,
+            ),
+            1..5,
+        ),
     ) {
-        let ss = StepSeries::from_points(
-            base.iter().map(|&(t, v)| (SimTime::from_millis(t), v)).collect(),
-        );
-        let imps: Vec<Imposition> = windows
-            .iter()
-            .map(|&(a, b, f)| {
-                Imposition::new(SimTime::from_millis(a), SimTime::from_millis(b), f)
-            })
-            .collect();
-
-        // Oracle: the pre-simcore per-time scan.
-        let live: Vec<&Imposition> = imps.iter().filter(|i| i.to > i.from).collect();
-        let mut times: Vec<SimTime> = ss.points().iter().map(|&(t, _)| t).collect();
-        for imp in &live {
-            times.push(imp.from);
-            times.push(imp.to);
-        }
-        times.sort_unstable();
-        times.dedup();
-        let oracle = StepSeries::from_points(
-            times
-                .into_iter()
-                .map(|t| {
-                    let combined: f64 = live
-                        .iter()
-                        .filter(|i| i.active_at(t))
-                        .map(|i| i.factor.max(0.0))
-                        .product();
-                    (t, ss.value_at(t) * combined)
-                })
+        let mut live = StepSeries::from_points(
+            base.iter()
+                .map(|&(t, mode, k, free)| (SimTime::from_secs(t), near_epsilon(mode, k, free)))
                 .collect(),
         );
-        prop_assert_eq!(ss.with_impositions(&imps), oracle);
+        let mut oracle = live.clone();
+        for windows in &rounds {
+            let imps: Vec<Imposition> = windows
+                .iter()
+                .map(|&(anchor, raw, len, fmode, k, free)| {
+                    let pts = live.points();
+                    let from = match anchor {
+                        0 => SimTime::ZERO,
+                        1 => pts[raw as usize % pts.len()].0,
+                        2 => pts[pts.len() - 1].0 + SimTime::from_secs(1 + raw % 10),
+                        _ => SimTime::from_secs(raw),
+                    };
+                    let factor = match fmode {
+                        3 => 0.0,
+                        4 => -free.abs(),
+                        _ => near_epsilon(fmode, k, free),
+                    };
+                    Imposition::new(from, from + SimTime::from_secs(len), factor)
+                })
+                .collect();
+            live.impose(&imps);
+            oracle = scan_impositions(&oracle, &imps);
+            prop_assert_eq!(point_bits(&live), point_bits(&oracle));
+        }
     }
 }
