@@ -30,7 +30,7 @@ fn profile_of(p: &Parsed) -> Result<LoadProfile, ArgError> {
 fn build_testbed(p: &Parsed) -> Result<Testbed, Box<dyn std::error::Error>> {
     let cfg = TestbedConfig {
         profile: profile_of(p)?,
-        horizon: SimTime::from_secs(400_000),
+        horizon: apples_grid::GridConfig::default().horizon,
         seed: p.get_parsed("seed", 1996u64)?,
         with_sp2: p.switch("sp2"),
     };
@@ -555,7 +555,7 @@ fn grid_setup(
     let rate: f64 = p.get_parsed("rate", 0.02)?;
     let duration: f64 = p.get_parsed("duration", 3600.0)?;
     let seed: u64 = p.get_parsed("seed", 1996)?;
-    let horizon: f64 = p.get_parsed("horizon", 400_000.0)?;
+    let horizon: f64 = p.get_parsed("horizon", GridConfig::default().horizon.as_secs_f64())?;
     let max_in_flight: usize = p.get_parsed("max-in-flight", usize::MAX)?;
     let fault_rate: f64 = p.get_parsed("fault-rate", 0.0)?;
     let link_fault_rate: f64 = p.get_parsed("link-fault-rate", 0.0)?;

@@ -247,12 +247,7 @@ impl ReschedulingAgent {
                     // unavailable. This is what a real agent infers
                     // from a timeout: the resource is gone for good.
                     for h in phase_sched.hosts() {
-                        let avail = topo.host(h)?.availability();
-                        let dead_forever = avail
-                            .points()
-                            .last()
-                            .map(|&(_, v)| v == 0.0)
-                            .unwrap_or(false);
+                        let dead_forever = topo.host(h)?.availability().zero_since().is_some();
                         if dead_forever && !known_dead.contains(&h) {
                             if sink.enabled() {
                                 sink.record(TraceEvent::PlacementRevoked { host: h, at: now });

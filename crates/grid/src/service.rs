@@ -114,8 +114,10 @@ pub struct GridConfig {
     /// Sensor warmup before the first submission: the NWS needs
     /// history to forecast from.
     pub warmup: SimTime,
-    /// Availability-realization horizon of the testbed (series extend
-    /// their last value beyond it).
+    /// Availability-realization horizon of the testbed: a *cap*, not a
+    /// cost. Series are realized lazily, only as far as the stream reads
+    /// them, never past the horizon, and extend their last value beyond
+    /// it.
     pub horizon: SimTime,
     /// Seed for the testbed's background-load realization.
     pub seed: u64,
@@ -1289,12 +1291,12 @@ mod tests {
                 .expect("impose");
         }
         for h in topo.hosts() {
-            for &(_, v) in h.availability().points() {
+            for &(_, v) in &h.availability().to_points() {
                 assert!((0.0..=1.0).contains(&v), "host availability {v} escaped");
             }
         }
         for l in topo.links() {
-            for &(_, v) in l.availability().points() {
+            for &(_, v) in &l.availability().to_points() {
                 assert!((0.0..=1.0).contains(&v), "link availability {v} escaped");
             }
         }

@@ -354,9 +354,8 @@ mod tests {
         // and rebuild the whole series.
         fn rebuilt(series: &StepSeries, at: SimTime) -> StepSeries {
             let mut pts: Vec<(SimTime, f64)> = series
-                .points()
-                .iter()
-                .copied()
+                .to_points()
+                .into_iter()
                 .filter(|&(t, _)| t < at)
                 .collect();
             pts.push((at, 0.0));
@@ -376,7 +375,10 @@ mod tests {
             let mut cut = series.clone();
             cut_fault(&mut cut, s(at), None);
             let bits = |ss: &StepSeries| -> Vec<(SimTime, u64)> {
-                ss.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+                ss.to_points()
+                    .iter()
+                    .map(|&(t, v)| (t, v.to_bits()))
+                    .collect()
             };
             assert_eq!(bits(&cut), bits(&rebuilt(&series, s(at))), "crash at {at}");
         }

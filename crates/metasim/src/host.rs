@@ -137,9 +137,10 @@ pub struct Host {
 }
 
 impl Host {
-    /// Instantiate a host, realizing its load model over `horizon` with
-    /// the given seed. Space-shared hosts are fully available during
-    /// execution regardless of their load model.
+    /// Instantiate a host, realizing its load model with the given seed
+    /// up to the cap `horizon` (lazily: see [`LoadModel::realize`]).
+    /// Space-shared hosts are fully available during execution
+    /// regardless of their load model.
     pub fn instantiate(
         id: HostId,
         spec: HostSpec,
@@ -281,21 +282,7 @@ impl Host {
     /// The time from which this host delivers zero cycles forever, if
     /// its availability process ends pinned at zero at or after `from`.
     pub fn dead_from(&self, from: SimTime) -> Option<SimTime> {
-        let pts = self.avail.points();
-        let &(last_t, last_v) = pts.last()?;
-        if last_v != 0.0 {
-            return None;
-        }
-        // Walk back over the trailing zero segments to the moment the
-        // terminal outage began.
-        let mut t = last_t;
-        for &(pt, pv) in pts.iter().rev().skip(1) {
-            if pv != 0.0 {
-                break;
-            }
-            t = pt;
-        }
-        Some(t.max(from))
+        self.avail.zero_since().map(|t| t.max(from))
     }
 
     /// Mean availability over a window — what a long-horizon observer

@@ -21,23 +21,319 @@ use crate::time::SimTime;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::{Ref, RefCell};
+
+/// How far past the time a read asks about a lazy series realizes, at
+/// least. Later extensions double the realized span.
+const FIRST_CHUNK: SimTime = SimTime::from_secs(1024);
 
 /// A piecewise-constant function of simulated time with values in
 /// `[0, 1]`, closed on the left: the value at a change point is the new
 /// value. The series extends its last value to infinity.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A series realized from a stochastic [`LoadModel`] is *lazy*: it
+/// holds the change points realized so far plus the model's generator,
+/// and every read first extends it just past the time it asks about,
+/// doubling the realized span each time. The model's horizon is a
+/// realization *cap*: the generator stops there, exactly where an eager
+/// realization would, and the series holds its last value beyond it.
+/// Since each model draws from one sequential stream, every prefix is
+/// bit-identical to the full realization, so no read can tell how far
+/// the series is realized. Writes ([`StepSeries::impose`] and permanent
+/// faults) extend past the span they change before they splice.
+#[derive(Debug, Clone)]
 pub struct StepSeries {
+    chain: RefCell<Chain>,
+}
+
+/// The realized change points of a [`StepSeries`] and the generator of
+/// the rest.
+#[derive(Debug, Clone)]
+struct Chain {
     /// Strictly increasing change points with their values. The first
-    /// point is always at `SimTime::ZERO`.
+    /// point is always at `SimTime::ZERO`; consecutive values differ by
+    /// at least `f64::EPSILON`.
     points: Vec<(SimTime, f64)>,
+    /// The unrealized rest of the series; `None` once complete.
+    tail: Option<Box<Tail>>,
+}
+
+/// The pending part of a lazily realized series.
+#[derive(Debug, Clone)]
+struct Tail {
+    draw: Draw,
+    /// The next raw point, drawn but not yet merged. Every change
+    /// point before its time is realized.
+    next: (SimTime, f64),
+    /// The last value the untouched base series retained: the first
+    /// deduplication at a join reproduces [`StepSeries::from_points`]'
+    /// chain against it.
+    base: f64,
+    /// Every value still to come is above zero.
+    positive: bool,
+}
+
+/// A stochastic model's raw point generator, mid-stream: the exact
+/// loops an eager realization runs, one point per call.
+#[derive(Debug, Clone)]
+enum Draw {
+    Periodic {
+        high: f64,
+        low: f64,
+        /// Raw time of the next point, in microseconds; starts at
+        /// `-phase` and is clamped to zero when emitted.
+        t: i64,
+        half_period: i64,
+        /// Points are drawn while `t < end = horizon + half_period`.
+        end: i64,
+        level_high: bool,
+    },
+    RandomWalk {
+        rng: ChaCha8Rng,
+        v: f64,
+        t: SimTime,
+        step: f64,
+        interval: SimTime,
+        floor: f64,
+        ceil: f64,
+        horizon: SimTime,
+    },
+    MarkovOnOff {
+        rng: ChaCha8Rng,
+        idle: bool,
+        t: SimTime,
+        idle_avail: f64,
+        busy_avail: f64,
+        mean_idle: SimTime,
+        mean_busy: SimTime,
+        horizon: SimTime,
+    },
+}
+
+impl Draw {
+    /// Whether the horizon is passed: the eager loop's end condition.
+    fn done(&self) -> bool {
+        match self {
+            Draw::Periodic { t, end, .. } => *t >= *end,
+            Draw::RandomWalk { t, horizon, .. } | Draw::MarkovOnOff { t, horizon, .. } => {
+                *t > *horizon
+            }
+        }
+    }
+
+    /// The next raw point; the caller checks [`Draw::done`] first.
+    fn emit(&mut self) -> (SimTime, f64) {
+        match self {
+            Draw::Periodic {
+                high,
+                low,
+                t,
+                half_period,
+                level_high,
+                ..
+            } => {
+                let p = (
+                    SimTime::from_micros((*t).max(0) as u64),
+                    if *level_high { *high } else { *low },
+                );
+                *t += *half_period;
+                *level_high = !*level_high;
+                p
+            }
+            Draw::RandomWalk {
+                rng,
+                v,
+                t,
+                step,
+                interval,
+                floor,
+                ceil,
+                ..
+            } => {
+                let p = (*t, *v);
+                *v += rng.gen_range(-*step..=*step);
+                // Reflect into [floor, ceil].
+                if *v > *ceil {
+                    *v = 2.0 * *ceil - *v;
+                }
+                if *v < *floor {
+                    *v = 2.0 * *floor - *v;
+                }
+                *v = v.clamp(*floor, *ceil);
+                *t += *interval;
+                p
+            }
+            Draw::MarkovOnOff {
+                rng,
+                idle,
+                t,
+                idle_avail,
+                busy_avail,
+                mean_idle,
+                mean_busy,
+                ..
+            } => {
+                let p = (*t, if *idle { *idle_avail } else { *busy_avail });
+                let mean = if *idle { *mean_idle } else { *mean_busy };
+                // Exponential holding time via inverse transform.
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let hold = -u.ln() * mean.as_secs_f64();
+                *t += SimTime::from_secs_f64(hold.max(1e-6));
+                *idle = !*idle;
+                p
+            }
+        }
+    }
+}
+
+impl Tail {
+    /// The next merged point — points sharing a time keep the last
+    /// value, and values are clamped to `[0, 1]`, as in
+    /// [`StepSeries::from_points`] — and whether more follow it.
+    fn take(&mut self) -> ((SimTime, f64), bool) {
+        let (t, mut v) = self.next;
+        loop {
+            if self.draw.done() {
+                return ((t, v.clamp(0.0, 1.0)), false);
+            }
+            match self.draw.emit() {
+                (nt, nv) if nt == t => v = nv,
+                p => {
+                    self.next = p;
+                    return ((t, v.clamp(0.0, 1.0)), true);
+                }
+            }
+        }
+    }
+}
+
+/// Whether `v` repeats `prev` within `f64::EPSILON`: the
+/// deduplication rule of [`StepSeries::from_points`].
+fn repeats(v: f64, prev: f64) -> bool {
+    (v - prev).abs() < f64::EPSILON
+}
+
+impl Chain {
+    /// Whether every change point at or before `t` is realized.
+    fn covers(&self, t: SimTime) -> bool {
+        self.tail.as_ref().is_none_or(|tail| t < tail.next.0)
+    }
+
+    /// Whether the first change point after `t` is realized, or known
+    /// not to exist.
+    fn covers_past(&self, t: SimTime) -> bool {
+        self.tail.is_none() || self.points.last().is_some_and(|&(pt, _)| pt > t)
+    }
+
+    /// Realize every change point at or before `t`, and on to twice the
+    /// realized span or `t` plus [`FIRST_CHUNK`], whichever is later.
+    fn extend_through(&mut self, t: SimTime) {
+        let Chain { points, tail: slot } = self;
+        let Some(tail) = slot.as_mut() else {
+            return;
+        };
+        if t < tail.next.0 {
+            return;
+        }
+        let target = SimTime(tail.next.0.as_micros().saturating_mul(2))
+            .max(t.checked_add(FIRST_CHUNK).unwrap_or(SimTime::MAX));
+        loop {
+            let ((pt, v), more) = tail.take();
+            // Two deduplications at the join: against the base series'
+            // own last value (the chain `from_points` builds), then
+            // against the last retained value, which an imposition
+            // reaching the last realized point may have changed (the
+            // suffix re-deduplication `impose` runs).
+            if !repeats(v, tail.base) {
+                tail.base = v;
+                if !points.last().is_some_and(|&(_, last)| repeats(v, last)) {
+                    points.push((pt, v));
+                }
+            }
+            if !more {
+                *slot = None;
+                return;
+            }
+            if tail.next.0 > target {
+                return;
+            }
+        }
+    }
+
+    /// Realize up to the first change point after `t`, or to the end.
+    fn extend_past(&mut self, t: SimTime) {
+        self.extend_through(t);
+        while !self.covers_past(t) {
+            let pending = self.tail.as_ref().map_or(t, |tail| tail.next.0);
+            self.extend_through(pending);
+        }
+    }
+
+    fn value_at(&self, t: SimTime) -> f64 {
+        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
+            Ok(i) => self.points[i].1,
+            Err(0) => self.points[0].1,
+            Err(i) => self.points[i - 1].1,
+        }
+    }
+
+    fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
+        let idx = match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        };
+        self.points.get(idx).map(|&(pt, _)| pt)
+    }
 }
 
 impl StepSeries {
+    fn complete(points: Vec<(SimTime, f64)>) -> Self {
+        StepSeries {
+            chain: RefCell::new(Chain { points, tail: None }),
+        }
+    }
+
+    /// A lazy series over `draw`'s points, realized up to time zero.
+    /// `floor` bounds every value the model draws from below.
+    fn lazy(mut draw: Draw, floor: f64) -> Self {
+        // Every model draws its first point at or before time zero,
+        // inside any horizon.
+        let first = draw.emit();
+        let mut tail = Tail {
+            draw,
+            next: first,
+            base: 0.0,
+            positive: floor > 0.0,
+        };
+        let ((t, v), more) = tail.take();
+        tail.base = v;
+        StepSeries {
+            chain: RefCell::new(Chain {
+                points: vec![(t, v)],
+                tail: more.then(|| Box::new(tail)),
+            }),
+        }
+    }
+
+    /// The chain, realized through `t`.
+    fn through(&self, t: SimTime) -> Ref<'_, Chain> {
+        let chain = self.chain.borrow();
+        if chain.covers(t) {
+            return chain;
+        }
+        drop(chain);
+        self.chain.borrow_mut().extend_through(t);
+        self.chain.borrow()
+    }
+
+    /// The chain, realized in full.
+    fn full(&self) -> Ref<'_, Chain> {
+        self.through(SimTime::MAX)
+    }
+
     /// A series pinned at `value` forever.
     pub fn constant(value: f64) -> Self {
-        StepSeries {
-            points: vec![(SimTime::ZERO, value.clamp(0.0, 1.0))],
-        }
+        StepSeries::complete(vec![(SimTime::ZERO, value.clamp(0.0, 1.0))])
     }
 
     /// Build from explicit `(time, value)` pairs.
@@ -62,31 +358,59 @@ impl StepSeries {
             points.insert(0, (SimTime::ZERO, v0));
         }
         // Drop redundant points that repeat the previous value.
-        points.dedup_by(|next, prev| (next.1 - prev.1).abs() < f64::EPSILON);
-        StepSeries { points }
+        points.dedup_by(|next, prev| repeats(next.1, prev.1));
+        StepSeries::complete(points)
     }
 
     /// The value at time `t`.
     pub fn value_at(&self, t: SimTime) -> f64 {
-        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.points[0].1,
-            Err(i) => self.points[i - 1].1,
-        }
-    }
-
-    /// The change points of the series.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
+        self.through(t).value_at(t)
     }
 
     /// The next change strictly after `t`, if any.
     pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
-        let idx = match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        self.points.get(idx).map(|&(pt, _)| pt)
+        {
+            let chain = self.chain.borrow();
+            if chain.covers_past(t) {
+                return chain.next_change_after(t);
+            }
+        }
+        self.chain.borrow_mut().extend_past(t);
+        self.chain.borrow().next_change_after(t)
+    }
+
+    /// Every change point of the full realization, up to the cap.
+    /// Realizes the whole series; meant for tests and exports, not for
+    /// reads inside a run.
+    pub fn to_points(&self) -> Vec<(SimTime, f64)> {
+        self.full().points.clone()
+    }
+
+    /// The time from which the full realization stays at exactly zero
+    /// forever, if it ends at zero: what a permanent fault leaves.
+    ///
+    /// A series whose pending values are all above zero and whose last
+    /// realized value is nonzero cannot end at zero, so it answers
+    /// without realizing more; otherwise it realizes up to the cap.
+    pub fn zero_since(&self) -> Option<SimTime> {
+        {
+            let chain = self.chain.borrow();
+            let last_nonzero = chain.points.last().is_some_and(|&(_, v)| v != 0.0);
+            if last_nonzero && chain.tail.as_ref().is_none_or(|tail| tail.positive) {
+                return None;
+            }
+        }
+        // Consecutive values differ, so the terminal outage is the last
+        // point alone.
+        let &(t, v) = self.full().points.last()?;
+        (v == 0.0).then_some(t)
+    }
+
+    /// How far the series is realized: the time of the first change
+    /// point not yet realized, or `None` once the series is complete.
+    #[cfg(test)]
+    pub(crate) fn realized_until(&self) -> Option<SimTime> {
+        self.chain.borrow().tail.as_ref().map(|tail| tail.next.0)
     }
 
     /// Integral of the series over `[from, to]`, in value·seconds.
@@ -94,18 +418,20 @@ impl StepSeries {
         if to <= from {
             return 0.0;
         }
+        // Every change point in `[from, to]` is final once `to` is.
+        let chain = self.through(to);
         let mut acc = 0.0;
         let mut cursor = from;
-        let mut value = self.value_at(from);
+        let mut value = chain.value_at(from);
         while cursor < to {
-            let next = self
+            let next = chain
                 .next_change_after(cursor)
                 .map(|n| n.min(to))
                 .unwrap_or(to);
             // simlint: allow(sim-time-hygiene): work integral, not a time sum — the f64 load value is weighted by each interval's length
             acc += value * (next - cursor).as_secs_f64();
             if next < to {
-                value = self.value_at(next);
+                value = chain.value_at(next);
             }
             cursor = next;
         }
@@ -143,12 +469,19 @@ impl StepSeries {
         }
         let mut remaining = work;
         let mut cursor = start;
-        let mut value = self.value_at(start);
+        let mut chain = self.through(start);
+        // `chain.points[next]` is the first change point after `cursor`.
+        let mut next = chain.points.partition_point(|&(t, _)| t <= start);
+        let mut value = chain.points[next - 1].1;
         loop {
-            let next = self.next_change_after(cursor);
+            if next == chain.points.len() && chain.tail.is_some() {
+                drop(chain);
+                self.chain.borrow_mut().extend_past(cursor);
+                chain = self.chain.borrow();
+            }
             let rate = speed * value;
-            match next {
-                Some(n) => {
+            match chain.points.get(next) {
+                Some(&(n, v)) => {
                     let span = (n - cursor).as_secs_f64();
                     let capacity = rate * span;
                     if capacity >= remaining && rate > 0.0 {
@@ -156,11 +489,13 @@ impl StepSeries {
                         return Ok(cursor + SimTime::from_secs_f64(dt));
                     }
                     remaining -= capacity;
-                    value = self.value_at(n);
+                    value = v;
                     cursor = n;
+                    next += 1;
                 }
                 None => {
-                    // Final segment extends forever.
+                    // Final segment of the full realization: it
+                    // extends forever.
                     if rate <= 0.0 {
                         return Err(SimError::NeverCompletes { work: remaining });
                     }
@@ -190,6 +525,9 @@ impl StepSeries {
     /// `O(m log m)` to sort `m` window edges), and one move of the
     /// tail when the point count changes.
     ///
+    /// A lazy series is first realized past the latest window end;
+    /// points realized later are deduplicated against the result.
+    ///
     /// The result equals, bit for bit, a full rebuild that evaluates
     /// every change point against every window. Empty windows
     /// (`to <= from`) are ignored; factors are floored at zero.
@@ -207,7 +545,9 @@ impl StepSeries {
             (Some(first), Some(last)) => (first.0, last.0),
             _ => return,
         };
-        let pts = &self.points;
+        let chain = self.chain.get_mut();
+        chain.extend_through(hi);
+        let pts = &chain.points;
         // Base points inside the span are `pts[start..end]`.
         let start = pts.partition_point(|&(t, _)| t < lo);
         let end = pts.partition_point(|&(t, _)| t <= hi);
@@ -216,7 +556,7 @@ impl StepSeries {
         // Retain a point unless it repeats the last retained value.
         let keep = |out: &mut Vec<(SimTime, f64)>, (t, v): (SimTime, f64)| {
             let last = out.last().map(|p| p.1).or(before);
-            if !matches!(last, Some(prev) if (v - prev).abs() < f64::EPSILON) {
+            if !last.is_some_and(|prev| repeats(v, prev)) {
                 out.push((t, v));
             }
         };
@@ -280,17 +620,22 @@ impl StepSeries {
             keep(&mut out, pts[resync]);
             resync += 1;
         }
-        self.points.splice(start..resync, out);
+        chain.points.splice(start..resync, out);
     }
 
     /// Pin the series to zero from `at` on, dropping every later change
-    /// point: what a permanent fault leaves of a resource.
+    /// point and the unrealized rest: what a permanent fault leaves of a
+    /// resource.
     pub(crate) fn zero_from(&mut self, at: SimTime) {
-        let keep = self.points.partition_point(|&(t, _)| t < at);
-        self.points.truncate(keep);
-        match self.points.last() {
-            Some(&(_, v)) if v.abs() < f64::EPSILON => {}
-            _ => self.points.push((at, 0.0)),
+        let chain = self.chain.get_mut();
+        chain.extend_through(at);
+        chain.tail = None;
+        let points = &mut chain.points;
+        let keep = points.partition_point(|&(t, _)| t < at);
+        points.truncate(keep);
+        match points.last() {
+            Some(&(_, v)) if repeats(v, 0.0) => {}
+            _ => points.push((at, 0.0)),
         }
     }
 
@@ -306,6 +651,13 @@ impl StepSeries {
             t += period;
         }
         out
+    }
+}
+
+/// Two series are equal when their full realizations are.
+impl PartialEq for StepSeries {
+    fn eq(&self, other: &Self) -> bool {
+        self.full().points == other.full().points
     }
 }
 
@@ -393,8 +745,11 @@ pub enum LoadModel {
 }
 
 impl LoadModel {
-    /// Realize the model into a concrete availability series on
-    /// `[0, horizon]`, deterministically for a given `seed`.
+    /// Realize the model into an availability series on `[0, horizon]`,
+    /// deterministically for a given `seed`. The horizon is a
+    /// realization cap: Periodic, RandomWalk and MarkovOnOff series are
+    /// realized lazily, only as far as reads and writes reach, and never
+    /// past the cap; beyond it a series holds its last value.
     pub fn realize(&self, horizon: SimTime, seed: u64) -> StepSeries {
         match self {
             LoadModel::Constant(v) => StepSeries::constant(*v),
@@ -409,21 +764,17 @@ impl LoadModel {
                     *half_period > SimTime::ZERO,
                     "periodic load needs a positive half-period"
                 );
-                let mut pts = Vec::new();
-                // Walk whole cycles from -phase so the wave is phase-shifted.
-                let mut t = 0i64 - phase.as_micros() as i64;
                 let hp = half_period.as_micros() as i64;
-                let mut level_high = true;
-                while t < horizon.as_micros() as i64 + hp {
-                    let clamped = t.max(0) as u64;
-                    pts.push((
-                        SimTime::from_micros(clamped),
-                        if level_high { *high } else { *low },
-                    ));
-                    t += hp;
-                    level_high = !level_high;
-                }
-                StepSeries::from_points(pts)
+                // Walk whole cycles from -phase so the wave is phase-shifted.
+                let draw = Draw::Periodic {
+                    high: *high,
+                    low: *low,
+                    t: 0i64 - phase.as_micros() as i64,
+                    half_period: hp,
+                    end: horizon.as_micros() as i64 + hp,
+                    level_high: true,
+                };
+                StepSeries::lazy(draw, high.min(*low))
             }
             LoadModel::RandomWalk {
                 start,
@@ -439,25 +790,17 @@ impl LoadModel {
                 );
                 // simlint: allow(panic-in-lib): documented precondition; an inverted range has no valid sample
                 assert!(floor <= ceil, "random walk floor must not exceed ceil");
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut pts = Vec::new();
-                let mut v = start.clamp(*floor, *ceil);
-                let mut t = SimTime::ZERO;
-                while t <= horizon {
-                    pts.push((t, v));
-                    let delta = rng.gen_range(-*step..=*step);
-                    v += delta;
-                    // Reflect into [floor, ceil].
-                    if v > *ceil {
-                        v = 2.0 * ceil - v;
-                    }
-                    if v < *floor {
-                        v = 2.0 * floor - v;
-                    }
-                    v = v.clamp(*floor, *ceil);
-                    t += *interval;
-                }
-                StepSeries::from_points(pts)
+                let draw = Draw::RandomWalk {
+                    rng: ChaCha8Rng::seed_from_u64(seed),
+                    v: start.clamp(*floor, *ceil),
+                    t: SimTime::ZERO,
+                    step: *step,
+                    interval: *interval,
+                    floor: *floor,
+                    ceil: *ceil,
+                    horizon,
+                };
+                StepSeries::lazy(draw, *floor)
             }
             LoadModel::MarkovOnOff {
                 idle_avail,
@@ -470,20 +813,17 @@ impl LoadModel {
                     *mean_idle > SimTime::ZERO && *mean_busy > SimTime::ZERO,
                     "Markov on/off needs positive mean holding times"
                 );
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut pts = Vec::new();
-                let mut idle = true;
-                let mut t = SimTime::ZERO;
-                while t <= horizon {
-                    pts.push((t, if idle { *idle_avail } else { *busy_avail }));
-                    let mean = if idle { *mean_idle } else { *mean_busy };
-                    // Exponential holding time via inverse transform.
-                    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                    let hold = -u.ln() * mean.as_secs_f64();
-                    t += SimTime::from_secs_f64(hold.max(1e-6));
-                    idle = !idle;
-                }
-                StepSeries::from_points(pts)
+                let draw = Draw::MarkovOnOff {
+                    rng: ChaCha8Rng::seed_from_u64(seed),
+                    idle: true,
+                    t: SimTime::ZERO,
+                    idle_avail: *idle_avail,
+                    busy_avail: *busy_avail,
+                    mean_idle: *mean_idle,
+                    mean_busy: *mean_busy,
+                    horizon,
+                };
+                StepSeries::lazy(draw, idle_avail.min(*busy_avail))
             }
             LoadModel::Trace(pts) => StepSeries::from_points(pts.clone()),
         }
@@ -690,7 +1030,7 @@ mod tests {
         // sweep must reproduce it bit for bit.
         fn scan(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
             let live: Vec<&Imposition> = imps.iter().filter(|i| i.to > i.from).collect();
-            let mut times: Vec<SimTime> = ss.points().iter().map(|&(t, _)| t).collect();
+            let mut times: Vec<SimTime> = ss.to_points().iter().map(|&(t, _)| t).collect();
             for imp in &live {
                 times.push(imp.from);
                 times.push(imp.to);
@@ -746,8 +1086,8 @@ mod tests {
         ]);
         let tilt = [Imposition::new(s(5.0), s(15.0), 1.0 - f64::EPSILON / 2.0)];
         assert_eq!(
-            imposed(&near, &tilt).points(),
-            &[
+            imposed(&near, &tilt).to_points(),
+            [
                 (s(0.0), 0.5),
                 (s(10.0), 1.0 - f64::EPSILON / 2.0),
                 (s(30.0), 0.5)
@@ -776,7 +1116,10 @@ mod tests {
     fn zero_from_truncates_and_pins_at_zero() {
         let mut ss = StepSeries::from_points(vec![(s(0.0), 0.6), (s(5.0), 0.9), (s(9.0), 0.2)]);
         ss.zero_from(s(7.0));
-        assert_eq!(ss.points(), &[(s(0.0), 0.6), (s(5.0), 0.9), (s(7.0), 0.0)]);
+        assert_eq!(
+            ss.to_points(),
+            [(s(0.0), 0.6), (s(5.0), 0.9), (s(7.0), 0.0)]
+        );
         ss.zero_from(SimTime::ZERO);
         assert_eq!(ss, StepSeries::constant(0.0));
     }
@@ -821,7 +1164,7 @@ mod tests {
         let a = m.realize(s(500.0), 42);
         let b = m.realize(s(500.0), 42);
         assert_eq!(a, b);
-        for &(_, v) in a.points() {
+        for &(_, v) in &a.to_points() {
             assert!((0.1..=0.9).contains(&v), "walk escaped bounds: {v}");
         }
         let c = m.realize(s(500.0), 43);
@@ -838,7 +1181,7 @@ mod tests {
         };
         let a = m.realize(s(1000.0), 7);
         assert_eq!(a, m.realize(s(1000.0), 7));
-        for &(_, v) in a.points() {
+        for &(_, v) in &a.to_points() {
             assert!(v == 1.0 || v == 0.3, "unexpected level {v}");
         }
     }
@@ -878,6 +1221,49 @@ mod tests {
         assert_eq!(ss.next_change_after(s(5.0)), Some(s(9.0)));
         assert_eq!(ss.next_change_after(s(9.0)), None);
         assert_eq!(ss.next_change_after(s(4.0)), Some(s(5.0)));
+    }
+
+    #[test]
+    fn reads_realize_only_as_far_as_they_reach() {
+        let interval = s(5.0);
+        let walk = LoadModel::RandomWalk {
+            start: 0.5,
+            step: 0.1,
+            interval,
+            floor: 0.05,
+            ceil: 1.0,
+        };
+        let ss = walk.realize(s(400_000.0), 9);
+        let realized = |ss: &StepSeries| ss.chain.borrow().points.len() as f64;
+        for t in [0.0, 30.0, 600.0, 1500.0, 2600.0, 2700.0, 9000.0] {
+            ss.value_at(s(t));
+            let bound = (2.0 * t + FIRST_CHUNK.as_secs_f64()) / interval.as_secs_f64() + 2.0;
+            assert!(
+                realized(&ss) <= bound,
+                "value_at({t}) realized {} points, bound {bound}",
+                realized(&ss)
+            );
+            let until = ss.realized_until().expect("a tail is pending");
+            assert!(until > s(t) && until <= s(2.0 * t) + FIRST_CHUNK + interval);
+        }
+        // The floor is above zero, so no read needs the rest to know the
+        // series never dies.
+        let before = ss.realized_until();
+        assert_eq!(ss.zero_since(), None);
+        assert_eq!(ss.realized_until(), before);
+        // A clone extends on its own and agrees with the original.
+        let copy = ss.clone();
+        copy.value_at(s(50_000.0));
+        assert_eq!(ss.realized_until(), before);
+        assert_eq!(copy.value_at(s(40_000.0)), ss.value_at(s(40_000.0)));
+        // A permanent fault leaves no tail.
+        let mut dead = ss.clone();
+        dead.zero_from(s(3_000.0));
+        assert_eq!(dead.realized_until(), None);
+        assert_eq!(dead.zero_since(), Some(s(3_000.0)));
+        // Equality compares full realizations, up to the cap.
+        assert_eq!(ss, walk.realize(s(400_000.0), 9));
+        assert_eq!(ss.realized_until(), None);
     }
 
     #[test]

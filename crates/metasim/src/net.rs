@@ -616,7 +616,10 @@ impl TopologyBuilder {
         Ok(())
     }
 
-    /// Realize every load model and produce an immutable topology.
+    /// Realize every load model, up to the cap `horizon`, and produce an
+    /// immutable topology. Realization is lazy (see
+    /// [`LoadModel::realize`]): each series extends only as far as reads
+    /// and writes reach.
     ///
     /// Per-entity seeds are derived from `seed` so that each host and
     /// link gets an independent but reproducible availability process.
@@ -686,7 +689,8 @@ impl Topology {
         &self.links
     }
 
-    /// The horizon the availability processes were realized over.
+    /// The cap the availability processes are realized up to; each is
+    /// realized lazily, only as far as it has been read.
     pub fn horizon(&self) -> SimTime {
         self.horizon
     }

@@ -92,7 +92,9 @@ impl LoadProfile {
 pub struct TestbedConfig {
     /// Background-load intensity on the non-dedicated resources.
     pub profile: LoadProfile,
-    /// Horizon over which load processes are realized.
+    /// Horizon of the load processes: a realization *cap*. Series are
+    /// realized lazily, only as far as a run reads them, never past the
+    /// horizon, and hold their last value beyond it.
     pub horizon: SimTime,
     /// Seed controlling every realized availability process.
     pub seed: u64,

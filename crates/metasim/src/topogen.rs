@@ -13,7 +13,8 @@
 //! `make_*_topology` generators are the reference model).
 //!
 //! Every generator is pure: the same spec, profile, horizon and seed
-//! produce a byte-identical [`Topology`]. Clusters-of-clusters builds
+//! produce a byte-identical [`Topology`]; its availability series are
+//! realized lazily, up to the horizon. Clusters-of-clusters builds
 //! tag segments with cluster hints so instantiation uses the
 //! hierarchical route cache (cluster-level routes stored once).
 
@@ -220,7 +221,9 @@ impl TopoSpec {
 pub struct TopoGenConfig {
     /// Background-load intensity wired onto shared media and hosts.
     pub profile: LoadProfile,
-    /// Horizon over which load processes are realized.
+    /// Horizon of the load processes: a realization *cap*. Series are
+    /// realized lazily, only as far as a run reads them, never past the
+    /// horizon, and hold their last value beyond it.
     pub horizon: SimTime,
     /// Seed controlling host-mix draws, skews and every realized
     /// availability process.

@@ -7,11 +7,14 @@ use apples::info::InfoPool;
 use apples::planner::plan_strip;
 use apples::user::UserSpec;
 use apples_apps::jacobi2d::{Grid, PartitionedRun};
+use metasim::fault::{apply_faults, FaultSpec, HostFault};
 use metasim::host::HostSpec;
 use metasim::load::{Imposition, LoadModel, StepSeries};
 use metasim::net::{LinkSpec, TopologyBuilder};
 use metasim::{HostId, SimTime, Topology};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn s(x: f64) -> SimTime {
     SimTime::from_secs_f64(x)
@@ -209,7 +212,7 @@ proptest! {
             .collect();
         let mut loaded = base.clone();
         loaded.impose(&imps);
-        for &(t, v) in loaded.points() {
+        for &(t, v) in &loaded.to_points() {
             prop_assert!((0.0..=1.0).contains(&v), "value {v} at {t:?}");
         }
         // Probe between change points too: the composition must hold
@@ -267,7 +270,7 @@ proptest! {
         };
         let a = m.realize(s(10_000.0), seed);
         prop_assert_eq!(&a, &m.realize(s(10_000.0), seed));
-        for &(_, v) in a.points() {
+        for &(_, v) in &a.to_points() {
             prop_assert!((v - idle).abs() < 1e-12 || (v - busy).abs() < 1e-12);
         }
     }
@@ -323,7 +326,7 @@ proptest! {
 /// filtering the full imposition list, then rebuild the whole series.
 fn scan_impositions(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
     let live: Vec<&Imposition> = imps.iter().filter(|i| i.to > i.from).collect();
-    let mut times: Vec<SimTime> = ss.points().iter().map(|&(t, _)| t).collect();
+    let mut times: Vec<SimTime> = ss.to_points().iter().map(|&(t, _)| t).collect();
     for imp in &live {
         times.push(imp.from);
         times.push(imp.to);
@@ -347,7 +350,10 @@ fn scan_impositions(ss: &StepSeries, imps: &[Imposition]) -> StepSeries {
 
 /// A series' change points with each value as its bit pattern.
 fn point_bits(ss: &StepSeries) -> Vec<(SimTime, u64)> {
-    ss.points().iter().map(|&(t, v)| (t, v.to_bits())).collect()
+    ss.to_points()
+        .iter()
+        .map(|&(t, v)| (t, v.to_bits()))
+        .collect()
 }
 
 /// A value or factor within `f64::EPSILON` of its neighbours for
@@ -393,7 +399,7 @@ proptest! {
             let imps: Vec<Imposition> = windows
                 .iter()
                 .map(|&(anchor, raw, len, fmode, k, free)| {
-                    let pts = live.points();
+                    let pts = live.to_points();
                     let from = match anchor {
                         0 => SimTime::ZERO,
                         1 => pts[raw as usize % pts.len()].0,
@@ -411,6 +417,261 @@ proptest! {
             live.impose(&imps);
             oracle = scan_impositions(&oracle, &imps);
             prop_assert_eq!(point_bits(&live), point_bits(&oracle));
+        }
+    }
+}
+
+/// Oracle for lazy realization: the eager loops that realized a whole
+/// model up to its horizon, rebuilt through `StepSeries::from_points`.
+fn eager_realize(model: &LoadModel, horizon: SimTime, seed: u64) -> StepSeries {
+    let mut pts = Vec::new();
+    match model {
+        LoadModel::Periodic {
+            high,
+            low,
+            half_period,
+            phase,
+        } => {
+            let mut t = 0i64 - phase.as_micros() as i64;
+            let hp = half_period.as_micros() as i64;
+            let mut level_high = true;
+            while t < horizon.as_micros() as i64 + hp {
+                let clamped = t.max(0) as u64;
+                pts.push((
+                    SimTime::from_micros(clamped),
+                    if level_high { *high } else { *low },
+                ));
+                t += hp;
+                level_high = !level_high;
+            }
+        }
+        LoadModel::RandomWalk {
+            start,
+            step,
+            interval,
+            floor,
+            ceil,
+        } => {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut v = start.clamp(*floor, *ceil);
+            let mut t = SimTime::ZERO;
+            while t <= horizon {
+                pts.push((t, v));
+                let delta = rng.gen_range(-*step..=*step);
+                v += delta;
+                if v > *ceil {
+                    v = 2.0 * ceil - v;
+                }
+                if v < *floor {
+                    v = 2.0 * floor - v;
+                }
+                v = v.clamp(*floor, *ceil);
+                t += *interval;
+            }
+        }
+        LoadModel::MarkovOnOff {
+            idle_avail,
+            busy_avail,
+            mean_idle,
+            mean_busy,
+        } => {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut idle = true;
+            let mut t = SimTime::ZERO;
+            while t <= horizon {
+                pts.push((t, if idle { *idle_avail } else { *busy_avail }));
+                let mean = if idle { *mean_idle } else { *mean_busy };
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                let hold = -u.ln() * mean.as_secs_f64();
+                t += SimTime::from_secs_f64(hold.max(1e-6));
+                idle = !idle;
+            }
+        }
+        LoadModel::Constant(_) | LoadModel::Trace(_) => return model.realize(horizon, seed),
+    }
+    StepSeries::from_points(pts)
+}
+
+/// `x` moved by `d` units in the last place.
+fn ulps(x: f64, d: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + d) as u64)
+}
+
+/// A stochastic load model whose values often sit within
+/// `f64::EPSILON` of each other without being equal: `kind` 0 is a
+/// random walk (in a band a few ulps wide, or wide with bounds it keeps
+/// hitting), 1 a Markov on/off process, 2 a phase-shifted square wave.
+/// Levels start from `0.3`, `0.7` or `a`; a second level sits `d` ulps
+/// from the first, or at `b`.
+fn lazy_model(kind: u8, pick: u8, d: i64, a: f64, b: f64) -> LoadModel {
+    let x = [0.3, 0.7, a][usize::from(pick % 3)];
+    let y = if pick % 4 == 3 { b } else { ulps(x, d) };
+    match kind {
+        0 => {
+            let (floor, ceil, step) = match pick % 4 {
+                0 => (x, ulps(x, d), ulps(x, 2) - x),
+                1 => (0.0, 1.0, 0.4),
+                2 => (0.25, 0.35, 0.05),
+                _ => (x, x, 0.0),
+            };
+            LoadModel::RandomWalk {
+                start: b,
+                step,
+                interval: SimTime::from_secs(1 + u64::from(pick % 5) * 3),
+                floor,
+                ceil,
+            }
+        }
+        1 => LoadModel::MarkovOnOff {
+            idle_avail: x,
+            busy_avail: if pick % 5 == 4 { 0.0 } else { y },
+            mean_idle: s(5.0 + 40.0 * a),
+            mean_busy: s(5.0 + 40.0 * b),
+        },
+        _ => LoadModel::Periodic {
+            high: x,
+            low: y,
+            half_period: SimTime::from_secs(7 + u64::from(pick) * 5),
+            phase: SimTime::from_secs(u64::from(pick % 7) * 11),
+        },
+    }
+}
+
+/// A one-host topology running on `avail`, so permanent faults reach
+/// the series through the public fault path.
+fn host_on(avail: StepSeries) -> Topology {
+    let mut topo = topo_from(&[10.0], &[1024.0]);
+    topo.host_mut(HostId(0))
+        .expect("host")
+        .set_availability(avail);
+    topo
+}
+
+fn avail(topo: &Topology) -> &StepSeries {
+    topo.host(HostId(0)).expect("host").availability()
+}
+
+/// Apply one operation to a lazy series and its eager twin, and check
+/// that every read answers bit for bit alike. `last` is the latest
+/// time an earlier read reached: a read there realizes about one
+/// `FIRST_CHUNK` (1024 s) further, so windows anchored near it
+/// straddle the realized frontier.
+fn lazy_op(
+    lazy: &mut Topology,
+    eager: &mut Topology,
+    op: (u8, u8, u64, u64, u32, f64),
+    horizon: SimTime,
+    last: &mut SimTime,
+) {
+    let (kind, anchor, raw, len, k, free) = op;
+    let frontier = *last + SimTime::from_secs(1024);
+    let at = match anchor {
+        0 => SimTime::ZERO,
+        1 => (frontier + SimTime::from_secs(raw % 60)).saturating_sub(SimTime::from_secs(30)),
+        2 => SimTime(frontier.0 * 2).saturating_sub(SimTime::from_secs(raw % 40)),
+        3 => (horizon + SimTime::from_secs(raw % 60)).saturating_sub(SimTime::from_secs(30)),
+        _ => SimTime::from_secs(raw % (horizon.as_micros() / 1_000_000 + 100)),
+    };
+    let until = at + SimTime::from_secs(len);
+    let (l, e) = (avail(lazy), avail(eager));
+    match kind {
+        0 => prop_assert_eq!(l.value_at(at).to_bits(), e.value_at(at).to_bits()),
+        1 => prop_assert_eq!(l.next_change_after(at), e.next_change_after(at)),
+        2 => prop_assert_eq!(
+            l.integral(at, until).to_bits(),
+            e.integral(at, until).to_bits()
+        ),
+        3 => {
+            let work = free * len as f64;
+            prop_assert_eq!(
+                format!("{:?}", l.time_to_complete(at, work, 1.0)),
+                format!("{:?}", e.time_to_complete(at, work, 1.0))
+            );
+        }
+        4 => {
+            let spec = FaultSpec {
+                host_faults: vec![HostFault {
+                    host: HostId(0),
+                    at,
+                    recover: None,
+                }],
+                link_faults: vec![],
+            };
+            apply_faults(lazy, &spec).expect("fault");
+            apply_faults(eager, &spec).expect("fault");
+        }
+        _ => {
+            // 1–4 overlapping windows from the anchor on, some
+            // straddling it. The one ending last mostly takes a factor
+            // a few ulps below one: its closing edge then repeats the
+            // value imposed inside it within `f64::EPSILON` and is
+            // dropped, so the series' last retained value leaves the
+            // base chain's.
+            let imps: Vec<Imposition> = (0..=u64::from(k))
+                .map(|i| {
+                    let from = (at + SimTime::from_secs(i * (raw % 50)))
+                        .saturating_sub(SimTime::from_secs(len / 2));
+                    let factor = if i == u64::from(k) && raw % 4 != 0 {
+                        ulps(1.0, -1 - (raw % 3) as i64)
+                    } else {
+                        match (i + raw) % 5 {
+                            0 => 0.0,
+                            1 => -free,
+                            2 => free,
+                            j => ulps(1.0, -(j as i64)),
+                        }
+                    };
+                    Imposition::new(from, from + SimTime::from_secs(len), factor)
+                })
+                .collect();
+            for topo in [&mut *lazy, &mut *eager] {
+                topo.host_mut(HostId(0))
+                    .expect("host")
+                    .availability_mut()
+                    .impose(&imps);
+            }
+        }
+    }
+    *last = (*last).max(until);
+    // "Zero forever" answers for the full realization, asked of a copy
+    // so the series keeps its frontier.
+    prop_assert_eq!(avail(lazy).clone().zero_since(), avail(eager).zero_since());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A lazily realized series matches the eager realization bit for
+    /// bit under any mix of reads, impositions and permanent faults,
+    /// and so does each half of a clone extended on its own.
+    #[test]
+    fn lazy_realization_matches_eager(
+        (kind, pick, d, a, b) in (0u8..3, 0u8..24, 1i64..4, 0.0f64..1.0, 0.0f64..1.0),
+        horizon in 50u64..6000,
+        seed in 0u64..1000,
+        ops in prop::collection::vec(
+            (0u8..8, 0u8..5, 0u64..10_000, 0u64..400, 0u32..4, 0.0f64..1.0),
+            1..10,
+        ),
+        fork_at in 0usize..10,
+        fork_op in (0u8..8, 0u8..5, 0u64..10_000, 0u64..400, 0u32..4, 0.0f64..1.0),
+    ) {
+        let model = lazy_model(kind, pick, d, a, b);
+        let horizon = SimTime::from_secs(horizon);
+        let mut lazy = host_on(model.realize(horizon, seed));
+        let mut eager = host_on(eager_realize(&model, horizon, seed));
+        let mut last = SimTime::ZERO;
+        let mut forks = None;
+        for (i, &op) in ops.iter().enumerate() {
+            if i == fork_at {
+                forks = Some((lazy.clone(), eager.clone(), last));
+            }
+            lazy_op(&mut lazy, &mut eager, op, horizon, &mut last);
+        }
+        prop_assert_eq!(point_bits(avail(&lazy)), point_bits(avail(&eager)));
+        if let Some((mut lazy2, mut eager2, mut last2)) = forks {
+            lazy_op(&mut lazy2, &mut eager2, fork_op, horizon, &mut last2);
+            prop_assert_eq!(point_bits(avail(&lazy2)), point_bits(avail(&eager2)));
         }
     }
 }

@@ -10,7 +10,7 @@
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
 use apples_grid::{run_regime_jobs_with_sink, FaultInjection, GridConfig, SchedRegime};
 use metasim::simtrace::{TraceEvent, VecSink};
-use metasim::{FaultModel, SimTime};
+use metasim::{FaultModel, SimTime, TopoSpec};
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -56,24 +56,32 @@ fn grid() -> GridConfig {
     }
 }
 
+/// The same stream on a generated 16-host tree under a heavier fault
+/// load, so permanent crashes truncate generated host series.
+fn tree_grid() -> GridConfig {
+    GridConfig {
+        topo: Some(TopoSpec::parse("tree:hosts=16,arity=2,per_seg=4").expect("tree spec")),
+        faults: FaultInjection::Random(FaultModel {
+            host_crashes_per_hour: 12.0,
+            link_outages_per_hour: 0.0,
+            mean_outage: SimTime::from_secs(600),
+            permanent_fraction: 0.5,
+        }),
+        ..grid()
+    }
+}
+
 struct Golden {
     trace: u64,
     records: u64,
     events: Vec<TraceEvent>,
 }
 
-fn run(regime: SchedRegime) -> Golden {
+fn run(cfg: &GridConfig, regime: SchedRegime) -> Golden {
     let w = workload();
     let mut sink = VecSink::new();
-    let out = run_regime_jobs_with_sink(
-        &grid(),
-        regime,
-        &w.realize(),
-        w.duration,
-        w.retry,
-        &mut sink,
-    )
-    .expect("golden stream");
+    let out = run_regime_jobs_with_sink(cfg, regime, &w.realize(), w.duration, w.retry, &mut sink)
+        .expect("golden stream");
     let mut trace = Fnv::new();
     for e in &sink.events {
         trace.write(e.to_json().as_bytes());
@@ -115,7 +123,7 @@ fn regime_outputs_match_their_golden_digests() {
         ),
     ];
     for (regime, trace, records) in want {
-        let g = run(regime);
+        let g = run(&grid(), regime);
         // The stream must reach the fault and retry paths, or the
         // digests pin nothing interesting.
         let retries = count(&g.events, "job_retried");
@@ -126,6 +134,45 @@ fn regime_outputs_match_their_golden_digests() {
             SchedRegime::Batch => assert!(backfills > 0, "batch: no backfill"),
             _ => assert!(revocations > 0, "{regime}: no revocation"),
         }
+        assert_eq!(
+            (g.trace, g.records),
+            (trace, records),
+            "{regime}: output changed (got trace {:#018x}, records {:#018x})",
+            g.trace,
+            g.records
+        );
+    }
+}
+
+#[test]
+fn generated_tree_outputs_match_their_golden_digests() {
+    // (regime, trace digest, records digest)
+    let want = [
+        (
+            SchedRegime::Selfish,
+            0x85c7_fc6d_4e44_a18a,
+            0xcc1d_36e4_fc24_4ab5,
+        ),
+        (
+            SchedRegime::Batch,
+            0x033d_2651_2a2f_971f,
+            0xa0aa_dd4d_7a0f_b92d,
+        ),
+        (
+            SchedRegime::Fractional,
+            0xc6a1_ea19_c77b_589b,
+            0x59c9_56de_f0d3_74f4,
+        ),
+    ];
+    for (regime, trace, records) in want {
+        let g = run(&tree_grid(), regime);
+        let permanent = g
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::HostFaultInjected { recover: None, .. }))
+            .count();
+        assert!(permanent > 0, "{regime}: no permanent crash");
+        assert!(count(&g.events, "job_retried") > 0, "{regime}: no retry");
         assert_eq!(
             (g.trace, g.records),
             (trace, records),
