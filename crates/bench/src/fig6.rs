@@ -22,29 +22,14 @@ use nws::{WeatherService, WeatherServiceConfig};
 /// NWS warm-up before the scheduling decision.
 pub const WARMUP: SimTime = SimTime::from_secs(600);
 
-/// Configuration of the Figure 6 experiment.
-#[derive(Debug, Clone)]
-pub struct Fig6Config {
-    /// Grid sizes to sweep, straddling the 3700 spill point.
-    pub sizes: Vec<usize>,
-    /// Jacobi iterations per run.
-    pub iterations: usize,
-    /// Independent trials per size.
-    pub trials: usize,
-    /// Base seed.
-    pub base_seed: u64,
-}
+/// Grid sizes of the sweep, straddling the 3700 spill point.
+pub const SIZES: [usize; 9] = [1000, 2000, 3000, 3500, 3700, 3800, 4000, 4500, 5000];
 
-impl Default for Fig6Config {
-    fn default() -> Self {
-        Fig6Config {
-            sizes: vec![1000, 2000, 3000, 3500, 3700, 3800, 4000, 4500, 5000],
-            iterations: 50,
-            trials: 3,
-            base_seed: 1996,
-        }
-    }
-}
+/// Jacobi iterations per run.
+pub const ITERATIONS: usize = 50;
+
+/// Independent trials per size; trial `i` uses seed `1996 + i`.
+pub const TRIALS: u64 = 3;
 
 /// Measured seconds for one trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,16 +99,13 @@ pub struct Fig6Row {
 }
 
 /// Run the full Figure 6 sweep. Trials fan out across threads.
-pub fn run(cfg: &Fig6Config) -> Vec<Fig6Row> {
-    cfg.sizes
+pub fn run() -> Vec<Fig6Row> {
+    SIZES
         .iter()
         .map(|&n| {
             let trials: Vec<Fig6Trial> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.trials)
-                    .map(|i| {
-                        let seed = cfg.base_seed + i as u64;
-                        scope.spawn(move |_| run_trial(n, cfg.iterations, seed))
-                    })
+                let handles: Vec<_> = (0..TRIALS)
+                    .map(|i| scope.spawn(move |_| run_trial(n, ITERATIONS, 1996 + i)))
                     .collect();
                 handles
                     .into_iter()

@@ -21,8 +21,6 @@ pub struct GridExpConfig {
     pub seed: u64,
     /// Number of independent trials.
     pub trials: usize,
-    /// FCFS admission bound.
-    pub max_in_flight: usize,
 }
 
 impl Default for GridExpConfig {
@@ -32,7 +30,6 @@ impl Default for GridExpConfig {
             duration_secs: 3600.0,
             seed: 1,
             trials: 1,
-            max_in_flight: usize::MAX,
         }
     }
 }
@@ -41,7 +38,6 @@ impl Default for GridExpConfig {
 pub fn run_trials(cfg: &GridExpConfig) -> Vec<TrialResult> {
     let grid = GridConfig {
         seed: cfg.seed,
-        max_in_flight: cfg.max_in_flight,
         ..GridConfig::default()
     };
     let workload = WorkloadConfig {

@@ -2,10 +2,11 @@
 
 //! # apples-bench — the experiment harness
 //!
-//! One module per paper artifact. Each experiment has one front door:
-//! a figure binary under `src/bin/` or an `apples-cli` subcommand,
-//! both thin wrappers around these functions. See DESIGN.md for the
-//! experiment ↔ module index and EXPERIMENTS.md for recorded results.
+//! One module per paper artifact. Each experiment has one front door,
+//! an `apples-cli` subcommand: either its own (`react`, `race`, ...)
+//! or `reproduce ID`, which renders an entry of [`reproduce::REGISTRY`].
+//! See DESIGN.md for the experiment ↔ module index and EXPERIMENTS.md
+//! for recorded results.
 
 pub mod ablation;
 pub mod estimator_exp;
@@ -21,4 +22,5 @@ pub mod nws_exp;
 pub mod predict_react;
 pub mod react_exp;
 pub mod regime_race;
+pub mod reproduce;
 pub mod table;

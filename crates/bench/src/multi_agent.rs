@@ -100,11 +100,6 @@ pub fn run_staged(
         .collect()
 }
 
-/// Mean elapsed seconds across the staged agents.
-pub fn mean_elapsed(outcomes: &[AgentOutcome]) -> f64 {
-    outcomes.iter().map(|o| o.elapsed).sum::<f64>() / outcomes.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,7 +126,7 @@ pub fn run_point(
     }
 }
 
-/// The full sweep used by the `predict_vs_react` binary.
+/// T-PRED's full sweep (`apples-cli reproduce T-PRED`).
 pub fn run_sweep(events: u64, chunks: usize, seed: u64) -> Vec<PredictReactRow> {
     let mut rows = Vec::new();
     for &latency in &[1u64, 50, 300] {

@@ -1,0 +1,826 @@
+//! The experiment registry behind `apples-cli reproduce ID`: the one
+//! front door for every figure and table that has no command of its
+//! own.
+//!
+//! Each entry renders one experiment at its recorded configuration
+//! into the exact text the command prints. EXPERIMENTS.md holds every
+//! entry's text verbatim in a fenced block between `<!-- reproduce ID
+//! -->` and `<!-- /reproduce -->`, and `tests/experiments_doc.rs`
+//! checks the two byte for byte, so the recorded tables cannot drift
+//! from the code. Configurations other than the recorded one go
+//! through the commands that take flags (`apples-cli grid`, `compare`,
+//! `schedule`).
+
+use crate::{
+    ablation, estimator_exp, fault_exp, fig5, fig6, fixed_time, grid_exp, multi_agent, nile_exp,
+    nws_exp, predict_react, react_exp, table,
+};
+use apples::info::InfoPool;
+use apples_apps::jacobi2d::partition::{apples_blocked_decision, jacobi_context};
+use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_strip};
+use metasim::exec::{simulate_spmd, simulate_spmd_with_sink};
+use metasim::simtrace::VecSink;
+use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
+use metasim::SimTime;
+use nws::{WeatherService, WeatherServiceConfig};
+use obsv::Profile;
+use std::fmt::Write as _;
+
+/// One experiment's rendered text: `Ok` when every check it makes
+/// held, `Err` carrying the same text when one failed (only `CHECKS`
+/// makes checks).
+pub type Report = Result<String, String>;
+
+/// An experiment's ID and the function that renders its report.
+pub type Experiment = (&'static str, fn() -> Report);
+
+/// Every experiment by its EXPERIMENTS.md ID, in document order.
+pub const REGISTRY: [Experiment; 18] = [
+    ("FIG1", fig1),
+    ("FIG3", fig3),
+    ("FIG4", fig4),
+    ("FIG5", fig5),
+    ("FIG6", fig6),
+    ("T-NWS", t_nws),
+    ("ABL-1", abl1),
+    ("ABL-2", abl2),
+    ("ABL-3", abl3),
+    ("ABL-4", abl4),
+    ("T-EST", t_est),
+    ("T-MULTI", t_multi),
+    ("T-PRED", t_pred),
+    ("T-FIXED", t_fixed),
+    ("T-GRID", t_grid),
+    ("T-FAULT", t_fault),
+    ("T-PROF", t_prof),
+    ("CHECKS", checks),
+];
+
+/// Render experiment `id`, or `None` when the registry has no such ID.
+pub fn render(id: &str) -> Option<Report> {
+    REGISTRY
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run())
+}
+
+/// FIG1: the organization of an AppLeS agent (the paper's Figure 1),
+/// each box naming the Rust item that realizes it.
+fn fig1() -> Report {
+    Ok(r#"Figure 1: Organization of an AppLeS agent
+
+                         +----------------------------+
+                         |        Coordinator         |
+                         |   apples::Coordinator      |
+                         |  (decide = select > plan   |
+                         |   > estimate > choose;     |
+                         |   run = decide > actuate)  |
+                         +-------------+--------------+
+                                       |
+        +---------------+--------------+--------------+----------------+
+        |               |                             |                |
++-------+------+ +------+--------+           +--------+-------+ +------+-------+
+|   Resource   | |    Planner    |           |  Performance   | |   Actuator   |
+|   Selector   | | apples::      |           |   Estimator    | | apples::     |
+| apples::     | |  planner      |           | apples::       | |  actuator    |
+|  selector    | | (strip solve  |           |  estimator     | | (lowers the  |
+| (filter +    | |  T_i=A_iP_i   |           | (cost models   | |  schedule    |
+|  exhaustive/ | |  +C_i; pipe-  |           |  under the     | |  onto        |
+|  greedy sets)| |  line sizing) |           |  user metric)  | |  metasim)    |
++------+-------+ +------+--------+           +--------+-------+ +------+-------+
+       |                |                             |                |
+       +----------------+--------------+--------------+----------------+
+                                       |
+                         +-------------+--------------+
+                         |      Information Pool      |
+                         |     apples::InfoPool       |
+                         +-------------+--------------+
+                                       |
+       +---------------+---------------+---------------+---------------+
+       |               |                               |               |
++------+-------+ +-----+---------+             +-------+------+ +------+-------+
+|   Network    | | Heterogeneous |             |    Models    | |     User     |
+|   Weather    | |  Application  |             | (estimator/  | |Specifications|
+|   Service    | |   Template    |             |  planner     | | apples::     |
+| nws::Weather | |  apples::Hat  |             |  cost models;|  |  UserSpec   |
+|   Service    | | (stencil /    |             |  estimate_*  | | (metric,     |
+| (sensors +   | |  pipeline /   |             |  functions)  | |  access,     |
+|  adaptive    | |  task farm)   |             |              | |  preferences)|
+|  forecasts)  | |               |             |              | |              |
++--------------+ +---------------+             +--------------+ +--------------+
+
+Resource management substrate (the paper's Globus/Legion/PVM slot):
+  metasim — hosts, shared networks, availability processes, executors.
+
+"#
+    .into())
+}
+
+/// FIG3: the strip fractions AppLeS chooses at n = 2000 for three load
+/// realizations.
+fn fig3() -> Report {
+    let n = 2000;
+    let mut out = String::new();
+    let _ = writeln!(out, "Figure 3: AppLeS partitioning of Jacobi2D (n = {n})\n");
+    for seed in [1996u64, 1997, 1998] {
+        let trial = fig5::run_trial(n, 50, seed, LoadProfile::Moderate);
+        let _ = writeln!(out, "load realization (seed {seed}):");
+        let rows: Vec<Vec<String>> = trial
+            .apples_fractions
+            .iter()
+            .map(|(name, frac)| {
+                vec![
+                    name.clone(),
+                    format!("{:.1}%", frac * 100.0),
+                    format!("{}", (frac * n as f64).round() as usize),
+                ]
+            })
+            .collect();
+        let _ = writeln!(
+            out,
+            "{}",
+            table::render(&["host", "fraction", "rows"], &rows)
+        );
+    }
+    out.push_str(
+        "Note how the fractions track *delivered* speed (nominal speed × \n\
+         forecast availability), not nominal speed — and change with the\n\
+         load realization. Compare Figure 4 (static fractions).\n",
+    );
+    Ok(out)
+}
+
+/// FIG4: the static strip partition, from nominal CPU speeds alone.
+fn fig4() -> Report {
+    let n = 2000;
+    let tb = pcl_sdsc(&TestbedConfig::default()).expect("testbed");
+    let sched = static_strip(&tb.topo, n, 1, &tb.workstations());
+    let rows: Vec<Vec<String>> = sched
+        .parts
+        .iter()
+        .map(|p| {
+            let h = tb.topo.host(p.host).expect("host");
+            vec![
+                h.spec.name.clone(),
+                format!("{:.0}", h.spec.mflops),
+                format!("{:.1}%", p.rows as f64 / n as f64 * 100.0),
+                format!("{}", p.rows),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Figure 4: non-uniform static strip partitioning (n = {n})\n\n{}\n\
+         The fractions are proportional to nominal speed: the partition\n\
+         is blind to contention, which Figure 5 shows costs 2-8x.\n",
+        table::render(&["host", "nominal Mflop/s", "fraction", "rows"], &rows)
+    ))
+}
+
+/// FIG5: AppLeS vs static Strip vs HPF Blocked, 1000² – 2000².
+fn fig5() -> Report {
+    let cfg = fig5::Fig5Config::default();
+    let rows: Vec<Vec<String>> = fig5::run(&cfg)
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{0}x{0}", r.n),
+                table::secs(r.apples.mean),
+                table::secs(r.strip.mean),
+                table::secs(r.blocked.mean),
+                table::ratio(r.strip_ratio()),
+                table::ratio(r.blocked_ratio()),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Figure 5: Jacobi2D execution-time averages ({} trials/size, {} iterations)\n\n{}\n\
+         Paper: \"The AppLeS partition outperforms the Strip and Blocked\n\
+         partitions by factors of 2-8 for problem sizes 1000x1000 - 2000x2000.\"\n",
+        cfg.trials,
+        cfg.iterations,
+        table::render(
+            &[
+                "problem",
+                "AppLeS s",
+                "Strip s",
+                "Blocked s",
+                "Strip/AppLeS",
+                "Blocked/AppLeS"
+            ],
+            &rows
+        )
+    ))
+}
+
+/// FIG6: AppLeS over the whole pool vs HPF Blocked pinned to the two
+/// SP-2 nodes, across the 3700² spill point.
+fn fig6() -> Report {
+    let rows: Vec<Vec<String>> = fig6::run()
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{0}x{0}", r.n),
+                table::secs(r.apples.mean),
+                table::secs(r.blocked_sp2.mean),
+                table::ratio(r.blocked_sp2.mean / r.apples.mean),
+                format!("{}", r.apples_hosts.len()),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Figure 6: Jacobi2D with memory considered ({} trials/size, {} iterations)\n\n{}\n\
+         The SP-2 pair holds a 3700x3700 grid exactly; beyond that the\n\
+         Blocked partition pages (\"a dramatic reduction in performance\")\n\
+         while AppLeS \"locates available memory elsewhere in the resource\n\
+         pool\" by widening the strip set.\n",
+        fig6::TRIALS,
+        fig6::ITERATIONS,
+        table::render(
+            &[
+                "problem",
+                "AppLeS s",
+                "Blocked(SP-2) s",
+                "Blocked/AppLeS",
+                "AppLeS hosts"
+            ],
+            &rows
+        )
+    ))
+}
+
+/// T-NWS: one-step forecast accuracy of each NWS predictor and the
+/// adaptive selector, per signal class.
+fn t_nws() -> Report {
+    let mut out = String::from("NWS forecaster accuracy (one-step MAE, lower is better)\n\n");
+    for row in nws_exp::run(100_000, 1996) {
+        let _ = writeln!(out, "signal: {}", row.signal);
+        let best = row.scores[..row.scores.len() - 1]
+            .iter()
+            .map(|&(_, m)| m)
+            .fold(f64::INFINITY, f64::min);
+        let rows: Vec<Vec<String>> = row
+            .scores
+            .iter()
+            .map(|(name, mae)| {
+                let mark = if (*mae - best).abs() < 1e-12 {
+                    "<- best individual"
+                } else if name == "adaptive-selector" {
+                    "<- selector"
+                } else {
+                    ""
+                };
+                vec![name.clone(), format!("{mae:.4}"), mark.into()]
+            })
+            .collect();
+        let _ = writeln!(out, "{}", table::render(&["predictor", "MAE", ""], &rows));
+    }
+    out.push_str(
+        "No single predictor wins every regime; the adaptive selector\n\
+         tracks the best one per signal, which is the NWS design point.\n",
+    );
+    Ok(out)
+}
+
+/// A `mean s / std s / vs <base>` table over named sample statistics,
+/// the base being the first row.
+fn versus_first(label: &str, base_name: &str, rows: &[(String, metasim::trace::Stats)]) -> String {
+    let base = rows[0].1.mean;
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(name, s)| {
+            vec![
+                name.clone(),
+                table::secs(s.mean),
+                table::secs(s.std_dev),
+                table::ratio(s.mean / base),
+            ]
+        })
+        .collect();
+    table::render(&[label, "mean s", "std s", base_name], &cells)
+}
+
+/// ABL-1: the same blueprint fed by an oracle, NWS forecasts, raw last
+/// measurements and static nominal speeds.
+fn abl1() -> Report {
+    let (n, iters, trials) = (1600, 80, 5);
+    let rows: Vec<(String, metasim::trace::Stats)> =
+        ablation::forecast_ablation(n, iters, trials, 1996)
+            .into_iter()
+            .map(|(name, s)| (name.to_string(), s))
+            .collect();
+    Ok(format!(
+        "Forecast-source ablation: Jacobi2D {n}x{n}, {iters} iterations, {trials} trials\n\n{}\n\
+         static-nominal pays the full price of ignoring contention; the\n\
+         oracle, NWS and last-value sources are within noise of each\n\
+         other on slowly-drifting loads — §3.6's point in reverse: the\n\
+         value is in having *any* accurate dynamic information, and the\n\
+         forecaster only needs to beat the signal's drift rate.\n",
+        versus_first("source", "vs oracle", &rows)
+    ))
+}
+
+/// ABL-2: exhaustive subset enumeration vs greedy distance-ranked
+/// prefixes.
+fn abl2() -> Report {
+    let rows: Vec<Vec<String>> = [1996u64, 1997, 1998, 1999, 2000]
+        .into_iter()
+        .map(|seed| {
+            let t = ablation::selection_trial(1200, 60, seed);
+            vec![
+                format!("{seed}"),
+                format!("{}", t.exhaustive_candidates),
+                format!("{}", t.greedy_candidates),
+                table::secs(t.exhaustive_s),
+                table::secs(t.greedy_s),
+                table::ratio(t.greedy_s / t.exhaustive_s),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Resource-set search ablation: Jacobi2D 1200x1200, 60 iterations\n\n{}\n\
+         Greedy evaluates ~30x fewer candidate sets; the chosen schedule\n\
+         is usually competitive because the ranking already encodes the\n\
+         application's logical distance (3.3).\n",
+        table::render(
+            &[
+                "seed",
+                "exh. sets",
+                "greedy sets",
+                "exh. s",
+                "greedy s",
+                "greedy/exh."
+            ],
+            &rows
+        )
+    ))
+}
+
+/// ABL-3: AppLeS restricted to strips vs AppLeS searching uniform block
+/// meshes with the same forecasts.
+fn abl3() -> Report {
+    let warmup = SimTime::from_secs(600);
+    let trials = 3;
+    let mut rows = Vec::new();
+    for n in [1000usize, 1500, 2000] {
+        let mut strip_total = 0.0;
+        let mut block_total = 0.0;
+        for trial in 0..trials {
+            let tb = pcl_sdsc(&TestbedConfig {
+                seed: 1996 + trial,
+                ..Default::default()
+            })
+            .expect("testbed");
+            let (hat, user) = jacobi_context(n, 60);
+            let t = hat.as_stencil().expect("stencil");
+            let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
+            ws.advance(&tb.topo, warmup);
+            let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
+
+            let strip = apples_stencil_schedule(&pool).expect("strip plan");
+            let strip_run =
+                simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup)).expect("strip run");
+            strip_total += strip_run.makespan(warmup).as_secs_f64();
+
+            let (blocked, _) = apples_blocked_decision(&pool).expect("blocked plan");
+            let block_run =
+                simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup)).expect("block run");
+            block_total += block_run.makespan(warmup).as_secs_f64();
+        }
+        let strip_s = strip_total / trials as f64;
+        let block_s = block_total / trials as f64;
+        rows.push(vec![
+            format!("{n}x{n}"),
+            table::secs(strip_s),
+            table::secs(block_s),
+            table::ratio(block_s / strip_s),
+        ]);
+    }
+    Ok(format!(
+        "Decomposition-shape ablation: AppLeS strips vs AppLeS blocks\n\n{}\n\
+         Even with forecast-driven host selection, uniform blocks cannot\n\
+         shape themselves to per-host speed — the shaped strips win,\n\
+         which is why the paper's user preference for strips was sound\n\
+         (though far less dramatic than the naive Blocked baseline of\n\
+         Figure 5, which also ignored load in picking its hosts).\n",
+        table::render(
+            &[
+                "problem",
+                "AppLeS strips s",
+                "AppLeS blocks s",
+                "blocks/strips"
+            ],
+            &rows
+        )
+    ))
+}
+
+/// ABL-4: uniform measurement noise on every CPU and link sample.
+fn abl4() -> Report {
+    let (n, iters, trials) = (1400, 60, 5);
+    let rows: Vec<(String, metasim::trace::Stats)> =
+        ablation::noise_ablation(n, iters, trials, 1996, &[0.0, 0.05, 0.1, 0.2, 0.4, 0.8])
+            .into_iter()
+            .map(|(noise, s)| (format!("±{noise:.2}"), s))
+            .collect();
+    Ok(format!(
+        "Sensor-noise ablation: Jacobi2D {n}x{n}, {iters} iterations, {trials} trials;\n\
+         uniform measurement error added to every CPU and link sample\n\n{}\n\
+         Moderate noise is largely absorbed by the forecaster battery\n\
+         (means and medians average it out); schedules only degrade\n\
+         once the noise approaches the signal's own dynamic range.\n",
+        versus_first("noise", "vs clean", &rows)
+    ))
+}
+
+/// T-EST: predicted vs simulated execution time over 100 random strip
+/// schedules.
+fn t_est() -> Report {
+    let (samples, stats) = estimator_exp::run(100, 2027);
+    let buckets = [
+        (0.0, 0.5),
+        (0.5, 0.8),
+        (0.8, 1.0),
+        (1.0, 1.25),
+        (1.25, 2.0),
+        (2.0, f64::INFINITY),
+    ];
+    let rows: Vec<Vec<String>> = buckets
+        .iter()
+        .map(|&(lo, hi)| {
+            let count = samples
+                .iter()
+                .filter(|s| s.ratio() >= lo && s.ratio() < hi)
+                .count();
+            vec![
+                if hi.is_infinite() {
+                    format!(">= {lo}")
+                } else {
+                    format!("{lo} - {hi}")
+                },
+                format!("{count}"),
+                "#".repeat(count.min(60)),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Performance Estimator calibration: {} random schedules on the\n\
+         Figure 2 testbed, NWS-parameterized predictions vs simulation\n\n\
+         prediction/reality ratio distribution:\n  \
+         median {:.3}   mean {:.3} ± {:.3}\n  \
+         min    {:.3}   max  {:.3}\n\n{}\n\
+         Ratios above 1 are conservative predictions (model overestimates\n\
+         cost); the §5 model charges each side of an exchange separately\n\
+         while the simulator overlaps them, so a mild conservative bias\n\
+         is expected and is harmless for *ranking* candidate schedules.\n",
+        samples.len(),
+        stats.median,
+        stats.mean,
+        stats.std_dev,
+        stats.min,
+        stats.max,
+        table::render(&["ratio", "count", ""], &rows)
+    ))
+}
+
+/// T-MULTI: three long selfish jobs and a short probe, blind vs aware.
+fn t_multi() -> Report {
+    let n = 1400;
+    let mix: &[usize] = &[6000, 6000, 6000, 400];
+    let gap = SimTime::from_secs(60);
+    let mut out = format!(
+        "3 long + 1 short Jacobi2D {n}x{n} jobs, submitted {} s apart\n\n",
+        gap.as_secs_f64()
+    );
+    for (regime, label, decides) in [
+        (
+            multi_agent::Regime::Blind,
+            "blind",
+            "from pristine pre-submission measurements",
+        ),
+        (
+            multi_agent::Regime::Aware,
+            "aware",
+            "from measurements that include earlier agents' load",
+        ),
+    ] {
+        let outcomes = multi_agent::run_staged(n, mix, 1996, gap, regime);
+        let rows: Vec<Vec<String>> = outcomes
+            .iter()
+            .map(|o| {
+                vec![
+                    format!("{}", o.agent),
+                    format!("{:.0}", o.start.as_secs_f64()),
+                    table::secs(o.elapsed),
+                    o.hosts.join(", "),
+                ]
+            })
+            .collect();
+        let probe = outcomes.last().expect("probe agent").elapsed;
+        let _ = writeln!(
+            out,
+            "{label}: each agent decides {decides}\n{}\nprobe (agent 3) elapsed: {probe:.2} s\n",
+            table::render(&["agent", "t submit", "elapsed s", "hosts"], &rows)
+        );
+    }
+    out.push_str(
+        "No agent coordinates with any other; the aware probe's advantage\n\
+         is purely from observation — \"other applications ... are\n\
+         experienced by an individual application in terms of the\n\
+         dynamically varying performance capability of ... resources\" (§3).\n",
+    );
+    Ok(out)
+}
+
+/// T-PRED: a one-shot NWS-forecast farm allocation vs a self-scheduling
+/// work queue, across latencies and load volatilities.
+fn t_pred() -> Report {
+    let (events, chunks) = (100_000, 2000);
+    let rows: Vec<Vec<String>> = predict_react::run_sweep(events, chunks, 1996)
+        .iter()
+        .map(|r| {
+            vec![
+                format!("{} ms", r.latency_ms),
+                match r.volatility {
+                    predict_react::Volatility::Stable => "stable",
+                    predict_react::Volatility::Volatile => "volatile",
+                }
+                .into(),
+                table::secs(r.predictive_s),
+                table::secs(r.reactive_s),
+                if r.predictive_s < r.reactive_s {
+                    "prediction"
+                } else {
+                    "reaction"
+                }
+                .into(),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Prediction vs reaction: {events} events, 4 workers;\n\
+         predictive = NWS-forecast one-shot allocation,\n\
+         reactive   = {chunks}-chunk self-scheduling work queue\n\n{}\n\
+         Reaction needs no forecasts but pays a round-trip per chunk and\n\
+         only works for independent tasks; prediction pays nothing per\n\
+         chunk but rides on forecast accuracy. AppLeS's niche (§3.3) is\n\
+         exactly the left column's losses: wide-area, \"far\" resources\n\
+         where chattiness is ruinous — plus every coupled application\n\
+         (stencils, pipelines) where self-scheduling does not apply.\n",
+        table::render(
+            &["latency", "load", "predictive s", "reactive s", "winner"],
+            &rows
+        )
+    ))
+}
+
+/// T-FIXED: the largest grid each strategy finishes within a budget.
+fn t_fixed() -> Report {
+    use fixed_time::Strategy;
+    let iterations = 60;
+    let strategies = [Strategy::Apples, Strategy::StaticStrip, Strategy::Blocked];
+    let rows: Vec<Vec<String>> = [5.0f64, 15.0, 40.0]
+        .into_iter()
+        .map(|budget| {
+            let mut row = vec![format!("{budget:.0} s")];
+            for strategy in strategies {
+                let n = fixed_time::largest_grid_within(strategy, budget, iterations, 1996);
+                row.push(format!("{n}x{n}"));
+            }
+            row
+        })
+        .collect();
+    let headers = [
+        "budget",
+        strategies[0].name(),
+        strategies[1].name(),
+        strategies[2].name(),
+    ];
+    Ok(format!(
+        "Fixed-time scaling: largest grid finishing within the budget\n\
+         ({iterations} iterations, moderate contention, seed 1996)\n\n{}\n\
+         Fixed-size speedup (Figure 5) and fixed-time scaling are two views\n\
+         of the same gap: a ~2x throughput advantage buys a ~1.4x larger\n\
+         grid edge in the same wall-clock budget (Gustafson, the paper's\n\
+         reference [12]).\n",
+        table::render(&headers, &rows)
+    ))
+}
+
+/// T-GRID: one Poisson job stream through the shared testbed; fleet
+/// metrics and per-host utilization.
+fn t_grid() -> Report {
+    let cfg = grid_exp::GridExpConfig::default();
+    let trials = grid_exp::run_trials(&cfg);
+    let mut out = format!(
+        "Poisson arrivals at {}/s for {} s on the Figure 2 testbed (seed {}, {} trial(s))\n\n",
+        cfg.rate_hz, cfg.duration_secs, cfg.seed, cfg.trials
+    );
+    for t in &trials {
+        let _ = writeln!(
+            out,
+            "seed {}:\n{}\n{}",
+            t.seed,
+            grid_exp::fleet_table(&t.fleet),
+            grid_exp::utilization_table(&t.fleet)
+        );
+    }
+    let _ = writeln!(out, "{}", grid_exp::sweep_summary(&trials));
+    Ok(out)
+}
+
+/// T-FAULT: aware-with-rescheduling vs blind streams under escalating
+/// host-crash rates.
+fn t_fault() -> Report {
+    let cfg = fault_exp::FaultExpConfig::default();
+    let trials = fault_exp::run_fault_sweep(&cfg);
+    Ok(format!(
+        "Poisson arrivals at {}/s for {} s, crashes escalating over {:?} per host-hour\n\
+         (seed {}, mean outage {} s, {:.0}% permanent, aware retries up to {} attempts)\n\n\
+         {}\n{}\n",
+        cfg.rate_hz,
+        cfg.duration_secs,
+        cfg.crash_rates,
+        cfg.seed,
+        cfg.mean_outage_secs,
+        cfg.permanent_fraction * 100.0,
+        cfg.max_attempts,
+        fault_exp::fault_table(&trials),
+        fault_exp::fault_summary(&trials)
+    ))
+}
+
+/// T-PROF: where each Figure-5 partition's simulated seconds go —
+/// compute, border exchange or contention wait.
+fn t_prof() -> Report {
+    let (n, iterations, seed) = (1400, 100, 1996);
+    let tb = pcl_sdsc(&TestbedConfig {
+        profile: LoadProfile::Moderate,
+        horizon: SimTime::from_secs(400_000),
+        seed,
+        with_sp2: false,
+    })
+    .expect("testbed");
+    let workstations = tb.workstations();
+    let (hat, user) = jacobi_context(n, iterations);
+    let t = hat.as_stencil().expect("stencil HAT");
+    let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());
+    ws.advance(&tb.topo, fig5::WARMUP);
+    let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, fig5::WARMUP);
+
+    let apples = apples_stencil_schedule(&pool).expect("apples plan");
+    let strip = static_strip(&tb.topo, n, iterations, &workstations);
+    let blocked = blocked_uniform(n, iterations, &workstations);
+    let jobs = [
+        ("AppLeS", apples.to_spmd_job(t, fig5::WARMUP)),
+        ("static-strip", strip.to_spmd_job(t, fig5::WARMUP)),
+        ("hpf-blocked", blocked.to_spmd_job(t, fig5::WARMUP)),
+    ];
+
+    let mut out = format!(
+        "Jacobi2D {n}x{n}, {iterations} iterations, seed {seed} (moderate profile):\n\n\
+         {:<14} {:>10} {:>10} {:>17} {:>17}\n",
+        "strategy", "makespan", "compute", "border-exchange", "contention-wait"
+    );
+    for (name, job) in &jobs {
+        let mut sink = VecSink::new();
+        let run = simulate_spmd_with_sink(&tb.topo, job, &mut sink).expect("spmd run");
+        let shares = Profile::from_events(&sink.events)
+            .exec_shares()
+            .expect("nonempty trace");
+        let _ = writeln!(
+            out,
+            "{:<14} {:>9.2}s {:>9.1}% {:>16.1}% {:>16.1}%",
+            name,
+            run.makespan(fig5::WARMUP).as_secs_f64(),
+            shares.compute * 100.0,
+            shares.border_exchange * 100.0,
+            shares.contention_wait * 100.0,
+        );
+    }
+    Ok(out)
+}
+
+/// CHECKS: every headline claim at reduced size, as a pass/fail
+/// checklist. `Err` when any check fails.
+fn checks() -> Report {
+    let mut checks: Vec<(&str, &str, bool, String)> = Vec::new();
+
+    let r = fig5::run_trial(1200, 40, 1996, LoadProfile::Moderate);
+    let (strip, blocked) = (r.strip_s / r.apples_s, r.blocked_s / r.apples_s);
+    checks.push((
+        "FIG5",
+        "AppLeS beats Strip and Blocked by 2-8x",
+        strip > 1.5 && blocked > 2.0,
+        format!("strip {strip:.1}x, blocked {blocked:.1}x"),
+    ));
+
+    let below = fig6::run_trial(3000, 10, 1996);
+    let above = fig6::run_trial(4200, 10, 1996);
+    checks.push((
+        "FIG6",
+        "Blocked(SP-2) cliffs past 3700^2, AppLeS does not",
+        below.blocked_sp2_s < 2.0 * below.apples_s && above.blocked_sp2_s > 3.0 * above.apples_s,
+        format!(
+            "ratio {:.2}x below, {:.2}x above",
+            below.blocked_sp2_s / below.apples_s,
+            above.blocked_sp2_s / above.apples_s
+        ),
+    ));
+
+    let r = react_exp::run(0);
+    checks.push((
+        "T-REACT",
+        ">16 h on either machine alone, <5 h pipelined",
+        r.c90_hours > 16.0 && r.paragon_hours > 16.0 && r.distributed_hours < 5.0,
+        format!(
+            "C90 {:.1} h, Paragon {:.1} h, distributed {:.1} h (unit {})",
+            r.c90_hours, r.paragon_hours, r.distributed_hours, r.best_unit
+        ),
+    ));
+
+    let rows = nile_exp::run(150_000, &[1, 16], 0);
+    let choice = |skim: bool| if skim { "skim" } else { "remote" };
+    checks.push((
+        "T-NILE",
+        "remote for one run, skim for a long campaign",
+        !rows[0].skim && rows[1].skim,
+        format!(
+            "1 run -> {}, 16 runs -> {}",
+            choice(rows[0].skim),
+            choice(rows[1].skim)
+        ),
+    ));
+
+    let rows = ablation::forecast_ablation(1000, 25, 3, 2024);
+    let mean_of = |name: &str| {
+        rows.iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s.mean)
+            .unwrap_or(f64::NAN)
+    };
+    let (nws_t, static_t) = (mean_of("nws"), mean_of("static-nominal"));
+    checks.push((
+        "ABL-1",
+        "NWS-informed schedules beat static-nominal",
+        nws_t < static_t,
+        format!("nws {nws_t:.1}s vs static {static_t:.1}s"),
+    ));
+
+    let a = fixed_time::largest_grid_within(fixed_time::Strategy::Apples, 8.0, 40, 1996);
+    let s = fixed_time::largest_grid_within(fixed_time::Strategy::StaticStrip, 8.0, 40, 1996);
+    checks.push((
+        "T-FIXED",
+        "largest fixed-time grid: AppLeS > static Strip",
+        a > s,
+        format!("AppLeS {a}^2 vs Strip {s}^2 in 8 s"),
+    ));
+
+    let gap = SimTime::from_secs(60);
+    let mix: &[usize] = &[4000, 4000, 300];
+    let probe = |regime| {
+        multi_agent::run_staged(1200, mix, 77, gap, regime)
+            .last()
+            .expect("probe agent")
+            .elapsed
+    };
+    let (ap, bp) = (
+        probe(multi_agent::Regime::Aware),
+        probe(multi_agent::Regime::Blind),
+    );
+    checks.push((
+        "T-MULTI",
+        "observing other agents' load pays off",
+        ap < bp,
+        format!("aware probe {ap:.0}s vs blind probe {bp:.0}s"),
+    ));
+
+    let mut out = String::from(
+        "Reproduction checklist (reduced sizes; see EXPERIMENTS.md for full runs)\n\n",
+    );
+    for (name, claim, pass, detail) in &checks {
+        let mark = if *pass { "PASS" } else { "FAIL" };
+        let _ = writeln!(out, "[{mark}] {name:8} {claim} — {detail}");
+    }
+    if checks.iter().all(|(_, _, pass, _)| *pass) {
+        out.push_str("\nAll reproduction checks passed.\n");
+        Ok(out)
+    } else {
+        out.push_str("\nSOME CHECKS FAILED — see above.\n");
+        Err(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_unique_and_unknown_ids_render_nothing() {
+        let mut ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), REGISTRY.len());
+        assert!(render("FIG2").is_none());
+        assert_eq!(render("FIG1").map(|r| r.is_ok()), Some(true));
+    }
+}

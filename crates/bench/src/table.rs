@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the figure binaries.
+//! Plain-text table rendering for the experiment reports.
 
 /// Render rows as a fixed-width table with a header and a rule.
 pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -1082,6 +1082,35 @@ pub fn lint(args: &[String]) -> i32 {
     i32::from(simlint::driver::run(args.iter().cloned()))
 }
 
+/// `apples-cli reproduce ID` — print one registry experiment's report
+/// ([`apples_bench::reproduce`]). Exit 0, or 1 when a check it makes
+/// fails; an unknown ID or any extra argument is exit 2 with the IDs.
+pub fn reproduce(args: &[String]) -> i32 {
+    use apples_bench::reproduce::{render, REGISTRY};
+    let report = match args {
+        [id] => render(id),
+        _ => None,
+    };
+    match report {
+        Some(Ok(text)) => {
+            print!("{text}");
+            0
+        }
+        Some(Err(text)) => {
+            print!("{text}");
+            1
+        }
+        None => {
+            let ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "usage: apples-cli reproduce ID\n  where ID is one of: {}",
+                ids.join(" ")
+            );
+            2
+        }
+    }
+}
+
 /// `apples-cli metrics` — run a seeded grid scenario with a
 /// [`obsv::MetricsSink`] attached and dump the Prometheus exposition
 /// (to stdout, or `--out FILE`). Same scenario flags as `grid`.

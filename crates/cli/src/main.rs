@@ -1,9 +1,10 @@
 //! `apples-cli` — drive the AppLeS reproduction from the command line.
 //!
 //! `apples-cli help` prints every command and the flags it reads
-//! ([`USAGE`]). This is the one front door for every experiment it
-//! has a command for: each command runs the library scenario in
-//! `apples_bench` or `apples_apps` and prints its table.
+//! ([`USAGE`]). This is the one front door for every experiment: each
+//! command runs the library scenario in `apples_bench` or
+//! `apples_apps` and prints its table, and `reproduce ID` prints the
+//! figures and tables without a command of their own.
 
 mod args;
 mod commands;
@@ -120,6 +121,13 @@ USAGE:
   apples-cli snapshot-diff A B
       Compare two Prometheus snapshots series by series.
       Exit 0 when identical, 1 on any difference, 2 on usage errors.
+  apples-cli reproduce ID
+      Print one recorded experiment exactly as EXPERIMENTS.md holds it.
+      ID is one of FIG1 FIG3 FIG4 FIG5 FIG6 T-NWS ABL-1 ABL-2 ABL-3
+      ABL-4 T-EST T-MULTI T-PRED T-FIXED T-GRID T-FAULT T-PROF, or
+      CHECKS: every headline claim at reduced size as a pass/fail
+      checklist, exit 1 if any fails. Takes no flags; other
+      configurations go through grid, compare and schedule.
   apples-cli lint      [PATH ...] [--format text|json|github] [--deny LINT]
       Run the simlint static analyzer over the workspace (defaults to
       the current directory). --format github emits workflow-command
@@ -212,7 +220,7 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    // `trace`, `prof` and `snapshot-diff` take positional file
+    // `trace`, `prof`, `snapshot-diff` and `reproduce` take positional
     // arguments, which the flag grammar rejects — route them before
     // the parser.
     if raw[0] == "trace" {
@@ -232,6 +240,9 @@ fn main() {
     }
     if raw[0] == "lint" {
         std::process::exit(commands::lint(&raw[1..]));
+    }
+    if raw[0] == "reproduce" {
+        std::process::exit(commands::reproduce(&raw[1..]));
     }
     let (run, parsed) = match parse_command(&raw) {
         Ok(p) => p,

@@ -91,3 +91,52 @@ fn commands_reject_flags_they_would_ignore_or_repeat() {
         assert!(err.contains(message), "{args:?}: {err}");
     }
 }
+
+const REPRODUCE_IDS: [&str; 18] = [
+    "FIG1", "FIG3", "FIG4", "FIG5", "FIG6", "T-NWS", "ABL-1", "ABL-2", "ABL-3", "ABL-4", "T-EST",
+    "T-MULTI", "T-PRED", "T-FIXED", "T-GRID", "T-FAULT", "T-PROF", "CHECKS",
+];
+
+#[test]
+fn reproduce_refuses_unknown_ids_and_lists_every_id() {
+    for args in [
+        ["reproduce", "FIG2"].as_slice(),
+        &["reproduce"],
+        &["reproduce", "fig5"],
+        &["reproduce", "FIG5", "FIG6"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let listed: Vec<&str> = err.split_whitespace().collect();
+        for id in REPRODUCE_IDS {
+            assert!(listed.contains(&id), "{args:?} does not list {id}: {err}");
+        }
+    }
+}
+
+#[test]
+fn reproduce_takes_no_flags() {
+    // A misspelt or removed knob must not silently run the full sweep.
+    for args in [
+        ["reproduce", "FIG5", "--quick"].as_slice(),
+        &["reproduce", "FIG5", "--quikc"],
+        &["reproduce", "T-GRID", "--csv"],
+        &["reproduce", "--quick", "FIG5"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+}
+
+#[test]
+fn reproduce_checks_passes_every_paper_claim() {
+    let text = run_ok(&["reproduce", "CHECKS"]);
+    assert!(
+        text.ends_with("\nAll reproduction checks passed.\n"),
+        "{text}"
+    );
+    assert_eq!(text.matches("[PASS]").count(), 7, "{text}");
+}

@@ -1,6 +1,7 @@
 //! Smoke-level reproduction checks: every headline claim of the
 //! paper's evaluation, at reduced sizes so the suite stays fast. The
-//! full-size sweeps live in the `apples-bench` figure binaries.
+//! full-size sweeps are `apples-cli reproduce ID`, checked against
+//! EXPERIMENTS.md by `tests/experiments_doc.rs`.
 
 use apples_bench::ablation::forecast_ablation;
 use apples_bench::fig5;
