@@ -132,8 +132,8 @@ pub fn jacobi_context(n: usize, iterations: usize) -> (apples::hat::Hat, UserSpe
 /// The §5 user restricted the agent to strips because block
 /// predictions were considered too complex; with
 /// [`super::blocked::estimate_blocked`] in hand the agent can search
-/// blocked plans too, and the `ablation_decomposition` binary measures
-/// how much the restriction costs (usually: strips genuinely win on a
+/// blocked plans too, and `apples-cli reproduce ABL-3` measures how
+/// much the restriction costs (usually: strips genuinely win on a
 /// heterogeneous pool, because uniform blocks cannot shape themselves
 /// to per-host speed).
 pub fn apples_blocked_decision(pool: &InfoPool<'_>) -> Result<(BlockedSchedule, f64), ApplesError> {

@@ -460,6 +460,7 @@ pub(crate) fn run_selfish(
         blind_ws = Some(ws);
     }
     let mut shared_ws = WeatherService::for_topology(&life.live, WeatherServiceConfig::default());
+    let mut replay = Replay::default();
     let faults_on = !life.faults.is_empty();
 
     // Finish times of admitted jobs, for the FCFS in-flight bound.
@@ -501,10 +502,11 @@ pub(crate) fn run_selfish(
                 // The rescheduler drives its own sampling clock past
                 // this job's phases; give it a private service over the
                 // live topology so the shared admission-order stream is
-                // not advanced beyond the next job's start. (Sampling
-                // is deterministic, so this is observationally the same
-                // stream.)
-                let mut ws = WeatherService::for_topology(topo, WeatherServiceConfig::default());
+                // not advanced beyond the next job's start. The private
+                // service is a fork of `replay`, bit-identical to a
+                // fresh service advanced to `start` over the live
+                // topology as it stands now (see `Replay`).
+                let mut ws = replay.fork_at(topo, start);
                 agent
                     .run_stencil_with_sink(topo, &mut ws, start, sink)
                     .map(AttemptOutcome::Phased)
@@ -529,6 +531,7 @@ pub(crate) fn run_selfish(
             match outcome {
                 Ok(AttemptOutcome::OneShot(schedule, report)) => {
                     impose_job_load(&mut life.live, &hat, &schedule, &report, start, sink)?;
+                    replay.wrote_from(start);
                     let hosts = schedule.hosts();
                     let exec = report.elapsed_seconds;
                     life.complete(idx, report.finish, exec, &hosts, 0, sink)?;
@@ -536,6 +539,7 @@ pub(crate) fn run_selfish(
                 }
                 Ok(AttemptOutcome::Phased(report)) => {
                     let hosts = impose_phases(&mut life.live, &report, sink)?;
+                    replay.wrote_from(start);
                     // Saturate rather than truncate: a `usize as u32`
                     // cast would silently wrap a pathological count.
                     let reschedules = u32::try_from(report.revocations).unwrap_or(u32::MAX);
@@ -552,6 +556,61 @@ pub(crate) fn run_selfish(
         in_flight.schedule(finish, ());
     }
     Ok(life.finish())
+}
+
+/// One Weather Service replayed over the live topology for a whole
+/// selfish run, forked for each phase-wise attempt instead of replaying
+/// every sample from t = 0 per attempt.
+///
+/// The replay equals, bit for bit, a fresh service advanced to `start`
+/// over the live topology as it stands at the fork while both hold:
+/// - it has not advanced past `start`, and
+/// - no write to the live topology since its last advance takes effect
+///   at or before its last sample instant.
+///
+/// Sensors read availability at their sample instants, so a later
+/// write leaves every held sample as it was. Faults are applied before
+/// the first job and every in-run write starts at or after its
+/// attempt's `start`, so the earliest such `start` since the last
+/// advance (`written_from`) bounds every write. When either condition
+/// fails the replay is rebuilt from scratch.
+#[derive(Default)]
+struct Replay {
+    ws: Option<WeatherService>,
+    /// Earliest `start` of an attempt that wrote to the live topology
+    /// since `ws` last advanced.
+    written_from: Option<SimTime>,
+}
+
+impl Replay {
+    /// A private service advanced to `start` over `topo`.
+    fn fork_at(&mut self, topo: &Topology, start: SimTime) -> WeatherService {
+        let ws = match self.ws.take() {
+            Some(ws) if self.reusable(&ws, start) => ws,
+            _ => WeatherService::for_topology(topo, WeatherServiceConfig::default()),
+        };
+        // Advance without a sink: a fresh service's first advance has
+        // no prior forecast to score, so the fork's own advance to
+        // `start` must poll nothing and record nothing either.
+        let ws = self.ws.insert(ws);
+        ws.advance(topo, start);
+        self.written_from = None;
+        ws.clone()
+    }
+
+    fn reusable(&self, ws: &WeatherService, start: SimTime) -> bool {
+        let unwritten = match (self.written_from, ws.last_sample_at()) {
+            (Some(from), Some(last)) => from > last,
+            _ => true,
+        };
+        ws.now() <= start && unwritten
+    }
+
+    /// Note a write to the live topology by an attempt started at
+    /// `start`.
+    fn wrote_from(&mut self, start: SimTime) {
+        self.written_from = Some(self.written_from.map_or(start, |w| w.min(start)));
+    }
 }
 
 /// Write a phase-wise job's per-phase usage back into the topology and

@@ -8,7 +8,7 @@
 //! point at the master.
 //!
 //! The AppLeS paper bets on *prediction*; self-scheduling bets on
-//! *reaction*. The `predict_vs_react` experiment in `apples-bench`
+//! *reaction*. The T-PRED experiment (`apples-cli reproduce T-PRED`)
 //! stages the two against each other: prediction wins when round-trips
 //! are expensive (WAN latencies, §3.3's "far" resources) or work is
 //! coupled (stencils can't self-schedule); reaction wins when the

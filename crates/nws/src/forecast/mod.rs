@@ -23,8 +23,9 @@ pub use window::{AdaptiveWindowMean, SlidingWindowMean, SlidingWindowMedian};
 /// A one-step-ahead predictor over a regularly-sampled series.
 ///
 /// Implementations are deterministic: the same update sequence always
-/// yields the same forecasts.
-pub trait Forecaster: Send {
+/// yields the same forecasts. They are also [`Clone`] (through
+/// [`ForecasterClone`]), so a boxed battery can be forked mid-stream.
+pub trait Forecaster: Send + ForecasterClone {
     /// Short identifier, e.g. `"sw_mean(8)"`.
     fn name(&self) -> String;
 
@@ -37,6 +38,25 @@ pub trait Forecaster: Send {
 
     /// Discard all history.
     fn reset(&mut self);
+}
+
+/// Boxed cloning for [`Forecaster`], blanket-implemented for every
+/// `Clone` forecaster so `Box<dyn Forecaster>` is `Clone`.
+pub trait ForecasterClone {
+    /// A boxed copy of `self`, state included.
+    fn clone_box(&self) -> Box<dyn Forecaster>;
+}
+
+impl<T: Forecaster + Clone + 'static> ForecasterClone for T {
+    fn clone_box(&self) -> Box<dyn Forecaster> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Forecaster> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 /// The standard NWS-style predictor battery, suitable for availability

@@ -33,6 +33,7 @@ const ERROR_DECAY: f64 = 0.995;
 /// let f = s.forecast().unwrap();
 /// assert!((f - 0.5).abs() < 0.11);
 /// ```
+#[derive(Clone)]
 pub struct AdaptiveSelector {
     members: Vec<Box<dyn Forecaster>>,
     /// Decayed sum of absolute errors per member.

@@ -33,13 +33,34 @@ fn sample_noise(seed: u64, t: SimTime, amplitude: f64) -> f64 {
 }
 
 /// A periodic sampler of one scalar signal on the simulated system.
-pub trait Sensor: Send {
+/// Sensors are [`Clone`] (through [`SensorClone`]), so a boxed sensor
+/// can be forked together with its position in the sample stream.
+pub trait Sensor: Send + SensorClone {
     /// Collect all samples due at or before `now`, in time order.
     /// Subsequent calls resume where the previous call stopped.
     fn poll(&mut self, topo: &Topology, now: SimTime) -> Vec<(SimTime, f64)>;
 
     /// The sampling period.
     fn period(&self) -> SimTime;
+}
+
+/// Boxed cloning for [`Sensor`], blanket-implemented for every `Clone`
+/// sensor so `Box<dyn Sensor>` is `Clone`.
+pub trait SensorClone {
+    /// A boxed copy of `self`, sampling position included.
+    fn clone_box(&self) -> Box<dyn Sensor>;
+}
+
+impl<T: Sensor + Clone + 'static> SensorClone for T {
+    fn clone_box(&self) -> Box<dyn Sensor> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Sensor> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 /// Samples a host's CPU availability fraction.

@@ -61,6 +61,7 @@ pub struct Forecast {
     pub method: String,
 }
 
+#[derive(Clone)]
 struct Monitored {
     sensor: Box<dyn Sensor>,
     selector: AdaptiveSelector,
@@ -106,6 +107,12 @@ fn lag1_autocorrelation(values: &[f64]) -> Option<f64> {
 /// let f = weather.forecast(ResourceKey::Cpu(HostId(0))).unwrap();
 /// assert!((f.value - 0.5).abs() < 1e-9);
 /// ```
+///
+/// A clone is an exact fork: it carries every sensor's position in its
+/// sample stream and every forecaster's state, so advancing the clone
+/// over a topology gives, bit for bit, what advancing the original
+/// would have.
+#[derive(Clone)]
 pub struct WeatherService {
     monitored: BTreeMap<ResourceKey, Monitored>,
     now: SimTime,
@@ -201,6 +208,19 @@ impl WeatherService {
     /// The time monitoring has advanced to.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The instant of the latest sample taken of any resource; `None`
+    /// before the first. Samples fall on each sensor's period grid, so
+    /// this is at or before [`WeatherService::now`]. A change to the
+    /// topology that takes effect only after this instant leaves every
+    /// sample the service holds as it was.
+    pub fn last_sample_at(&self) -> Option<SimTime> {
+        self.monitored
+            .values()
+            .filter_map(|m| m.history.last())
+            .map(|(t, _)| t)
+            .max()
     }
 
     /// Forecast the availability of a resource for the imminent window.
@@ -443,6 +463,132 @@ mod tests {
                 other => panic!("unexpected event {other:?}"),
             }
         }
+    }
+
+    fn markov(idle: f64, busy: f64, mean_s: u64) -> LoadModel {
+        LoadModel::MarkovOnOff {
+            idle_avail: idle,
+            busy_avail: busy,
+            mean_idle: SimTime::from_secs(mean_s),
+            mean_busy: SimTime::from_secs(mean_s),
+        }
+    }
+
+    /// Two hosts on one shared link, every signal flapping.
+    fn fluctuating_topo() -> Topology {
+        let mut b = TopologyBuilder::new();
+        let seg = b.add_segment(LinkSpec::shared(
+            "seg",
+            10.0,
+            SimTime::ZERO,
+            markov(0.95, 0.3, 90),
+        ));
+        b.add_host(HostSpec::workstation(
+            "a",
+            10.0,
+            64.0,
+            seg,
+            markov(0.9, 0.2, 60),
+        ));
+        b.add_host(HostSpec::workstation(
+            "b",
+            20.0,
+            64.0,
+            seg,
+            markov(0.8, 0.1, 200),
+        ));
+        b.instantiate(s(20_000.0), 5).unwrap()
+    }
+
+    fn forecast_bits(f: Option<Forecast>) -> Option<(u64, u64, String)> {
+        f.map(|f| (f.value.to_bits(), f.error.to_bits(), f.method))
+    }
+
+    #[test]
+    fn a_clone_continues_exactly_as_a_fresh_replay() {
+        use metasim::simtrace::VecSink;
+        let topo = fluctuating_topo();
+        let cfg = WeatherServiceConfig {
+            cpu_noise: 0.05,
+            link_noise: 0.03,
+            noise_seed: 11,
+            ..WeatherServiceConfig::default()
+        };
+        let (t1, t2) = (s(3_001.0), s(9_002.5));
+        let mut base = WeatherService::for_topology(&topo, cfg);
+        base.advance(&topo, t1);
+        let mut clone = base.clone();
+
+        // Re-advancing a clone to where it stands polls nothing, so no
+        // forecast is scored.
+        let mut sink = VecSink::new();
+        clone.advance_with_sink(&topo, clone.now(), &mut sink);
+        assert!(sink.events.is_empty(), "{:?}", sink.events);
+
+        clone.advance(&topo, t2);
+        let mut fresh = WeatherService::for_topology(&topo, cfg);
+        fresh.advance(&topo, t2);
+        assert_eq!(base.now(), t1, "advancing the clone moved the original");
+        assert_eq!(clone.now(), fresh.now());
+        assert_eq!(clone.last_sample_at(), fresh.last_sample_at());
+
+        let keys: Vec<ResourceKey> = fresh.keys().collect();
+        assert_eq!(clone.keys().collect::<Vec<_>>(), keys);
+        assert_eq!(keys.len(), 3);
+        for key in keys {
+            assert_eq!(
+                forecast_bits(clone.forecast(key)),
+                forecast_bits(fresh.forecast(key)),
+                "{key:?} forecast"
+            );
+            for h in [s(5.0), s(300.0), s(20_000.0)] {
+                assert_eq!(
+                    forecast_bits(clone.forecast_mean_over(key, h)),
+                    forecast_bits(fresh.forecast_mean_over(key, h)),
+                    "{key:?} forecast over {h:?}"
+                );
+            }
+            assert_eq!(
+                clone.current(key).map(f64::to_bits),
+                fresh.current(key).map(f64::to_bits),
+                "{key:?} current"
+            );
+            let bits = |ws: &WeatherService| -> Vec<(SimTime, u64)> {
+                ws.history(key)
+                    .unwrap()
+                    .points()
+                    .iter()
+                    .map(|&(t, v)| (t, v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&clone), bits(&fresh), "{key:?} history");
+            let values = fresh.history(key).unwrap().values();
+            let (lo, hi) = values.fold((1.0f64, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            assert!(hi - lo > 0.3, "{key:?} barely fluctuates: [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn last_sample_at_is_the_latest_polled_instant() {
+        let topo = fluctuating_topo();
+        let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
+        assert_eq!(ws.last_sample_at(), None);
+        ws.advance(&topo, s(102.0));
+        assert_eq!(ws.last_sample_at(), Some(s(100.0)));
+
+        // Off the default grid: CPUs every 7 s (last at 98 s), the link
+        // every 13 s (last at 91 s).
+        let cfg = WeatherServiceConfig {
+            cpu_period: s(7.0),
+            link_period: s(13.0),
+            ..WeatherServiceConfig::default()
+        };
+        let mut ws = WeatherService::for_topology(&topo, cfg);
+        ws.advance(&topo, s(100.0));
+        assert_eq!(ws.now(), s(100.0));
+        assert_eq!(ws.last_sample_at(), Some(s(98.0)));
+        let link = ws.history(ResourceKey::Link(LinkId(0))).unwrap();
+        assert_eq!(link.last().map(|(t, _)| t), Some(s(91.0)));
     }
 
     #[test]
