@@ -3,7 +3,16 @@
 //! list popped by minimum `(time, insertion-seq)` — under arbitrary
 //! interleavings of push, cancel, reschedule and pop, including FIFO
 //! ties at equal timestamps and operations on dead handles.
+//!
+//! Plus a cross-commit pin of the fluid-flow network engine built on
+//! that queue: the exact output of `simulate_transfers_counting` on the
+//! T-SCALE workload over a generated fat-tree.
 
+use apples_bench::event_engine::build_workload;
+use metasim::net::{simulate_transfers_counting, TransferResult};
+use metasim::simtrace::NoopSink;
+use metasim::topogen::{self, TopoGenConfig, TopoSpec};
+use metasim::SimTime;
 use proptest::prelude::*;
 use simcore::{EventId, EventQueue};
 
@@ -181,4 +190,50 @@ proptest! {
             }
         }
     }
+}
+
+/// 64-bit FNV-1a over an engine run: the event count, then each
+/// result's tag and delivered microseconds (the layout of the e2e
+/// `net-fattree` `sim_digest`).
+fn engine_digest(results: &[TransferResult], events: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let words = std::iter::once(events).chain(
+        results
+            .iter()
+            .flat_map(|r| [r.tag as u64, r.delivered.as_micros()]),
+    );
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The engine's exact output on 20 000 seeded transfers over a 16-host
+/// fat-tree, pinned across commits: a change that only makes the engine
+/// faster must leave every delivered microsecond and the event count
+/// where they are. When a change is meant to move them, update the
+/// digest and say why.
+#[test]
+fn fat_tree_engine_output_is_pinned() {
+    let (jobs, seed) = (20_000, 42);
+    let spec = TopoSpec::parse("fat-tree:k=4").unwrap();
+    // The T-SCALE topology point's horizon: four submission windows
+    // plus an hour.
+    let window = (jobs as f64 / spec.host_count() as f64 * 12.0).max(60.0);
+    let cfg = TopoGenConfig {
+        horizon: SimTime::from_secs_f64(window * 4.0 + 3600.0),
+        seed,
+        ..TopoGenConfig::default()
+    };
+    let topo = topogen::generate(&spec, &cfg).unwrap();
+    let reqs = build_workload(&topo, jobs, seed);
+    let (results, events) = simulate_transfers_counting(&topo, &reqs, &mut NoopSink).unwrap();
+    assert_eq!(
+        (engine_digest(&results, events), events),
+        (0x2960_7392_c480_2382, 40_173),
+        "the incremental engine's output moved"
+    );
 }
