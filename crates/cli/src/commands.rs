@@ -1155,6 +1155,15 @@ pub fn bench(p: &Parsed) -> CmdResult {
 
     let check = p.get("check", "");
     if !check.is_empty() {
+        if let Some(flag) = ["hosts", "topo", "jobs", "seed", "out"]
+            .into_iter()
+            .find(|f| !p.get(f, "").is_empty())
+        {
+            return Err(ArgError(format!(
+                "--check runs no sweep, so --{flag} would be ignored"
+            ))
+            .into());
+        }
         let text =
             std::fs::read_to_string(check).map_err(|e| format!("cannot read {check}: {e}"))?;
         let points = parse_results(&text).map_err(|e| format!("{check}: {e}"))?;
@@ -1192,44 +1201,44 @@ pub fn bench(p: &Parsed) -> CmdResult {
     let seed: u64 = p.get_parsed("seed", 42)?;
     let hosts_raw = p.get("hosts", "");
     let topo_raw = p.get("topo", "");
+    let jobs_raw = p.get("jobs", "");
+    let jobs = if jobs_raw.is_empty() {
+        Vec::new()
+    } else {
+        list(jobs_raw, "jobs")?
+    };
     // With neither --hosts nor --topo, run the default fleet sweep
-    // plus the default generated-topology point.
+    // plus the default generated-topology point, whose job counts are
+    // fixed.
     let defaults = hosts_raw.is_empty() && topo_raw.is_empty();
+    if defaults && !jobs.is_empty() {
+        return Err(ArgError(
+            "--jobs needs --hosts or --topo: the default sweep fixes its own job counts".into(),
+        )
+        .into());
+    }
+    if hosts_raw.is_empty() && jobs.len() > 1 {
+        return Err(ArgError("--topo takes one --jobs value, used for every spec".into()).into());
+    }
+    let topo_jobs = jobs.first().copied().unwrap_or(10_000);
     let sweep: Vec<(usize, usize)> = if defaults {
         DEFAULT_SWEEP.to_vec()
     } else if hosts_raw.is_empty() {
         Vec::new()
     } else {
         let hosts = list(hosts_raw, "hosts")?;
-        let jobs_raw = p.get("jobs", "");
-        let jobs = if jobs_raw.is_empty() {
-            vec![1000; hosts.len()]
-        } else {
-            let j = list(jobs_raw, "jobs")?;
-            if j.len() == 1 {
-                vec![j[0]; hosts.len()]
-            } else if j.len() == hosts.len() {
-                j
-            } else {
+        let per_point = match jobs.len() {
+            0 => vec![1000; hosts.len()],
+            1 => vec![jobs[0]; hosts.len()],
+            n if n == hosts.len() => jobs,
+            _ => {
                 return Err(
                     ArgError("--jobs must have 1 value or as many as --hosts".into()).into(),
-                );
+                )
             }
         };
-        hosts.into_iter().zip(jobs).collect()
+        hosts.into_iter().zip(per_point).collect()
     };
-    let topo_jobs: usize = p
-        .get("jobs", "")
-        .split(',')
-        .next()
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| ArgError(format!("--jobs: cannot parse {s:?}")))
-        })
-        .transpose()?
-        .unwrap_or(10_000);
     // Spec strings contain commas themselves, so the list is split
     // the way `race --topo` splits it.
     let topos = split_topo_list(topo_raw);

@@ -141,13 +141,15 @@ USAGE:
       synthetic fleet. --topo adds one sweep point per generated
       topology in its comma-separated list instead (e.g. --topo
       fat-tree:k=8 is 1024 hosts), each with the first --jobs value
-      (default 10000) jobs. The default sweep includes the generated
-      fat-tree point. Writes the results to --out (default
+      (default 10000) jobs; without --hosts, --jobs takes one value.
+      The default sweep includes the generated fat-tree point and
+      fixes its own job counts, so --jobs needs --hosts or --topo.
+      Writes the results to --out (default
       BENCH_event_engine.json) and appends one line per run to the
       sibling *.history.jsonl trajectory; --check validates an
-      existing results file instead of running and compares it
-      against the last history point (nonzero exit if
-      missing/malformed/mismatched).
+      existing results file instead of running (so it takes no
+      sweep flag) and compares it against the last history point
+      (nonzero exit if missing/malformed/mismatched).
 
 Profiles: dedicated | light | moderate (default) | heavy
 ";
@@ -255,6 +257,8 @@ fn main() {
     let result = run(&parsed);
     if let Err(e) = result {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        // A command's own argument check is a usage error like the
+        // parser's; everything else is a failed run.
+        std::process::exit(if e.is::<ArgError>() { 2 } else { 1 });
     }
 }

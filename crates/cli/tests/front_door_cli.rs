@@ -71,6 +71,36 @@ fn bench_topo_list_runs_one_point_per_spec() {
 }
 
 #[test]
+fn bench_rejects_jobs_it_would_ignore() {
+    for (args, message) in [
+        (
+            ["bench", "--jobs", "500"].as_slice(),
+            "--jobs needs --hosts or --topo",
+        ),
+        (
+            &[
+                "bench",
+                "--check",
+                "BENCH_event_engine.json",
+                "--jobs",
+                "50",
+            ],
+            "--jobs would be ignored",
+        ),
+        (
+            &["bench", "--topo", "star:hosts=8", "--jobs", "50,100"],
+            "--topo takes one --jobs value",
+        ),
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn commands_reject_flags_they_would_ignore_or_repeat() {
     for (args, message) in [
         (
