@@ -17,11 +17,17 @@
 //! (`fat-tree:k=8`, `clusters:clusters=16`, ...) — the default sweep
 //! includes a 1024-host generated fat-tree.
 //!
+//! Each point times each engine [`SAMPLES`] times, alternating the two,
+//! and records the median with the fastest and slowest run: one sample
+//! per engine let a single slow reference run move the 100-host
+//! speedup from 4× to 20× between two runs of one build.
+//!
 //! `run_sweep` produces the `BENCH_event_engine.json` trajectory file
 //! at the repo root; `parse_results` validates it (the CI gate and
 //! `apples-cli bench --check` both call it): event counts must agree
 //! within [`EVENT_COUNT_TOLERANCE`] and the incremental engine must be
-//! faster at or above [`SPEEDUP_CROSSOVER_HOSTS`] hosts.
+//! faster, in the median, at or above [`SPEEDUP_CROSSOVER_HOSTS`]
+//! hosts.
 
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
@@ -53,6 +59,41 @@ pub const EVENT_COUNT_TOLERANCE: u64 = 0;
 /// At or above it the incremental engine must win.
 pub const SPEEDUP_CROSSOVER_HOSTS: usize = 100;
 
+/// Timed runs of each engine per sweep point.
+pub const SAMPLES: usize = 5;
+
+/// Median, fastest and slowest of one engine's timed runs, seconds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median run.
+    pub median: f64,
+    /// Fastest run.
+    pub min: f64,
+    /// Slowest run.
+    pub max: f64,
+}
+
+impl Spread {
+    /// The spread of `secs`.
+    ///
+    /// # Panics
+    /// Panics if `secs` is empty.
+    fn of(mut secs: Vec<f64>) -> Spread {
+        secs.sort_by(f64::total_cmp);
+        let n = secs.len();
+        let median = if n % 2 == 1 {
+            secs[n / 2]
+        } else {
+            (secs[n / 2 - 1] + secs[n / 2]) / 2.0
+        };
+        Spread {
+            median,
+            min: secs[0],
+            max: secs[n - 1],
+        }
+    }
+}
+
 /// One (hosts, jobs) sweep point's measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePoint {
@@ -65,33 +106,36 @@ pub struct EnginePoint {
     pub jobs: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Events processed and wall-clock seconds, incremental engine.
+    /// Timed runs behind each engine's [`Spread`].
+    pub samples: usize,
+    /// Events processed by the incremental engine.
     pub inc_events: u64,
-    /// Wall-clock seconds of the incremental run.
-    pub inc_secs: f64,
+    /// Wall-clock seconds of the incremental runs.
+    pub inc_secs: Spread,
     /// Events processed by the full-recompute baseline.
     pub ref_events: u64,
-    /// Wall-clock seconds of the baseline run.
-    pub ref_secs: f64,
+    /// Wall-clock seconds of the baseline runs.
+    pub ref_secs: Spread,
 }
 
 impl EnginePoint {
-    /// Incremental events per second.
+    /// Incremental events per second, at the median run.
     pub fn inc_events_per_sec(&self) -> f64 {
-        per_sec(self.inc_events as f64, self.inc_secs)
+        per_sec(self.inc_events as f64, self.inc_secs.median)
     }
 
-    /// Baseline events per second.
+    /// Baseline events per second, at the median run.
     pub fn ref_events_per_sec(&self) -> f64 {
-        per_sec(self.ref_events as f64, self.ref_secs)
+        per_sec(self.ref_events as f64, self.ref_secs.median)
     }
 
-    /// Incremental jobs (transfers) per second.
+    /// Incremental jobs (transfers) per second, at the median run.
     pub fn inc_jobs_per_sec(&self) -> f64 {
-        per_sec(self.jobs as f64, self.inc_secs)
+        per_sec(self.jobs as f64, self.inc_secs.median)
     }
 
-    /// events/sec advantage of the incremental engine over the baseline.
+    /// events/sec advantage of the incremental engine over the
+    /// baseline, median against median.
     pub fn speedup(&self) -> f64 {
         let r = self.ref_events_per_sec();
         if r > 0.0 {
@@ -223,10 +267,11 @@ fn submission_window_secs(hosts: usize, jobs: usize) -> f64 {
 }
 
 /// Run both engines over `jobs` seeded transfers on an already-built
-/// topology and time them. The engines' delivered times are
-/// cross-checked (±2 µs, the lazy-integration quantization slack) and
-/// their event counts must agree within [`EVENT_COUNT_TOLERANCE`]
-/// before timings are accepted.
+/// topology, [`SAMPLES`] times each, alternating. The engines' delivered
+/// times are cross-checked (±2 µs, the lazy-integration quantization
+/// slack) and their event counts must agree within
+/// [`EVENT_COUNT_TOLERANCE`] on every run, and every repeat must count
+/// the events the first run did, before timings are accepted.
 pub fn run_point_on(
     topo_label: &str,
     topo: &Topology,
@@ -236,42 +281,56 @@ pub fn run_point_on(
     let hosts = topo.hosts().len();
     let reqs = build_workload(topo, jobs, seed);
 
-    let t0 = std::time::Instant::now();
-    let (inc_results, inc_events) = simulate_transfers_counting(topo, &reqs, &mut NoopSink)
-        .map_err(|e| format!("incremental engine failed: {e}"))?;
-    let inc_secs = t0.elapsed().as_secs_f64();
+    let mut inc_secs = Vec::with_capacity(SAMPLES);
+    let mut ref_secs = Vec::with_capacity(SAMPLES);
+    let mut counts: Option<(u64, u64)> = None;
+    for _ in 0..SAMPLES {
+        let t0 = std::time::Instant::now();
+        let (inc_results, inc_events) = simulate_transfers_counting(topo, &reqs, &mut NoopSink)
+            .map_err(|e| format!("incremental engine failed: {e}"))?;
+        inc_secs.push(t0.elapsed().as_secs_f64());
 
-    let t1 = std::time::Instant::now();
-    let (ref_results, ref_events) = simulate_transfers_reference(topo, &reqs, &mut NoopSink)
-        .map_err(|e| format!("reference engine failed: {e}"))?;
-    let ref_secs = t1.elapsed().as_secs_f64();
+        let t1 = std::time::Instant::now();
+        let (ref_results, ref_events) = simulate_transfers_reference(topo, &reqs, &mut NoopSink)
+            .map_err(|e| format!("reference engine failed: {e}"))?;
+        ref_secs.push(t1.elapsed().as_secs_f64());
 
-    for (a, b) in inc_results.iter().zip(&ref_results) {
-        let (x, y) = (a.delivered.as_micros(), b.delivered.as_micros());
-        if a.tag != b.tag || x.abs_diff(y) > 2 {
+        for (a, b) in inc_results.iter().zip(&ref_results) {
+            let (x, y) = (a.delivered.as_micros(), b.delivered.as_micros());
+            if a.tag != b.tag || x.abs_diff(y) > 2 {
+                return Err(format!(
+                    "engines disagree on tag {}: incremental {:?} vs reference {:?}",
+                    a.tag, a.delivered, b.delivered
+                ));
+            }
+        }
+        if inc_events.abs_diff(ref_events) > EVENT_COUNT_TOLERANCE {
             return Err(format!(
-                "engines disagree on tag {}: incremental {:?} vs reference {:?}",
-                a.tag, a.delivered, b.delivered
+                "event counts diverge on {topo_label}: incremental {inc_events} vs reference \
+                 {ref_events} (tolerance {EVENT_COUNT_TOLERANCE}) — the engines no longer \
+                 implement the same event metric"
             ));
         }
+        if let Some(first) = counts.filter(|&c| c != (inc_events, ref_events)) {
+            return Err(format!(
+                "event counts on {topo_label} changed between repeats: {first:?} then {:?}",
+                (inc_events, ref_events)
+            ));
+        }
+        counts = Some((inc_events, ref_events));
     }
-    if inc_events.abs_diff(ref_events) > EVENT_COUNT_TOLERANCE {
-        return Err(format!(
-            "event counts diverge on {topo_label}: incremental {inc_events} vs reference \
-             {ref_events} (tolerance {EVENT_COUNT_TOLERANCE}) — the engines no longer \
-             implement the same event metric"
-        ));
-    }
+    let (inc_events, ref_events) = counts.unwrap_or_default();
 
     Ok(EnginePoint {
         topo: topo_label.to_string(),
         hosts,
         jobs,
         seed,
+        samples: SAMPLES,
         inc_events,
-        inc_secs,
+        inc_secs: Spread::of(inc_secs),
         ref_events,
-        ref_secs,
+        ref_secs: Spread::of(ref_secs),
     })
 }
 
@@ -331,18 +390,25 @@ pub fn to_json(points: &[EnginePoint]) -> String {
         let sep = if i + 1 == points.len() { "" } else { "," };
         out.push_str(&format!(
             "    {{\"topo\": \"{}\", \"hosts\": {}, \"jobs\": {}, \"seed\": {}, \
-             \"inc_events\": {}, \"inc_secs\": {:.6}, \
-             \"ref_events\": {}, \"ref_secs\": {:.6}, \"events_delta\": {}, \
+             \"samples\": {}, \"inc_events\": {}, \"inc_secs\": {:.6}, \
+             \"inc_secs_min\": {:.6}, \"inc_secs_max\": {:.6}, \
+             \"ref_events\": {}, \"ref_secs\": {:.6}, \
+             \"ref_secs_min\": {:.6}, \"ref_secs_max\": {:.6}, \"events_delta\": {}, \
              \"inc_events_per_sec\": {:.1}, \"ref_events_per_sec\": {:.1}, \
              \"inc_jobs_per_sec\": {:.1}, \"speedup\": {:.2}}}{sep}\n",
             p.topo,
             p.hosts,
             p.jobs,
             p.seed,
+            p.samples,
             p.inc_events,
-            p.inc_secs,
+            p.inc_secs.median,
+            p.inc_secs.min,
+            p.inc_secs.max,
             p.ref_events,
-            p.ref_secs,
+            p.ref_secs.median,
+            p.ref_secs.min,
+            p.ref_secs.max,
             p.events_delta(),
             p.inc_events_per_sec(),
             p.ref_events_per_sec(),
@@ -411,26 +477,39 @@ pub fn parse_results(text: &str) -> Result<Vec<EnginePoint>, String> {
         let want = |key: &str| {
             field_f64(obj, key).ok_or_else(|| format!("point missing numeric field {key:?}"))
         };
+        let spread = |key: &str| -> Result<Spread, String> {
+            Ok(Spread {
+                median: want(key)?,
+                min: want(&format!("{key}_min"))?,
+                max: want(&format!("{key}_max"))?,
+            })
+        };
         points.push(EnginePoint {
             topo: field_str(obj, "topo").unwrap_or("fleet").to_string(),
             hosts: want("hosts")? as usize,
             jobs: want("jobs")? as usize,
             seed: want("seed")? as u64,
+            samples: want("samples")? as usize,
             inc_events: want("inc_events")? as u64,
-            inc_secs: want("inc_secs")?,
+            inc_secs: spread("inc_secs")?,
             ref_events: want("ref_events")? as u64,
-            ref_secs: want("ref_secs")?,
+            ref_secs: spread("ref_secs")?,
         });
     }
     if points.is_empty() {
         return Err("points array is empty".into());
     }
     for p in &points {
-        if p.hosts == 0 || p.jobs == 0 {
+        if p.hosts == 0 || p.jobs == 0 || p.samples == 0 {
             return Err(format!("degenerate point: {p:?}"));
         }
-        if !(p.inc_secs.is_finite() && p.ref_secs.is_finite()) {
-            return Err(format!("non-finite timing in point: {p:?}"));
+        for t in [p.inc_secs, p.ref_secs] {
+            if ![t.min, t.median, t.max].iter().all(|x| x.is_finite()) {
+                return Err(format!("non-finite timing in point: {p:?}"));
+            }
+            if !(t.min <= t.median && t.median <= t.max) {
+                return Err(format!("median outside its min/max in point: {p:?}"));
+            }
         }
         if p.inc_events == 0 || p.ref_events == 0 {
             return Err(format!("zero event count in point: {p:?}"));
@@ -466,8 +545,12 @@ pub struct HistoryPoint {
     pub jobs: usize,
     /// Workload seed.
     pub seed: u64,
-    /// events/sec advantage of the incremental engine at record time.
+    /// events/sec advantage of the incremental engine at record time,
+    /// median against median.
     pub speedup: f64,
+    /// Timed runs per engine behind `speedup`; lines written before
+    /// repeated samples carry none and read as 1.
+    pub samples: usize,
     /// Incremental events per second at record time.
     pub inc_events_per_sec: f64,
 }
@@ -483,11 +566,12 @@ pub fn history_line(points: &[EnginePoint]) -> String {
         }
         out.push_str(&format!(
             "{{\"topo\": \"{}\", \"hosts\": {}, \"jobs\": {}, \"seed\": {}, \
-             \"speedup\": {:.2}, \"inc_events_per_sec\": {:.1}}}",
+             \"samples\": {}, \"speedup\": {:.2}, \"inc_events_per_sec\": {:.1}}}",
             p.topo,
             p.hosts,
             p.jobs,
             p.seed,
+            p.samples,
             p.speedup(),
             p.inc_events_per_sec(),
         ));
@@ -527,6 +611,7 @@ pub fn parse_history(text: &str) -> Result<Vec<Vec<HistoryPoint>>, String> {
                 jobs: want("jobs")? as usize,
                 seed: want("seed")? as u64,
                 speedup: want("speedup")?,
+                samples: field_f64(obj, "samples").map_or(1, |n| n as usize),
                 inc_events_per_sec: want("inc_events_per_sec")?,
             });
         }
@@ -538,10 +623,10 @@ pub fn parse_history(text: &str) -> Result<Vec<Vec<HistoryPoint>>, String> {
     Ok(runs)
 }
 
-/// Compare a sweep against the last history run. Structural mismatch
-/// (different point set or seed) is an error; rate drift is returned
-/// as human-readable lines for reporting, because wall-clock rates
-/// legitimately move between machines and runs.
+/// Compare a sweep's median speedups against the last history run's.
+/// Structural mismatch (different point set or seed) is an error; rate
+/// drift is returned as human-readable lines for reporting, because
+/// wall-clock rates legitimately move between machines and runs.
 pub fn compare_with_history(
     points: &[EnginePoint],
     last: &[HistoryPoint],
@@ -569,8 +654,8 @@ pub fn compare_with_history(
             0.0
         };
         lines.push(format!(
-            "{:<28} {:>6} hosts: speedup {:.2}x vs {:.2}x last ({:+.1}%)",
-            p.topo, p.hosts, now, h.speedup, drift
+            "{:<28} {:>6} hosts: median speedup {:.2}x of {} vs {:.2}x of {} last ({:+.1}%)",
+            p.topo, p.hosts, now, p.samples, h.speedup, h.samples, drift
         ));
     }
     Ok(lines)
@@ -579,6 +664,32 @@ pub fn compare_with_history(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A spread from half to twice `median`, exact in binary so it
+    /// survives the JSON round trip.
+    fn flat(median: f64) -> Spread {
+        Spread {
+            median,
+            min: median / 2.0,
+            max: median * 2.0,
+        }
+    }
+
+    #[test]
+    fn spread_is_median_min_and_max() {
+        let s = Spread::of(vec![0.3, 0.1, 0.9, 0.2, 0.4]);
+        assert_eq!((s.median, s.min, s.max), (0.3, 0.1, 0.9));
+        assert_eq!(Spread::of(vec![0.4, 0.2]).median, (0.2 + 0.4) / 2.0);
+    }
+
+    #[test]
+    fn a_point_times_each_engine_samples_times() {
+        let p = run_point(10, 100, 7).expect("cross-check");
+        assert_eq!(p.samples, SAMPLES);
+        for t in [p.inc_secs, p.ref_secs] {
+            assert!(t.min <= t.median && t.median <= t.max, "{t:?}");
+        }
+    }
 
     #[test]
     fn engines_agree_on_a_small_fleet() {
@@ -615,20 +726,22 @@ mod tests {
                 hosts: 10,
                 jobs: 100,
                 seed: 42,
+                samples: SAMPLES,
                 inc_events: 1234,
-                inc_secs: 0.0125,
+                inc_secs: flat(0.0125),
                 ref_events: 1234,
-                ref_secs: 0.05,
+                ref_secs: flat(0.05),
             },
             EnginePoint {
                 topo: "fat-tree:l2=8,l1=128,hosts=8".into(),
                 hosts: 1024,
                 jobs: 10_000,
                 seed: 42,
+                samples: SAMPLES,
                 inc_events: 60_000,
-                inc_secs: 0.5,
+                inc_secs: flat(0.5),
                 ref_events: 60_000,
-                ref_secs: 9.5,
+                ref_secs: flat(9.5),
             },
         ];
         let parsed = parse_results(&to_json(&pts)).expect("valid");
@@ -652,20 +765,22 @@ mod tests {
                 hosts: 10,
                 jobs: 100,
                 seed: 42,
+                samples: SAMPLES,
                 inc_events: 1234,
-                inc_secs: 0.0125,
+                inc_secs: flat(0.0125),
                 ref_events: 1234,
-                ref_secs: 0.05,
+                ref_secs: flat(0.05),
             },
             EnginePoint {
                 topo: "fat-tree:k=8".into(),
                 hosts: 1024,
                 jobs: 10_000,
                 seed: 42,
+                samples: SAMPLES,
                 inc_events: 60_000,
-                inc_secs: 0.5,
+                inc_secs: flat(0.5),
                 ref_events: 60_000,
-                ref_secs: 9.5,
+                ref_secs: flat(9.5),
             },
         ];
         let file = format!("{}\n{}\n", history_line(&pts), history_line(&pts));
@@ -682,6 +797,13 @@ mod tests {
         other[1].hosts = 512;
         assert!(compare_with_history(&other, &runs[1]).is_err());
         assert!(compare_with_history(&pts[..1], &runs[1]).is_err());
+        // Lines from before repeated samples read as one sample each.
+        let single = "{\"bench\": \"event_engine\", \"points\": [{\"topo\": \"fleet\", \
+                      \"hosts\": 10, \"jobs\": 100, \"seed\": 42, \"speedup\": 1.13, \
+                      \"inc_events_per_sec\": 2251353.0}]}";
+        let old = parse_history(single).expect("single-sample line");
+        assert_eq!((old[0][0].samples, old[0][0].speedup), (1, 1.13));
+        assert_eq!(runs[0][0].samples, SAMPLES);
         // Malformed lines are loud.
         assert!(parse_history("{\"bench\": \"other\"}").is_err());
         assert!(parse_history("{\"bench\": \"event_engine\", \"points\": []}").is_err());
@@ -694,10 +816,11 @@ mod tests {
             hosts: 1000,
             jobs: 10_000,
             seed: 42,
+            samples: SAMPLES,
             inc_events: 60_000,
-            inc_secs: 0.5,
+            inc_secs: flat(0.5),
             ref_events: 60_000,
-            ref_secs: 9.5,
+            ref_secs: flat(9.5),
         };
         // Event counts differing beyond the tolerance are a counting
         // bug, not timing noise.
@@ -706,14 +829,18 @@ mod tests {
         assert!(parse_results(&to_json(&[diverged])).is_err());
         // Past the crossover the incremental engine must actually win.
         let mut slow = base.clone();
-        slow.inc_secs = 10.0;
-        slow.ref_secs = 0.5;
+        slow.inc_secs = flat(10.0);
+        slow.ref_secs = flat(0.5);
         assert!(parse_results(&to_json(&[slow])).is_err());
+        // A median outside its own range is a corrupt document.
+        let mut inverted = base.clone();
+        inverted.ref_secs.max = inverted.ref_secs.median / 4.0;
+        assert!(parse_results(&to_json(&[inverted])).is_err());
         // Below the crossover a slowdown is recorded, not rejected.
         let mut small_slow = base;
         small_slow.hosts = 10;
-        small_slow.inc_secs = 0.05;
-        small_slow.ref_secs = 0.04;
+        small_slow.inc_secs = flat(0.05);
+        small_slow.ref_secs = flat(0.04);
         assert!(parse_results(&to_json(&[small_slow])).is_ok());
     }
 }

@@ -36,10 +36,10 @@ use apples_grid::workload::{
     ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
 };
 use apples_grid::{
-    percentile, run_regime_jobs_with_sink, FaultInjection, GridConfig, GridError, JobRecord,
-    SchedRegime,
+    percentile, run_regime_jobs_with_sink, run_solo_references, FaultInjection, GridConfig,
+    GridError, JobRecord, SchedRegime,
 };
-use metasim::simtrace::{NoopSink, VecSink};
+use metasim::simtrace::VecSink;
 use metasim::topogen::TopoSpec;
 use metasim::{FaultModel, SimTime};
 use obsv::{Composition, FanoutSink, MetricsSink, SpanTree, TimeSeries, TimeSeriesSink, PHASES};
@@ -158,43 +158,25 @@ pub fn split_topo_list(raw: &str) -> Vec<String> {
 }
 
 /// Dedicated-execution reference per job kind: the kind streamed alone
-/// through a fault-free copy of the topology. Shared by every regime
-/// on the row, so stretch is comparable across them.
+/// through a fault-free copy of the topology
+/// ([`run_solo_references`]). Shared by every regime on the row, so
+/// stretch is comparable across them.
 fn reference_execs(
     cfg: &GridConfig,
     jobs: &[JobSpec],
     retry: RetryPolicy,
 ) -> Result<Vec<(JobKind, f64)>, GridError> {
-    let mut refs: Vec<(JobKind, f64)> = Vec::new();
-    let quiet = GridConfig {
-        faults: FaultInjection::None,
-        ..cfg.clone()
-    };
+    let mut kinds: Vec<JobKind> = Vec::new();
     for job in jobs {
-        if refs.iter().any(|(k, _)| *k == job.kind) {
-            continue;
+        if !kinds.contains(&job.kind) {
+            kinds.push(job.kind);
         }
-        let solo = [JobSpec {
-            id: 0,
-            submit: SimTime::ZERO,
-            kind: job.kind,
-        }];
-        let out = run_regime_jobs_with_sink(
-            &quiet,
-            SchedRegime::Selfish,
-            &solo,
-            SimTime::from_secs(3600),
-            retry,
-            &mut NoopSink,
-        )?;
-        let exec = out
-            .records
-            .first()
-            .map(|r| r.exec_seconds)
-            .unwrap_or(f64::NAN);
-        refs.push((job.kind, exec));
     }
-    Ok(refs)
+    let records = run_solo_references(cfg, &kinds, retry)?;
+    Ok(kinds
+        .into_iter()
+        .zip(records.iter().map(|r| r.exec_seconds))
+        .collect())
 }
 
 /// Each job's dedicated-execution reference, by job id: the reference

@@ -144,12 +144,14 @@ USAGE:
       (default 10000) jobs; without --hosts, --jobs takes one value.
       The default sweep includes the generated fat-tree point and
       fixes its own job counts, so --jobs needs --hosts or --topo.
-      Writes the results to --out (default
-      BENCH_event_engine.json) and appends one line per run to the
-      sibling *.history.jsonl trajectory; --check validates an
-      existing results file instead of running (so it takes no
-      sweep flag) and compares it against the last history point
-      (nonzero exit if missing/malformed/mismatched).
+      Each engine runs five times per point, and the results record
+      the median with the fastest and slowest run. Writes the
+      results to --out (default BENCH_event_engine.json) and appends
+      one line per run to the sibling *.history.jsonl trajectory;
+      --check validates an existing results file instead of running
+      (so it takes no sweep flag) and compares its median speedups
+      against the last history point (nonzero exit if
+      missing/malformed/mismatched).
 
 Profiles: dedicated | light | moderate (default) | heavy
 ";

@@ -52,8 +52,8 @@ pub use obsv;
 
 pub use metrics::{percentile, slowdown_of, FleetMetrics, JobRecord};
 pub use sched::{
-    run, run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, BackfillEntry,
-    BatchLog, FractionalLog, SchedRegime, ShareSample,
+    run, run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink,
+    run_solo_references, BackfillEntry, BatchLog, FractionalLog, SchedRegime, ShareSample,
 };
 pub use service::{
     validate_config, Diagnostic, FaultInjection, GridConfig, GridError, GridOutcome, GridService,

@@ -42,7 +42,10 @@
 //! streams an explicit job list; [`GridService::run`] validates first.
 //! [`run_batch_with_log`] and [`run_fractional_with_log`] also return
 //! the audit logs the invariant tests read. Every one takes an
-//! [`EventSink`]; pass [`NoopSink`] for none.
+//! [`EventSink`]; pass [`NoopSink`] for none. [`run_solo_references`]
+//! runs each job kind alone on the fault-free testbed, from one shared
+//! Weather Service warm-up, for the race's dedicated-execution
+//! references.
 //!
 //! ## Comparability contract
 //!
@@ -79,7 +82,10 @@
 //! [`NoopSink`]: metasim::simtrace::NoopSink
 
 use crate::lifecycle::{Lifecycle, Next};
-use crate::service::{decide, run_selfish, GridConfig, GridError, GridOutcome};
+use crate::metrics::JobRecord;
+use crate::service::{
+    build_topology, decide, run_selfish, FaultInjection, GridConfig, GridError, GridOutcome,
+};
 use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
 use apples::actuator::actuate_with_sink;
 use apples::hat::Hat;
@@ -89,6 +95,7 @@ use apples::ApplesError;
 use metasim::load::Imposition;
 use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
 use metasim::{HostId, SimTime, Topology};
+use nws::{WeatherService, WeatherServiceConfig};
 use simcore::EventQueue;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -174,10 +181,67 @@ pub fn run_regime_jobs_with_sink(
 ) -> Result<GridOutcome, GridError> {
     let life = Lifecycle::new(cfg, regime, jobs, duration, retry, sink)?;
     match regime {
-        SchedRegime::Selfish => run_selfish(life, sink),
+        SchedRegime::Selfish => {
+            let ws = WeatherService::for_topology(&life.live, WeatherServiceConfig::default());
+            run_selfish(life, ws, sink)
+        }
         SchedRegime::Batch => BatchRun::new(life, sink).run().map(|(o, _)| o),
         SchedRegime::Fractional => FracRun::new(life, sink).run().map(|(o, _)| o),
     }
+}
+
+/// Submission window of a solo reference run: a denominator of the
+/// fleet metrics only, which the references do not report.
+const SOLO_WINDOW: SimTime = SimTime::from_secs(3600);
+
+/// The dedicated-execution reference of each kind in `kinds`: a job of
+/// that kind submitted alone, at the end of the warm-up, to a
+/// fault-free copy of `cfg`'s testbed under the selfish regime. Returns
+/// that job's record, one per kind in `kinds` order.
+///
+/// Each record equals, bit for bit, what
+/// `run_regime_jobs_with_sink(&quiet, SchedRegime::Selfish, &[solo],
+/// ..)` gives, with `quiet` being `cfg` without faults. Only the warm-up
+/// is shared: one Weather Service is advanced to `cfg.warmup` over the
+/// untouched testbed, and each kind's run starts from a fork of it.
+/// Every solo run samples that same testbed up to its job's start, so
+/// the fork holds exactly what a fresh service would have sampled
+/// there (see [`WeatherService`]'s note on clones).
+pub fn run_solo_references(
+    cfg: &GridConfig,
+    kinds: &[JobKind],
+    retry: RetryPolicy,
+) -> Result<Vec<JobRecord>, GridError> {
+    let quiet = GridConfig {
+        faults: FaultInjection::None,
+        ..cfg.clone()
+    };
+    let testbed = build_topology(&quiet)?;
+    let mut warm = WeatherService::for_topology(&testbed, WeatherServiceConfig::default());
+    warm.advance(&testbed, quiet.warmup);
+    kinds
+        .iter()
+        .map(|&kind| {
+            let solo = [JobSpec {
+                id: 0,
+                submit: SimTime::ZERO,
+                kind,
+            }];
+            let life = Lifecycle::new(
+                &quiet,
+                SchedRegime::Selfish,
+                &solo,
+                SOLO_WINDOW,
+                retry,
+                &mut NoopSink,
+            )?;
+            let out = run_selfish(life, warm.clone(), &mut NoopSink)?;
+            out.records
+                .into_iter()
+                .next()
+                .ok_or_else(|| GridError::Internal("a solo run recorded no job".into()))
+        })
+        .collect()
 }
 
 /// One job's static plan, made on the pristine testbed.

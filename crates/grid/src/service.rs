@@ -445,21 +445,29 @@ enum AttemptOutcome {
 /// live topology. Each job runs its whole attempt chain before the next
 /// is admitted, which is what keeps the shared service's sample stream
 /// in admission order.
+///
+/// `shared_ws` is the service the stream starts from: a fresh one, or
+/// a fork of one warmed to at most `cfg.warmup` over the fault-free
+/// testbed while `life.live` is that testbed too
+/// ([`crate::sched::run_solo_references`]). A warmed fork equals a
+/// fresh service advanced to its `now()` over both `life.live` and
+/// `life.pristine`, so decisions and records are bit-identical to a
+/// fresh start. So is the trace when the first job starts at the fork's
+/// `now()`: neither start has a held forecast to score there.
 pub(crate) fn run_selfish(
     mut life: Lifecycle<'_>,
+    mut shared_ws: WeatherService,
     sink: &mut dyn EventSink,
 ) -> Result<GridOutcome, GridError> {
     let cfg = life.cfg;
     // Blind agents share one pre-stream snapshot of the fault-free
     // testbed; aware agents share one service advanced in admission
     // order over the live topology.
-    let mut blind_ws = None;
-    if cfg.regime == Regime::Blind {
-        let mut ws = WeatherService::for_topology(&life.pristine, WeatherServiceConfig::default());
+    let blind_ws = (cfg.regime == Regime::Blind).then(|| {
+        let mut ws = shared_ws.clone();
         ws.advance(&life.pristine, cfg.warmup);
-        blind_ws = Some(ws);
-    }
-    let mut shared_ws = WeatherService::for_topology(&life.live, WeatherServiceConfig::default());
+        ws
+    });
     let mut replay = Replay::default();
     let faults_on = !life.faults.is_empty();
 

@@ -5,16 +5,27 @@
 //! When the window is too short or the normal equations are singular
 //! (e.g. a constant signal), it falls back to the window mean, so the
 //! predictor always degrades gracefully.
+//!
+//! The fit runs once per sample, in [`Forecaster::update`], over one
+//! contiguous slice and preallocated scratch, so a sample allocates
+//! nothing; [`Forecaster::forecast`] returns the stored result.
 
 use super::Forecaster;
-use std::collections::VecDeque;
 
 /// AR(p) least-squares predictor over a sliding window.
 #[derive(Debug, Clone)]
 pub struct AutoRegressive {
     order: usize,
     window: usize,
-    buf: VecDeque<f64>,
+    /// The window is the last `window` entries. The buffer holds up to
+    /// twice that and drops its older half when full, so the window is
+    /// always one contiguous slice at amortized O(1) per sample.
+    buf: Vec<f64>,
+    /// Normal-equation scratch: the `order × order` matrix, then the
+    /// right-hand side.
+    system: Vec<f64>,
+    /// The forecast for the next sample, fitted on the latest update.
+    next: Option<f64>,
 }
 
 impl AutoRegressive {
@@ -34,47 +45,60 @@ impl AutoRegressive {
         AutoRegressive {
             order,
             window,
-            buf: VecDeque::with_capacity(window),
+            buf: Vec::with_capacity(2 * window),
+            system: vec![0.0; order * order + order],
+            next: None,
         }
-    }
-
-    /// Fit centred AR coefficients on the current buffer, returning
-    /// `(mean, coeffs)` or `None` if the fit is not possible.
-    fn fit(&self) -> Option<(f64, Vec<f64>)> {
-        let p = self.order;
-        let data: Vec<f64> = self.buf.iter().copied().collect();
-        let n = data.len();
-        if n < p + 2 {
-            return None;
-        }
-        let mean = data.iter().sum::<f64>() / n as f64;
-        let c: Vec<f64> = data.iter().map(|x| x - mean).collect();
-
-        // Normal equations A a = b for rows t = p..n:
-        //   y_t = sum_i a_i * c_{t-1-i}
-        let rows = n - p;
-        let mut a = vec![0.0; p * p];
-        let mut b = vec![0.0; p];
-        for t in p..n {
-            for i in 0..p {
-                let xi = c[t - 1 - i];
-                b[i] += xi * c[t];
-                for j in 0..p {
-                    a[i * p + j] += xi * c[t - 1 - j];
-                }
-            }
-        }
-        // Ridge-free solve; bail out on singularity.
-        let coeffs = solve_linear(&mut a, &mut b, p)?;
-        let _ = rows;
-        Some((mean, coeffs))
     }
 }
 
+/// One-step forecast from `data` (oldest first) with an AR(`p`) fit,
+/// using `system` (`p·p + p` entries) as scratch. `None` only when
+/// `data` is empty.
+///
+/// Each entry of the normal equations is its own dot product summed
+/// from `0.0` in ascending `t`, the order a row-by-row accumulation
+/// gives every entry, and the matrix is filled symmetric from its
+/// upper triangle: `x·y == y·x` bit for bit.
+fn predict(data: &[f64], p: usize, system: &mut [f64]) -> Option<f64> {
+    let n = data.len();
+    if n == 0 {
+        return None;
+    }
+    let mean = data.iter().sum::<f64>() / n as f64;
+    if n < p + 2 {
+        return Some(mean);
+    }
+    // Normal equations A a = b for rows t = p..n of the centred series
+    // c = data - mean:  c_t = sum_i a_i * c_{t-1-i}.
+    let (a, b) = system.split_at_mut(p * p);
+    let lag = |i: usize| data[p - 1 - i..n - 1 - i].iter().map(|x| x - mean);
+    for i in 0..p {
+        for j in i..p {
+            let dot = lag(i).zip(lag(j)).fold(0.0, |s, (x, y)| s + x * y);
+            a[i * p + j] = dot;
+            a[j * p + i] = dot;
+        }
+        b[i] = lag(i)
+            .zip(&data[p..])
+            .fold(0.0, |s, (x, y)| s + x * (y - mean));
+    }
+    // Ridge-free solve; fall back to the mean on singularity.
+    if !solve_linear(a, b, p) {
+        return Some(mean);
+    }
+    let mut pred = 0.0;
+    for (i, &ci) in b.iter().enumerate() {
+        // coeff i multiplies the value i+1 steps back.
+        pred += ci * (data[n - 1 - i] - mean);
+    }
+    Some(mean + pred)
+}
+
 /// Solve `A x = b` for a small dense system in place by Gaussian
-/// elimination with partial pivoting. Returns `None` when the matrix is
-/// numerically singular.
-fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
+/// elimination with partial pivoting, leaving `x` in `b`. Returns
+/// `false` when the matrix is numerically singular.
+fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> bool {
     debug_assert_eq!(a.len(), n * n);
     debug_assert_eq!(b.len(), n);
     for col in 0..n {
@@ -89,7 +113,7 @@ fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
             }
         }
         if pivot_val < 1e-10 {
-            return None;
+            return false;
         }
         if pivot_row != col {
             for k in 0..n {
@@ -110,16 +134,15 @@ fn solve_linear(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
             b[r] -= factor * b[col];
         }
     }
-    // Back substitution.
-    let mut x = vec![0.0; n];
+    // Back substitution; rows below `row` already hold their solution.
     for row in (0..n).rev() {
         let mut acc = b[row];
         for k in (row + 1)..n {
-            acc -= a[row * n + k] * x[k];
+            acc -= a[row * n + k] * b[k];
         }
-        x[row] = acc / a[row * n + row];
+        b[row] = acc / a[row * n + row];
     }
-    Some(x)
+    true
 }
 
 impl Forecaster for AutoRegressive {
@@ -128,34 +151,21 @@ impl Forecaster for AutoRegressive {
     }
 
     fn update(&mut self, value: f64) {
-        self.buf.push_back(value);
-        if self.buf.len() > self.window {
-            self.buf.pop_front();
+        if self.buf.len() == 2 * self.window {
+            self.buf.drain(..self.window);
         }
+        self.buf.push(value);
+        let data = &self.buf[self.buf.len().saturating_sub(self.window)..];
+        self.next = predict(data, self.order, &mut self.system);
     }
 
     fn forecast(&self) -> Option<f64> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let data: Vec<f64> = self.buf.iter().copied().collect();
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        match self.fit() {
-            Some((mu, coeffs)) => {
-                let mut pred = 0.0;
-                for (i, &ci) in coeffs.iter().enumerate() {
-                    // coeff i multiplies the value i+1 steps back.
-                    let idx = data.len() - 1 - i;
-                    pred += ci * (data[idx] - mu);
-                }
-                Some(mu + pred)
-            }
-            None => Some(mean),
-        }
+        self.next
     }
 
     fn reset(&mut self) {
         self.buf.clear();
+        self.next = None;
     }
 }
 
@@ -168,9 +178,9 @@ mod tests {
         // 2x + y = 5 ; x + 3y = 10  ⇒  x = 1, y = 3.
         let mut a = vec![2.0, 1.0, 1.0, 3.0];
         let mut b = vec![5.0, 10.0];
-        let x = solve_linear(&mut a, &mut b, 2).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
+        assert!(solve_linear(&mut a, &mut b, 2));
+        assert!((b[0] - 1.0).abs() < 1e-12);
+        assert!((b[1] - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -178,16 +188,16 @@ mod tests {
         // Zero in the top-left forces a row swap.
         let mut a = vec![0.0, 1.0, 1.0, 0.0];
         let mut b = vec![2.0, 3.0];
-        let x = solve_linear(&mut a, &mut b, 2).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
+        assert!(solve_linear(&mut a, &mut b, 2));
+        assert!((b[0] - 3.0).abs() < 1e-12);
+        assert!((b[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn solve_linear_detects_singularity() {
         let mut a = vec![1.0, 2.0, 2.0, 4.0];
         let mut b = vec![1.0, 2.0];
-        assert!(solve_linear(&mut a, &mut b, 2).is_none());
+        assert!(!solve_linear(&mut a, &mut b, 2));
     }
 
     #[test]

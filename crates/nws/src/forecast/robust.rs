@@ -1,5 +1,6 @@
 //! Robust and trend-following predictors.
 
+use super::window::SortedWindow;
 use super::Forecaster;
 use std::collections::VecDeque;
 
@@ -8,9 +9,8 @@ use std::collections::VecDeque;
 /// (trim 0) and the median (maximal trim) in outlier robustness.
 #[derive(Debug, Clone)]
 pub struct TrimmedMean {
-    k: usize,
     trim: usize,
-    buf: VecDeque<f64>,
+    window: SortedWindow,
 }
 
 impl TrimmedMean {
@@ -27,36 +27,31 @@ impl TrimmedMean {
             "trim {trim} leaves nothing of a window of {k}"
         );
         TrimmedMean {
-            k,
             trim,
-            buf: VecDeque::with_capacity(k),
+            window: SortedWindow::new(k),
         }
     }
 }
 
 impl Forecaster for TrimmedMean {
     fn name(&self) -> String {
-        format!("trimmed_mean({},{})", self.k, self.trim)
+        format!("trimmed_mean({},{})", self.window.k(), self.trim)
     }
     fn update(&mut self, value: f64) {
-        self.buf.push_back(value);
-        if self.buf.len() > self.k {
-            self.buf.pop_front();
-        }
+        self.window.push(value);
     }
     fn forecast(&self) -> Option<f64> {
-        if self.buf.is_empty() {
+        let v = self.window.sorted();
+        if v.is_empty() {
             return None;
         }
-        let mut v: Vec<f64> = self.buf.iter().copied().collect();
-        v.sort_by(|a, b| a.total_cmp(b));
         // Trim as much as the (possibly still-filling) window allows.
         let t = self.trim.min((v.len() - 1) / 2);
         let kept = &v[t..v.len() - t];
         Some(kept.iter().sum::<f64>() / kept.len() as f64)
     }
     fn reset(&mut self) {
-        self.buf.clear();
+        self.window.clear();
     }
 }
 

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 pub struct SlidingWindowMean {
     k: usize,
     buf: VecDeque<f64>,
-    sum: f64,
 }
 
 impl SlidingWindowMean {
@@ -24,7 +23,6 @@ impl SlidingWindowMean {
         SlidingWindowMean {
             k,
             buf: VecDeque::with_capacity(k),
-            sum: 0.0,
         }
     }
 }
@@ -35,26 +33,77 @@ impl Forecaster for SlidingWindowMean {
     }
     fn update(&mut self, value: f64) {
         self.buf.push_back(value);
-        self.sum += value;
         if self.buf.len() > self.k {
-            if let Some(evicted) = self.buf.pop_front() {
-                self.sum -= evicted;
-            }
+            self.buf.pop_front();
         }
     }
     fn forecast(&self) -> Option<f64> {
         if self.buf.is_empty() {
             None
         } else {
-            // Recompute from the buffer rather than trusting the rolling
-            // sum alone: the rolling sum accumulates FP drift over long
-            // streams. The buffer is short, so this is cheap.
+            // Sum the buffer rather than keep a rolling sum: a rolling
+            // sum accumulates FP drift over long streams. The buffer is
+            // short, so this is cheap.
             Some(self.buf.iter().sum::<f64>() / self.buf.len() as f64)
         }
     }
     fn reset(&mut self) {
         self.buf.clear();
-        self.sum = 0.0;
+    }
+}
+
+/// The last `k` measurements, in arrival order and sorted.
+///
+/// The sorted copy is kept up to date on each sample by one binary
+/// search and shift per insertion and eviction, instead of collecting
+/// and sorting the window on every forecast. Values that compare equal
+/// under [`f64::total_cmp`] are bit-identical, so the sorted copy is
+/// exactly what sorting the window by `total_cmp` would give.
+#[derive(Debug, Clone)]
+pub(crate) struct SortedWindow {
+    k: usize,
+    arrivals: VecDeque<f64>,
+    sorted: Vec<f64>,
+}
+
+impl SortedWindow {
+    /// An empty window of `k > 0` samples.
+    pub(crate) fn new(k: usize) -> Self {
+        SortedWindow {
+            k,
+            arrivals: VecDeque::with_capacity(k),
+            sorted: Vec::with_capacity(k),
+        }
+    }
+
+    /// The window size.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Add `value`, evicting the oldest sample once `k` are held.
+    pub(crate) fn push(&mut self, value: f64) {
+        if self.arrivals.len() == self.k {
+            if let Some(old) = self.arrivals.pop_front() {
+                if let Ok(i) = self.sorted.binary_search_by(|x| x.total_cmp(&old)) {
+                    self.sorted.remove(i);
+                }
+            }
+        }
+        self.arrivals.push_back(value);
+        let at = self.sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+        self.sorted.insert(at, value);
+    }
+
+    /// The window's samples in ascending `total_cmp` order.
+    pub(crate) fn sorted(&self) -> &[f64] {
+        &self.sorted
+    }
+
+    /// Drop every sample.
+    pub(crate) fn clear(&mut self) {
+        self.arrivals.clear();
+        self.sorted.clear();
     }
 }
 
@@ -62,8 +111,7 @@ impl Forecaster for SlidingWindowMean {
 /// median-based predictors strong on bursty network signals).
 #[derive(Debug, Clone)]
 pub struct SlidingWindowMedian {
-    k: usize,
-    buf: VecDeque<f64>,
+    window: SortedWindow,
 }
 
 impl SlidingWindowMedian {
@@ -75,29 +123,24 @@ impl SlidingWindowMedian {
         // simlint: allow(panic-in-lib): documented `# Panics` constructor precondition
         assert!(k > 0, "window must be non-empty");
         SlidingWindowMedian {
-            k,
-            buf: VecDeque::with_capacity(k),
+            window: SortedWindow::new(k),
         }
     }
 }
 
 impl Forecaster for SlidingWindowMedian {
     fn name(&self) -> String {
-        format!("sw_median({})", self.k)
+        format!("sw_median({})", self.window.k())
     }
     fn update(&mut self, value: f64) {
-        self.buf.push_back(value);
-        if self.buf.len() > self.k {
-            self.buf.pop_front();
-        }
+        self.window.push(value);
     }
     fn forecast(&self) -> Option<f64> {
-        if self.buf.is_empty() {
+        let v = self.window.sorted();
+        let n = v.len();
+        if n == 0 {
             return None;
         }
-        let mut v: Vec<f64> = self.buf.iter().copied().collect();
-        v.sort_by(|a, b| a.total_cmp(b));
-        let n = v.len();
         Some(if n % 2 == 1 {
             v[n / 2]
         } else {
@@ -105,7 +148,7 @@ impl Forecaster for SlidingWindowMedian {
         })
     }
     fn reset(&mut self) {
-        self.buf.clear();
+        self.window.clear();
     }
 }
 

@@ -20,6 +20,13 @@ use crate::forecast::{standard_suite, Forecaster};
 /// abandon a predictor whose regime has passed.
 const ERROR_DECAY: f64 = 0.995;
 
+/// `ERROR_DECAY^k`, the weight of the `k`-th scored postcast. The
+/// exponent saturates at `i32::MAX`, where the weight has long been
+/// `0.0`, instead of wrapping negative past 2³¹ postcasts.
+fn decay_weight(k: u64) -> f64 {
+    ERROR_DECAY.powi(i32::try_from(k).unwrap_or(i32::MAX))
+}
+
 /// A battery of forecasters with postcast-error-driven selection.
 ///
 /// ```
@@ -78,10 +85,19 @@ impl AdaptiveSelector {
     /// Feed a new measurement: score everyone's pending forecast, then
     /// update everyone.
     pub fn update(&mut self, value: f64) {
+        // Members that started forecasting together share one scored
+        // count, so the decay term is computed once per distinct count
+        // rather than once per member.
+        let mut term: Option<(u64, f64)> = None;
         for (i, m) in self.members.iter().enumerate() {
             if let Some(p) = m.forecast() {
+                let k = self.scored[i];
+                let w = match term {
+                    Some((tk, w)) if tk == k => w,
+                    _ => term.insert((k, decay_weight(k))).1,
+                };
                 self.err[i] = self.err[i] * ERROR_DECAY + (p - value).abs();
-                self.weight[i] += ERROR_DECAY.powi(self.scored[i] as i32);
+                self.weight[i] += w;
                 self.scored[i] += 1;
             }
         }
@@ -261,6 +277,26 @@ mod tests {
             s.update(signal(i * 7 + 3));
             same(&s);
         }
+    }
+
+    #[test]
+    fn decay_weight_saturates_instead_of_wrapping() {
+        assert_eq!(decay_weight(0), 1.0);
+        assert_eq!(decay_weight(7).to_bits(), ERROR_DECAY.powi(7).to_bits());
+        // `as i32` would wrap 2^31 to i32::MIN and 2^32 - 1 to -1: an
+        // infinite weight and one above 1.
+        assert_eq!(decay_weight(1 << 31), 0.0);
+        assert_eq!(decay_weight(u64::from(u32::MAX)), 0.0);
+
+        let mut s = AdaptiveSelector::new();
+        for v in [0.5, 0.4, 0.7] {
+            s.update(v);
+        }
+        s.scored.iter_mut().for_each(|k| *k = 1 << 31);
+        let before = s.weight.clone();
+        s.update(0.6);
+        assert_eq!(s.weight, before);
+        assert!(s.best_error().is_some_and(f64::is_finite));
     }
 
     #[test]
