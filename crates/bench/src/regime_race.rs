@@ -20,9 +20,9 @@
 //! * **slowdown** — the classic `(wait + exec) / exec` from the job
 //!   records.
 //! * **goodput** — completed jobs per hour under fault injection
-//!   (failed jobs don't count), plus retry and backfill counts pulled
-//!   from the `obsv` metrics families (`apples_job_retries_total`,
-//!   `apples_backfills_total`).
+//!   (failed jobs don't count), plus retry and backfill counts: the
+//!   `job_retried` and `job_backfilled` per-kind counts of the time
+//!   series each leg already folds for its report timeline.
 //!
 //! Everything is seeded: the same [`RaceConfig`] renders a
 //! byte-identical report, which is what the CI determinism gate
@@ -42,7 +42,7 @@ use apples_grid::{
 use metasim::simtrace::VecSink;
 use metasim::topogen::TopoSpec;
 use metasim::{FaultModel, SimTime};
-use obsv::{Composition, FanoutSink, MetricsSink, SpanTree, TimeSeries, TimeSeriesSink, PHASES};
+use obsv::{Composition, FanoutSink, SpanTree, TimeSeries, TimeSeriesSink, PHASES};
 
 /// Window width of the per-regime report timeline, seconds.
 pub const REPORT_WINDOW_SECS: f64 = 300.0;
@@ -106,9 +106,10 @@ pub struct RegimeCell {
     pub slowdown_p99: f64,
     /// Completed jobs per hour of submission window.
     pub goodput_per_hour: f64,
-    /// `apples_job_retries_total` — retry events observed.
+    /// Retry events observed: the series' `job_retried` count.
     pub retries: u64,
-    /// `apples_backfills_total` — EASY backfills (batch regime only).
+    /// EASY backfills (batch regime only): the series'
+    /// `job_backfilled` count.
     pub backfills: u64,
     /// Critical-path composition of the regime's span trees.
     pub composition: Composition,
@@ -268,25 +269,16 @@ pub fn run_race_with(
         let mut cells = Vec::with_capacity(SchedRegime::ALL.len());
         for regime in SchedRegime::ALL {
             progress(&label, regime);
-            let mut sink = MetricsSink::new();
             let mut trace = VecSink::new();
             let mut series_sink = TimeSeriesSink::fixed_seconds(REPORT_WINDOW_SECS);
             let out = {
                 let mut fan = FanoutSink::new();
-                fan.push(&mut sink);
                 fan.push(&mut series_sink);
                 fan.push(&mut trace);
                 run_regime_jobs_with_sink(&grid, regime, &jobs, duration, retry, &mut fan)?
             };
             let composition = SpanTree::from_events(&trace.events).composition();
             let series = series_sink.finalize();
-            let reg = sink.registry();
-            let retries = reg
-                .counter_value("apples_job_retries_total", &[])
-                .unwrap_or(0.0) as u64;
-            let backfills = reg
-                .counter_value("apples_backfills_total", &[])
-                .unwrap_or(0.0) as u64;
 
             let completed: Vec<&JobRecord> = out.records.iter().filter(|r| r.completed).collect();
             let stretches = stretches(&out.records, &dedicated);
@@ -301,8 +293,8 @@ pub fn run_race_with(
                 slowdown_p50: percentile(&slowdowns, 50.0),
                 slowdown_p99: percentile(&slowdowns, 99.0),
                 goodput_per_hour: completed.len() as f64 / (cfg.duration_secs / 3600.0),
-                retries,
-                backfills,
+                retries: series.count("job_retried"),
+                backfills: series.count("job_backfilled"),
                 composition,
                 series,
             });

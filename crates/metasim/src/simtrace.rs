@@ -992,113 +992,6 @@ pub fn first_divergence(a: &str, b: &str) -> Option<Divergence> {
     }
 }
 
-/// Total busy (compute) seconds per host, from
-/// [`TraceEvent::ComputeFinish`] events.
-pub fn host_busy_seconds(events: &[TraceEvent]) -> BTreeMap<HostId, f64> {
-    let mut busy: BTreeMap<HostId, f64> = BTreeMap::new();
-    for e in events {
-        if let TraceEvent::ComputeFinish {
-            host,
-            elapsed_seconds,
-            ..
-        } = e
-        {
-            *busy.entry(*host).or_insert(0.0) += elapsed_seconds.max(0.0);
-        }
-    }
-    busy
-}
-
-/// Per-host utilization over time: for each host, the fraction of each
-/// `bucket_seconds`-wide bucket spent computing, from the
-/// `[at - elapsed, at]` interval of every [`TraceEvent::ComputeFinish`].
-/// Buckets cover `[0, last event]`. Overlapping workers on one host can
-/// push a bucket above 1.0 (demand utilization, same convention as
-/// `apples_grid::metrics`).
-pub fn host_utilization_timeline(
-    events: &[TraceEvent],
-    bucket_seconds: f64,
-) -> BTreeMap<HostId, Vec<f64>> {
-    let bucket_seconds = if bucket_seconds > 0.0 {
-        bucket_seconds
-    } else {
-        1.0
-    };
-    let end = events
-        .iter()
-        .map(|e| e.at().as_secs_f64())
-        .fold(0.0f64, f64::max);
-    let n_buckets = (end / bucket_seconds).ceil() as usize;
-    let mut out: BTreeMap<HostId, Vec<f64>> = BTreeMap::new();
-    if n_buckets == 0 {
-        return out;
-    }
-    for e in events {
-        if let TraceEvent::ComputeFinish {
-            host,
-            at,
-            elapsed_seconds,
-        } = e
-        {
-            let fin = at.as_secs_f64();
-            let start = (fin - elapsed_seconds.max(0.0)).max(0.0);
-            let buckets = out.entry(*host).or_insert_with(|| vec![0.0; n_buckets]);
-            let first = (start / bucket_seconds).floor() as usize;
-            let last = ((fin / bucket_seconds).ceil() as usize).min(n_buckets);
-            for (i, b) in buckets.iter_mut().enumerate().take(last).skip(first) {
-                let b_start = i as f64 * bucket_seconds;
-                let b_end = b_start + bucket_seconds;
-                let overlap = (fin.min(b_end) - start.max(b_start)).max(0.0);
-                *b += overlap / bucket_seconds;
-            }
-        }
-    }
-    out
-}
-
-/// Queue depth over time: jobs submitted (or scheduled for retry) but
-/// not yet dispatched. Returns `(time, depth)` change points in event
-/// order.
-pub fn queue_depth_timeline(events: &[TraceEvent]) -> Vec<(SimTime, usize)> {
-    let mut depth = 0usize;
-    let mut out = Vec::new();
-    for e in events {
-        match e {
-            TraceEvent::JobSubmitted { at, .. } | TraceEvent::JobRetried { at, .. } => {
-                depth += 1;
-                out.push((*at, depth));
-            }
-            TraceEvent::JobDispatched { at, .. } => {
-                depth = depth.saturating_sub(1);
-                out.push((*at, depth));
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Per-job decision latency: seconds from submission to first dispatch.
-pub fn decision_latency_seconds(events: &[TraceEvent]) -> BTreeMap<usize, f64> {
-    let mut submitted: BTreeMap<usize, SimTime> = BTreeMap::new();
-    let mut out: BTreeMap<usize, f64> = BTreeMap::new();
-    for e in events {
-        match e {
-            TraceEvent::JobSubmitted { job, at, .. } => {
-                submitted.entry(*job).or_insert(*at);
-            }
-            TraceEvent::JobDispatched { job, at, .. } => {
-                if let Some(&sub) = submitted.get(job) {
-                    out.entry(*job)
-                        .or_insert_with(|| at.saturating_sub(sub).as_secs_f64());
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1236,65 +1129,5 @@ mod tests {
         assert_eq!(d.line, 2);
         assert!(d.left.is_none());
         assert_eq!(d.right.as_deref(), Some("b"));
-    }
-
-    #[test]
-    fn busy_seconds_and_utilization_timeline() {
-        let events = vec![
-            TraceEvent::ComputeFinish {
-                host: HostId(0),
-                at: s(10.0),
-                elapsed_seconds: 10.0,
-            },
-            TraceEvent::ComputeFinish {
-                host: HostId(1),
-                at: s(10.0),
-                elapsed_seconds: 5.0,
-            },
-        ];
-        let busy = host_busy_seconds(&events);
-        assert_eq!(busy[&HostId(0)], 10.0);
-        assert_eq!(busy[&HostId(1)], 5.0);
-        let tl = host_utilization_timeline(&events, 5.0);
-        // Host 0 computed over [0, 10]: both buckets full.
-        assert!((tl[&HostId(0)][0] - 1.0).abs() < 1e-9);
-        assert!((tl[&HostId(0)][1] - 1.0).abs() < 1e-9);
-        // Host 1 computed over [5, 10]: second bucket only.
-        assert!(tl[&HostId(1)][0].abs() < 1e-9);
-        assert!((tl[&HostId(1)][1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn queue_depth_and_decision_latency() {
-        let events = vec![
-            TraceEvent::JobSubmitted {
-                job: 0,
-                kind: "jacobi2d".into(),
-                at: s(1.0),
-            },
-            TraceEvent::JobSubmitted {
-                job: 1,
-                kind: "react-pipe".into(),
-                at: s(2.0),
-            },
-            TraceEvent::JobDispatched {
-                job: 0,
-                at: s(3.0),
-                attempt: 1,
-            },
-            TraceEvent::JobDispatched {
-                job: 1,
-                at: s(6.0),
-                attempt: 1,
-            },
-        ];
-        let depths = queue_depth_timeline(&events);
-        assert_eq!(
-            depths,
-            vec![(s(1.0), 1), (s(2.0), 2), (s(3.0), 1), (s(6.0), 0)]
-        );
-        let lat = decision_latency_seconds(&events);
-        assert!((lat[&0] - 2.0).abs() < 1e-9);
-        assert!((lat[&1] - 4.0).abs() < 1e-9);
     }
 }

@@ -26,7 +26,8 @@
 //! * **causal span trees** ([`SpanTree`]) — per-job
 //!   job → attempt → phase hierarchies with cause edges (retry,
 //!   revocation, backfill), whose partition leaves tile each makespan
-//!   exactly and reconcile with simprof to 0 µs, plus per-job
+//!   exactly and reconcile with simprof to 0 µs (a span tree and a
+//!   [`Profile`] are two views of one fold over the trace), plus per-job
 //!   critical paths and a per-trace [`Composition`] summary;
 //! * a **time-series engine** ([`TimeSeriesSink`]) — fixed-width or
 //!   event-aligned windows over the same stream: per-kind counts,
@@ -38,6 +39,7 @@
 //! cannot change simulated outcomes.
 
 pub mod expose;
+mod fold;
 pub mod profile;
 pub mod registry;
 pub mod sink;

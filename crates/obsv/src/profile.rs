@@ -17,19 +17,21 @@
 //!   bandwidth lost to competing flows, co-allocation barrier skew,
 //!   and any executor time the trace does not itemize.
 //!
-//! The grid service processes jobs sequentially in admission order, so
-//! executor events between a `job_dispatched` and the matching
-//! `job_completed`/`job_retried`/`job_failed` belong to that job; the
-//! profiler tracks the open job while folding. Accumulators reset on
-//! each dispatch, so only the final attempt's events shape the split of
-//! the execution window — earlier attempts are wall-clock inside
-//! retry-backoff.
+//! A [`Profile`] is one view of the crate's single trace fold
+//! (`fold.rs`); [`crate::SpanTree`] is the other, so the two agree to
+//! the microsecond. Accumulators reset on each dispatch, so only the
+//! final attempt's events shape the split of the execution window —
+//! earlier attempts are wall-clock inside retry-backoff. The fold keeps
+//! each host's compute intervals (not the events) for the gantt's host
+//! lanes, which share the job lanes' columns over the trace span.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use metasim::simtrace::{host_utilization_timeline, TraceEvent};
+use metasim::simtrace::TraceEvent;
 use metasim::{HostId, SimTime};
+
+use crate::fold::fold;
 
 /// One attribution bucket. Order is significant: it is the emission
 /// order in folded stacks and tables.
@@ -68,14 +70,9 @@ impl Phase {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            Phase::QueueWait => 0,
-            Phase::RetryBackoff => 1,
-            Phase::Compute => 2,
-            Phase::BorderExchange => 3,
-            Phase::ContentionWait => 4,
-        }
+    /// Position in [`PHASES`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -101,7 +98,7 @@ pub struct JobProfile {
     pub completed: bool,
     /// Distinct hosts that computed for this job (final attempt).
     pub hosts: Vec<HostId>,
-    bucket_us: [u64; 5],
+    pub(crate) bucket_us: [u64; 5],
 }
 
 impl JobProfile {
@@ -154,19 +151,6 @@ pub struct ExecShares {
     pub contention_wait: f64,
 }
 
-struct OpenJob {
-    kind: String,
-    submit: SimTime,
-    first_dispatch: Option<SimTime>,
-    last_dispatch: Option<SimTime>,
-    attempts: u32,
-    // Final-attempt accumulators (reset on each dispatch).
-    workers: usize,
-    compute_ws: f64,
-    border_ws: f64,
-    hosts: Vec<HostId>,
-}
-
 /// The folded profile of a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
@@ -183,164 +167,15 @@ pub struct Profile {
     /// JSONL lines that did not parse (only via
     /// [`Profile::from_jsonl`]).
     pub skipped_lines: usize,
-    /// Raw events kept for timeline rendering.
-    timeline_events: Vec<TraceEvent>,
+    /// Each host's compute intervals `[finish - elapsed, finish]`,
+    /// seconds, for the gantt's host lanes.
+    pub(crate) busy: BTreeMap<HostId, Vec<(f64, f64)>>,
 }
 
 impl Profile {
     /// Fold an in-memory event stream.
     pub fn from_events(events: &[TraceEvent]) -> Profile {
-        let mut jobs: BTreeMap<usize, OpenJob> = BTreeMap::new();
-        let mut done: Vec<JobProfile> = Vec::new();
-        let mut hosts: BTreeMap<HostId, HostProfile> = BTreeMap::new();
-        let mut open_transfers: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
-        let mut current: Option<usize> = None;
-        let mut span: Option<(SimTime, SimTime)> = None;
-
-        for e in events {
-            let at = e.at();
-            span = Some(match span {
-                None => (at, at),
-                Some((f, l)) => (f.min(at), l.max(at)),
-            });
-            match e {
-                TraceEvent::JobSubmitted { job, kind, at } => {
-                    jobs.insert(
-                        *job,
-                        OpenJob {
-                            kind: kind.clone(),
-                            submit: *at,
-                            first_dispatch: None,
-                            last_dispatch: None,
-                            attempts: 0,
-                            workers: 0,
-                            compute_ws: 0.0,
-                            border_ws: 0.0,
-                            hosts: Vec::new(),
-                        },
-                    );
-                }
-                TraceEvent::JobDispatched { job, at, attempt } => {
-                    current = Some(*job);
-                    if let Some(j) = jobs.get_mut(job) {
-                        j.first_dispatch.get_or_insert(*at);
-                        j.last_dispatch = Some(*at);
-                        j.attempts = j.attempts.max(*attempt);
-                        // Only the final attempt's events shape the
-                        // execution-window split.
-                        j.workers = 0;
-                        j.compute_ws = 0.0;
-                        j.border_ws = 0.0;
-                        j.hosts.clear();
-                    }
-                }
-                TraceEvent::ComputeStart { host, .. } => {
-                    let h = hosts.entry(*host).or_default();
-                    h.workers += 1;
-                    if let Some(j) = current.and_then(|c| jobs.get_mut(&c)) {
-                        j.workers += 1;
-                        if !j.hosts.contains(host) {
-                            j.hosts.push(*host);
-                        }
-                    }
-                }
-                TraceEvent::ComputeFinish {
-                    host,
-                    elapsed_seconds,
-                    ..
-                } => {
-                    let elapsed = if elapsed_seconds.is_finite() {
-                        *elapsed_seconds
-                    } else {
-                        0.0
-                    };
-                    hosts.entry(*host).or_default().compute_seconds += elapsed;
-                    if let Some(j) = current.and_then(|c| jobs.get_mut(&c)) {
-                        j.compute_ws += elapsed;
-                    }
-                }
-                TraceEvent::TransferStart { from, to, at, .. } => {
-                    open_transfers.entry((from.0, to.0)).or_default().push(at.0);
-                }
-                TraceEvent::TransferFinish {
-                    from,
-                    to,
-                    at,
-                    mb,
-                    contention_share,
-                } => {
-                    let mb = if mb.is_finite() { *mb } else { 0.0 };
-                    hosts.entry(*from).or_default().mb_sent += mb;
-                    hosts.entry(*to).or_default().mb_received += mb;
-                    let started = open_transfers
-                        .get_mut(&(from.0, to.0))
-                        .and_then(|q| (!q.is_empty()).then(|| q.remove(0)));
-                    if let Some(started) = started {
-                        let dur = at.saturating_sub(SimTime(started)).as_secs_f64();
-                        let share = if contention_share.is_finite() {
-                            contention_share.clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        };
-                        let ideal = dur * share;
-                        let h = hosts.entry(*from).or_default();
-                        h.border_seconds += ideal;
-                        h.contention_seconds += dur - ideal;
-                        if let Some(j) = current.and_then(|c| jobs.get_mut(&c)) {
-                            j.border_ws += ideal;
-                        }
-                    }
-                }
-                TraceEvent::JobWorkMeasured {
-                    job,
-                    dedicated_seconds,
-                    ..
-                } => {
-                    // A fractional-share (PS) regime executes what-if
-                    // runs off-trace, so the attempt window would
-                    // otherwise read as pure contention. The measured
-                    // dedicated seconds stand in for compute; the
-                    // remainder of the window is dilution. Job-id
-                    // keyed: no reliance on the sequential `current`.
-                    if let Some(j) = jobs.get_mut(job) {
-                        j.compute_ws = if dedicated_seconds.is_finite() {
-                            dedicated_seconds.max(0.0)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-                TraceEvent::JobCompleted { job, at, .. } => {
-                    if let Some(open) = jobs.remove(job) {
-                        done.push(close_job(*job, open, *at, true));
-                    }
-                    if current == Some(*job) {
-                        current = None;
-                    }
-                }
-                TraceEvent::JobFailed { job, at, attempts } => {
-                    if let Some(mut open) = jobs.remove(job) {
-                        open.attempts = open.attempts.max(*attempts);
-                        done.push(close_job(*job, open, *at, false));
-                    }
-                    if current == Some(*job) {
-                        current = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        done.sort_by_key(|j| j.job);
-        Profile {
-            jobs: done,
-            hosts,
-            span,
-            events: events.len(),
-            unclosed_jobs: jobs.len(),
-            skipped_lines: 0,
-            timeline_events: events.to_vec(),
-        }
+        fold(events).profile
     }
 
     /// Fold a JSONL trace (as written by `WriterSink` / `--trace`).
@@ -457,13 +292,26 @@ impl Profile {
         }
         if !self.hosts.is_empty() {
             let _ = writeln!(out, "hosts (busy fraction per column)");
-            let bucket_seconds = (span_us as f64 / 1e6 / width as f64).max(1e-6);
-            let tl = host_utilization_timeline(&self.timeline_events, bucket_seconds);
+            // The job lanes' columns: `width` equal slices of [t0, t1].
+            // Overlapping workers on one host can push a column above
+            // 1 (demand utilization); the ramp saturates.
+            let t0_s = t0.as_secs_f64();
+            let col_s = span_us as f64 / 1e6 / width as f64;
             const RAMP: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-            for (host, frac) in &tl {
+            for (host, intervals) in &self.busy {
+                let mut frac = vec![0.0; width];
+                for &(start, fin) in intervals {
+                    // The interval in column units.
+                    let (a, b) = ((start - t0_s) / col_s, (fin - t0_s) / col_s);
+                    let first = a.floor().max(0.0) as usize;
+                    let last = (b.ceil().max(0.0) as usize).min(width);
+                    for (col, f) in frac.iter_mut().enumerate().take(last).skip(first) {
+                        let c = col as f64;
+                        *f += (b.min(c + 1.0) - a.max(c)).max(0.0);
+                    }
+                }
                 let mut lane = String::with_capacity(width);
-                for col in 0..width {
-                    let f = frac.get(col).copied().unwrap_or(0.0);
+                for f in frac {
                     let i = ((f * (RAMP.len() - 1) as f64).round() as usize).min(RAMP.len() - 1);
                     lane.push(RAMP[i]);
                 }
@@ -557,42 +405,12 @@ impl Profile {
     }
 }
 
-fn secs_to_us(secs: f64) -> u64 {
+pub(crate) fn secs_to_us(secs: f64) -> u64 {
     if !secs.is_finite() || secs.total_cmp(&0.0).is_le() {
         return 0;
     }
     // simlint: allow(sim-time-hygiene): the sanctioned seconds->micros boundary; trace events carry f64 seconds and round-to-nearest differs deliberately from SimTime::from_secs_f64's ceil
     (secs * 1_000_000.0).round() as u64
-}
-
-fn close_job(job: usize, open: OpenJob, finish: SimTime, completed: bool) -> JobProfile {
-    let submit = open.submit;
-    let first_dispatch = open.first_dispatch.unwrap_or(finish);
-    let last_dispatch = open.last_dispatch.unwrap_or(finish);
-    let queue_us = first_dispatch.saturating_sub(submit).0;
-    let retry_us = last_dispatch.saturating_sub(first_dispatch).0;
-    let window_us = finish.saturating_sub(last_dispatch).0;
-    // Worker-seconds → wall-clock inside the window: divide by the
-    // worker count (co-allocated workers run in parallel). Clamp each
-    // bucket so the three always partition the window exactly.
-    let n = open.workers.max(1) as f64;
-    let compute_us = secs_to_us(open.compute_ws / n).min(window_us);
-    let border_us = secs_to_us(open.border_ws / n).min(window_us - compute_us);
-    let contention_us = window_us - compute_us - border_us;
-    let mut hosts = open.hosts;
-    hosts.sort();
-    JobProfile {
-        job,
-        kind: open.kind,
-        submit,
-        first_dispatch,
-        last_dispatch,
-        finish,
-        attempts: open.attempts,
-        completed,
-        hosts,
-        bucket_us: [queue_us, retry_us, compute_us, border_us, contention_us],
-    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -732,6 +550,43 @@ mod tests {
         let t = p.table();
         assert!(t.contains("jacobi"));
         assert!(t.contains("exec shares"));
+    }
+
+    #[test]
+    fn gantt_host_lanes_share_the_job_lanes_columns() {
+        // The trace starts at 100 s; host 1 computes over the first
+        // half of it, [100, 150], and the job executes throughout.
+        let events = vec![
+            TraceEvent::JobSubmitted {
+                job: 0,
+                kind: "x".into(),
+                at: t(100.0),
+            },
+            TraceEvent::JobDispatched {
+                job: 0,
+                at: t(100.0),
+                attempt: 1,
+            },
+            TraceEvent::ComputeStart {
+                host: HostId(1),
+                at: t(100.0),
+                work_mflop: 10.0,
+            },
+            TraceEvent::ComputeFinish {
+                host: HostId(1),
+                at: t(150.0),
+                elapsed_seconds: 50.0,
+            },
+            TraceEvent::JobCompleted {
+                job: 0,
+                at: t(200.0),
+                exec_seconds: 100.0,
+            },
+        ];
+        let g = Profile::from_events(&events).gantt(16);
+        assert!(g.contains("job0:x |################|"), "{g}");
+        // Buckets from t = 0 would show [0, 100] here: an empty lane.
+        assert!(g.contains("host1    |@@@@@@@@        |"), "{g}");
     }
 
     #[test]

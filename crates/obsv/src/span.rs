@@ -4,11 +4,12 @@
 //! buckets; this module keeps the *structure*: a trace folds into one
 //! span tree per job — job → attempt → phase leaf — with cause edges
 //! explaining why each attempt exists (a prior attempt was retried, a
-//! placement was revoked, a backfill started it early). The phase
-//! leaves are the same five buckets as [`crate::Profile`] and are
-//! taken from it verbatim, so the two views reconcile to 0 µs by
-//! construction — a property the tests still gate, because it is the
-//! contract that makes span output trustworthy for critical-path work.
+//! placement was revoked, a backfill started it early). A span tree
+//! and a [`crate::Profile`] are two views of the crate's one trace fold
+//! (`fold.rs`): the phase leaves are cut from the same five buckets in
+//! the same pass, so the two reconcile to 0 µs by construction — a
+//! property the tests still gate, because it is the contract that makes
+//! span output trustworthy for critical-path work.
 //!
 //! **Partition invariant.** For every closed job, the `partition`
 //! leaves tile `[submit, finish]` exactly in integer microseconds:
@@ -27,13 +28,13 @@
 //! it per trace, and the race report diffs compositions across
 //! regimes.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use metasim::simtrace::TraceEvent;
 use metasim::{HostId, SimTime};
 
-use crate::profile::{Phase, Profile, PHASES};
+use crate::fold::{fold, Fold, JobStructure};
+use crate::profile::{JobProfile, Phase, PHASES};
 
 /// What a span represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -167,6 +168,27 @@ pub struct Span {
 }
 
 impl Span {
+    /// A span without causes or revocations. Partition leaves are the
+    /// kinds that reconcile against a simprof phase.
+    fn new(
+        kind: SpanKind,
+        start: SimTime,
+        end: SimTime,
+        parent: Option<usize>,
+        attempt: u32,
+    ) -> Span {
+        Span {
+            kind,
+            start,
+            end,
+            parent,
+            attempt,
+            partition: kind.phase().is_some(),
+            causes: Vec::new(),
+            revocations: 0,
+        }
+    }
+
     /// Duration in integer microseconds.
     pub fn us(&self) -> u64 {
         self.end.saturating_sub(self.start).0
@@ -214,15 +236,15 @@ impl JobSpanTree {
         let mut us = [0u64; 5];
         for s in self.critical_path() {
             if let Some(p) = s.kind.phase() {
-                us[phase_index(p)] += s.us();
+                us[p.index()] += s.us();
             }
         }
         let mut best = Phase::QueueWait;
         let mut best_us = 0u64;
         for p in PHASES {
-            if us[phase_index(p)] > best_us {
+            if us[p.index()] > best_us {
                 best = p;
-                best_us = us[phase_index(p)];
+                best_us = us[p.index()];
             }
         }
         best
@@ -259,7 +281,7 @@ impl Composition {
         if self.total_us == 0 {
             return 0.0;
         }
-        self.phase_us[phase_index(phase)] as f64 / self.total_us as f64
+        self.phase_us[phase.index()] as f64 / self.total_us as f64
     }
 
     /// One-line human rendering of the composition.
@@ -287,9 +309,9 @@ impl Composition {
                 phases,
                 "\"{}\":{{\"us\":{},\"share\":{:.6},\"dominates\":{}}}",
                 p.name(),
-                self.phase_us[phase_index(*p)],
+                self.phase_us[p.index()],
                 self.share(*p),
-                self.dominant_jobs[phase_index(*p)]
+                self.dominant_jobs[p.index()]
             );
         }
         format!(
@@ -298,10 +320,6 @@ impl Composition {
             self.jobs, self.completed, self.total_us, self.transfers, self.revocations
         )
     }
-}
-
-fn phase_index(p: Phase) -> usize {
-    PHASES.iter().position(|&q| q == p).unwrap_or(0)
 }
 
 /// Per-job span trees folded from one trace.
@@ -315,120 +333,17 @@ pub struct SpanTree {
     pub skipped_lines: usize,
 }
 
-/// Fold-time state for one job (dispatch boundaries and causes; the
-/// phase durations come from [`Profile`]).
-#[derive(Default)]
-struct JobFold {
-    dispatches: Vec<SimTime>,
-    attempt_causes: Vec<Vec<Cause>>,
-    attempt_revocations: Vec<u32>,
-    /// Causes accumulated for the *next* dispatch of this job.
-    pending_causes: Vec<Cause>,
-    /// (attempt, start, end) of observed transfers.
-    transfers: Vec<(u32, SimTime, SimTime)>,
-}
-
 impl SpanTree {
     /// Fold an in-memory event stream into span trees.
     pub fn from_events(events: &[TraceEvent]) -> SpanTree {
-        let profile = Profile::from_events(events);
-
-        let mut folds: BTreeMap<usize, JobFold> = BTreeMap::new();
-        let mut open_transfers: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
-        // Revocations emitted but not yet tied to a lifecycle event.
-        // Producers emit `placement_revoked` strictly before the
-        // victim's `job_retried`/`job_failed`, so FIFO draining at the
-        // next lifecycle close attributes them correctly.
-        let mut pending_revocations: Vec<(HostId, SimTime)> = Vec::new();
-        let mut current: Option<usize> = None;
-
-        let drain_revocations =
-            |pending: &mut Vec<(HostId, SimTime)>, fold: &mut JobFold, as_cause: bool| {
-                if pending.is_empty() {
-                    return;
-                }
-                if let Some(n) = fold.attempt_revocations.last_mut() {
-                    *n += pending.len() as u32;
-                }
-                if as_cause {
-                    if let Some(&(host, at)) = pending.first() {
-                        fold.pending_causes.push(Cause::Revoked { host, at });
-                    }
-                }
-                pending.clear();
-            };
-
-        for e in events {
-            match e {
-                TraceEvent::JobSubmitted { job, .. } => {
-                    folds.entry(*job).or_default();
-                }
-                TraceEvent::JobDispatched { job, at, .. } => {
-                    current = Some(*job);
-                    let f = folds.entry(*job).or_default();
-                    f.dispatches.push(*at);
-                    f.attempt_causes.push(std::mem::take(&mut f.pending_causes));
-                    f.attempt_revocations.push(0);
-                }
-                TraceEvent::JobBackfilled {
-                    job, reservation, ..
-                } => {
-                    folds
-                        .entry(*job)
-                        .or_default()
-                        .pending_causes
-                        .push(Cause::Backfilled {
-                            reservation: *reservation,
-                        });
-                }
-                TraceEvent::PlacementRevoked { host, at } => {
-                    pending_revocations.push((*host, *at));
-                }
-                TraceEvent::JobRetried { job, attempt, .. } => {
-                    if let Some(f) = folds.get_mut(job) {
-                        f.pending_causes.push(Cause::Retried {
-                            failed_attempt: *attempt,
-                        });
-                        drain_revocations(&mut pending_revocations, f, true);
-                    }
-                }
-                TraceEvent::JobCompleted { job, .. } | TraceEvent::JobFailed { job, .. } => {
-                    if let Some(f) = folds.get_mut(job) {
-                        // Revocations the attempt absorbed without
-                        // dying (phase-wise rescheduling) or that ended
-                        // it for good: counted, not a cause of anything
-                        // that follows.
-                        drain_revocations(&mut pending_revocations, f, false);
-                    }
-                    if current == Some(*job) {
-                        current = None;
-                    }
-                }
-                TraceEvent::TransferStart { from, to, at, .. } => {
-                    open_transfers.entry((from.0, to.0)).or_default().push(at.0);
-                }
-                TraceEvent::TransferFinish { from, to, at, .. } => {
-                    let started = open_transfers
-                        .get_mut(&(from.0, to.0))
-                        .and_then(|q| (!q.is_empty()).then(|| q.remove(0)));
-                    if let (Some(started), Some(f)) =
-                        (started, current.and_then(|c| folds.get_mut(&c)))
-                    {
-                        let attempt = f.dispatches.len() as u32;
-                        f.transfers.push((attempt, SimTime(started), *at));
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        let jobs = profile
-            .jobs
-            .iter()
-            .map(|jp| build_job_tree(jp, folds.remove(&jp.job).unwrap_or_default()))
-            .collect();
+        let Fold { profile, structure } = fold(events);
         SpanTree {
-            jobs,
+            jobs: profile
+                .jobs
+                .into_iter()
+                .zip(structure)
+                .map(|(jp, js)| build_job_tree(jp, js))
+                .collect(),
             unclosed_jobs: profile.unclosed_jobs,
             skipped_lines: 0,
         }
@@ -459,7 +374,7 @@ impl SpanTree {
             for s in &j.spans {
                 if let Some(p) = s.kind.phase() {
                     if s.partition {
-                        c.phase_us[phase_index(p)] += s.us();
+                        c.phase_us[p.index()] += s.us();
                     }
                 }
                 if s.kind == SpanKind::Transfer {
@@ -467,7 +382,7 @@ impl SpanTree {
                 }
                 c.revocations += u64::from(s.revocations);
             }
-            c.dominant_jobs[phase_index(j.dominant_phase())] += 1;
+            c.dominant_jobs[j.dominant_phase().index()] += 1;
         }
         c
     }
@@ -578,115 +493,67 @@ impl SpanTree {
     }
 }
 
-/// Assemble one job's span arena from its profile row (authoritative
-/// phase durations) and the fold (attempt boundaries, causes,
+/// Assemble one job's span arena from its profile row (phase
+/// durations) and its structure (attempt boundaries, causes,
 /// transfers).
-fn build_job_tree(jp: &crate::profile::JobProfile, fold: JobFold) -> JobSpanTree {
-    let mut spans = Vec::new();
-    spans.push(Span {
-        kind: SpanKind::Job,
-        start: jp.submit,
-        end: jp.finish,
-        parent: None,
-        attempt: 0,
-        partition: false,
-        causes: Vec::new(),
-        revocations: 0,
-    });
-    spans.push(Span {
-        kind: SpanKind::QueueWait,
-        start: jp.submit,
-        end: jp.first_dispatch,
-        parent: Some(0),
-        attempt: 0,
-        partition: true,
-        causes: Vec::new(),
-        revocations: 0,
-    });
-
-    let n = fold.dispatches.len();
-    let mut attempt_span_idx: Vec<usize> = Vec::with_capacity(n);
-    for (i, &d) in fold.dispatches.iter().enumerate() {
-        let is_final = i + 1 == n;
-        let end = if is_final {
-            jp.finish
-        } else {
-            fold.dispatches[i + 1]
-        };
+fn build_job_tree(jp: JobProfile, structure: JobStructure) -> JobSpanTree {
+    let mut spans = vec![
+        Span::new(SpanKind::Job, jp.submit, jp.finish, None, 0),
+        Span::new(
+            SpanKind::QueueWait,
+            jp.submit,
+            jp.first_dispatch,
+            Some(0),
+            0,
+        ),
+    ];
+    let mut attempt_span_idx: Vec<usize> = Vec::with_capacity(structure.attempts.len());
+    let mut attempts = structure.attempts.into_iter().enumerate().peekable();
+    while let Some((i, a)) = attempts.next() {
+        let n = (i + 1) as u32;
+        let next = attempts.peek().map(|(_, b)| b.at);
+        let end = next.unwrap_or(jp.finish);
         let idx = spans.len();
         attempt_span_idx.push(idx);
         spans.push(Span {
-            kind: SpanKind::Attempt,
-            start: d,
-            end,
-            parent: Some(0),
-            attempt: (i + 1) as u32,
-            partition: false,
-            causes: fold.attempt_causes.get(i).cloned().unwrap_or_default(),
-            revocations: fold.attempt_revocations.get(i).copied().unwrap_or(0),
+            causes: a.causes,
+            revocations: a.revocations,
+            ..Span::new(SpanKind::Attempt, a.at, end, Some(0), n)
         });
-        if is_final {
-            // The final window splits exactly as simprof attributes it.
-            let compute_us = jp.bucket_us(Phase::Compute);
-            let border_us = jp.bucket_us(Phase::BorderExchange);
-            let c0 = d;
-            let c1 = SimTime(c0.0 + compute_us);
-            let b1 = SimTime(c1.0 + border_us);
-            for (kind, s, e) in [
-                (SpanKind::Compute, c0, c1),
-                (SpanKind::BorderExchange, c1, b1),
-                (SpanKind::ContentionWait, b1, jp.finish),
-            ] {
-                spans.push(Span {
-                    kind,
-                    start: s,
-                    end: e,
-                    parent: Some(idx),
-                    attempt: (i + 1) as u32,
-                    partition: true,
-                    causes: Vec::new(),
-                    revocations: 0,
-                });
-            }
-        } else {
+        let leaf = |kind, start, end| Span::new(kind, start, end, Some(idx), n);
+        if next.is_some() {
             // Everything between two dispatches — the failed run, its
             // backoff, and any re-queue wait — is retry-backoff, the
             // same lump simprof charges to that phase.
-            spans.push(Span {
-                kind: SpanKind::RetryBackoff,
-                start: d,
-                end,
-                parent: Some(idx),
-                attempt: (i + 1) as u32,
-                partition: true,
-                causes: Vec::new(),
-                revocations: 0,
-            });
+            spans.push(leaf(SpanKind::RetryBackoff, a.at, end));
+        } else {
+            // The final window splits exactly as simprof attributes it.
+            let c1 = SimTime(a.at.0 + jp.bucket_us(Phase::Compute));
+            let b1 = SimTime(c1.0 + jp.bucket_us(Phase::BorderExchange));
+            spans.push(leaf(SpanKind::Compute, a.at, c1));
+            spans.push(leaf(SpanKind::BorderExchange, c1, b1));
+            spans.push(leaf(SpanKind::ContentionWait, b1, jp.finish));
         }
     }
 
-    for (attempt, start, end) in fold.transfers {
+    for (attempt, start, end) in structure.transfers {
         let slot = (attempt as usize)
             .min(attempt_span_idx.len())
             .saturating_sub(1);
-        let Some(&parent) = attempt_span_idx.get(slot) else {
-            continue;
-        };
-        spans.push(Span {
-            kind: SpanKind::Transfer,
-            start,
-            end,
-            parent: Some(parent),
-            attempt,
-            partition: false,
-            causes: Vec::new(),
-            revocations: 0,
-        });
+        if let Some(&parent) = attempt_span_idx.get(slot) {
+            spans.push(Span::new(
+                SpanKind::Transfer,
+                start,
+                end,
+                Some(parent),
+                attempt,
+            ));
+        }
     }
 
     JobSpanTree {
         job: jp.job,
-        class: jp.kind.clone(),
+        class: jp.kind,
         completed: jp.completed,
         attempts: jp.attempts,
         spans,
@@ -696,6 +563,7 @@ fn build_job_tree(jp: &crate::profile::JobProfile, fold: JobFold) -> JobSpanTree
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Profile;
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs_f64(secs)

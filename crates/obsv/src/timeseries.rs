@@ -190,6 +190,12 @@ impl TimeSeries {
         out
     }
 
+    /// Events of `kind` across every row (0 for a kind not in
+    /// [`KINDS`]).
+    pub fn count(&self, kind: &str) -> u64 {
+        kind_index(kind).map_or(0, |i| self.rows.iter().map(|r| r.kinds[i]).sum())
+    }
+
     /// Compact human rendering: one line per row with the headline
     /// gauges.
     pub fn render(&self) -> String {

@@ -6,10 +6,10 @@
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
 use apples_grid::{run, GridConfig, SchedRegime};
 use metasim::simtrace::{
-    decision_latency_seconds, first_divergence, host_busy_seconds, host_utilization_timeline,
-    queue_depth_timeline, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
+    first_divergence, EventSink, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
 };
 use metasim::{HostId, SimTime};
+use obsv::{MetricsSink, Phase, Profile, TimeSeries, TimeSeriesSink, WindowMode};
 
 fn s(x: f64) -> SimTime {
     SimTime::from_secs_f64(x)
@@ -121,8 +121,18 @@ fn traced_grid_run_spans_the_stack_and_matches_untraced() {
     assert_eq!(reparsed.last_at, summary.last_at);
 }
 
-/// The derived timelines on a hand-built trace, where every value can
-/// be checked against arithmetic done by eye.
+/// The time series of `events`, fed after the run.
+fn series(events: &[TraceEvent], mode: WindowMode) -> TimeSeries {
+    let mut sink = TimeSeriesSink::new(mode);
+    for e in events {
+        sink.record(e.clone());
+    }
+    sink.finalize()
+}
+
+/// The derived timelines (busy seconds, queue depth, decision latency)
+/// as the obsv views compute them, on a hand-built trace where every
+/// value can be checked against arithmetic done by eye.
 #[test]
 fn derived_timelines_match_hand_computed_values() {
     let events = vec![
@@ -141,7 +151,7 @@ fn derived_timelines_match_hand_computed_values() {
             at: s(3.0),
             attempt: 1,
         },
-        // Host 2 computes over [6, 10]: spans buckets [5,10) and [10,15).
+        // Host 2 computes over [6, 10]: 4 s of the [5, 10) window.
         TraceEvent::ComputeFinish {
             host: HostId(2),
             at: s(10.0),
@@ -157,39 +167,71 @@ fn derived_timelines_match_hand_computed_values() {
             at: s(12.0),
             attempt: 2,
         },
+        TraceEvent::JobCompleted {
+            job: 0,
+            at: s(13.0),
+            exec_seconds: 1.0,
+        },
         TraceEvent::JobDispatched {
             job: 1,
             at: s(14.0),
             attempt: 1,
         },
+        TraceEvent::JobCompleted {
+            job: 1,
+            at: s(16.0),
+            exec_seconds: 2.0,
+        },
     ];
 
-    let busy = host_busy_seconds(&events);
-    assert_eq!(busy.len(), 1);
-    assert!((busy[&HostId(2)] - 4.0).abs() < 1e-9);
+    let profile = Profile::from_events(&events);
+    assert_eq!(profile.hosts.len(), 1);
+    assert!((profile.hosts[&HostId(2)].compute_seconds - 4.0).abs() < 1e-9);
 
-    let util = host_utilization_timeline(&events, 5.0);
-    // Events end at t=14 → ceil(14/5) = 3 buckets of 5 s.
-    let lane = &util[&HostId(2)];
-    assert_eq!(lane.len(), 3);
-    assert!((lane[0] - 0.0).abs() < 1e-9, "no compute before t=5");
-    assert!((lane[1] - 0.8).abs() < 1e-9, "4 of [5,10) busy");
-    assert!((lane[2] - 0.0).abs() < 1e-9, "interval closed at t=10");
+    // Windows [0,5) [5,10) [10,15) [15,20): only the second is busy.
+    let fixed = series(&events, WindowMode::Fixed(s(5.0)));
+    let util: Vec<f64> = fixed.rows.iter().map(|r| r.utilization).collect();
+    assert_eq!(util.len(), 4);
+    for (got, want) in util.iter().zip([0.0, 0.8, 0.0, 0.0]) {
+        assert!((got - want).abs() < 1e-9, "utilization {util:?}");
+    }
 
-    // submit(+1) submit(+1) dispatch(-1) retry(+1) dispatch(-1) dispatch(-1)
-    let depth = queue_depth_timeline(&events);
-    let depths: Vec<usize> = depth.iter().map(|&(_, d)| d).collect();
-    assert_eq!(depths, vec![1, 2, 1, 2, 1, 0]);
-    assert_eq!(depth[3].0, s(11.0), "retry re-enters the queue at t=11");
+    // submit(+1) submit(+1) dispatch(-1) compute retry(+1) dispatch(-1)
+    // complete dispatch(-1) complete: the retry re-enters the queue at
+    // its own instant, t = 11.
+    let aligned = series(&events, WindowMode::EventAligned);
+    let depth: Vec<(f64, u64)> = aligned
+        .rows
+        .iter()
+        .map(|r| (r.start.as_secs_f64(), r.queue_depth))
+        .collect();
+    assert_eq!(
+        depth,
+        vec![
+            (1.0, 1),
+            (2.0, 2),
+            (3.0, 1),
+            (10.0, 1),
+            (11.0, 2),
+            (12.0, 1),
+            (13.0, 1),
+            (14.0, 0),
+            (16.0, 0)
+        ]
+    );
 
-    // Decision latency is submit → *first* dispatch; retries don't reset it.
-    let latency = decision_latency_seconds(&events);
-    assert!((latency[&0] - 2.0).abs() < 1e-9);
-    assert!((latency[&1] - 12.0).abs() < 1e-9);
+    // Decision latency is submit → *first* dispatch: the queue-wait
+    // bucket. The retry does not reset it.
+    let latency: Vec<f64> = profile
+        .jobs
+        .iter()
+        .map(|j| j.bucket_seconds(Phase::QueueWait))
+        .collect();
+    assert_eq!(latency, vec![2.0, 12.0]);
 }
 
-/// The same derived timelines on a real traced run: cross-check them
-/// against each other and against the stream's own invariants.
+/// The same views on a real traced run: cross-check them against each
+/// other and against the stream's own invariants.
 #[test]
 fn derived_timelines_are_consistent_on_a_real_trace() {
     let mut sink = VecSink::new();
@@ -201,38 +243,50 @@ fn derived_timelines_are_consistent_on_a_real_trace() {
     )
     .expect("traced stream");
     let events = &sink.events;
+    let profile = Profile::from_events(events);
 
-    // Busy seconds and the utilization timeline are two renderings of
-    // the same ComputeFinish intervals clipped to t >= 0, so each
-    // host's bucket-sum must equal its busy total.
-    let busy = host_busy_seconds(events);
-    let util = host_utilization_timeline(events, 10.0);
-    assert!(!busy.is_empty(), "no compute events in the stream");
-    assert_eq!(
-        busy.keys().collect::<Vec<_>>(),
-        util.keys().collect::<Vec<_>>()
-    );
-    for (host, lane) in &util {
-        let bucketed: f64 = lane.iter().sum::<f64>() * 10.0;
+    // Busy seconds, three ways: the profile's host totals, the metrics
+    // registry's per-host counters, and the time series' windows (the
+    // same ComputeFinish intervals spread across 10 s windows).
+    let mut metrics = MetricsSink::new();
+    for e in events {
+        metrics.record(e.clone());
+    }
+    let busy: f64 = profile.hosts.values().map(|h| h.compute_seconds).sum();
+    assert!(busy > 0.0, "no compute events in the stream");
+    for (host, h) in &profile.hosts {
+        let label = host.0.to_string();
+        let counted = metrics
+            .registry()
+            .counter_value("apples_host_busy_seconds_total", &[("host", &label)])
+            .unwrap_or(0.0);
         assert!(
-            (bucketed - busy[host]).abs() < 1e-6,
-            "host {host:?}: timeline sums to {bucketed} s, busy says {} s",
-            busy[host]
+            (counted - h.compute_seconds).abs() < 1e-6,
+            "host {host:?}: profile says {} s, metrics {counted} s",
+            h.compute_seconds
         );
     }
+    let windowed: f64 = series(events, WindowMode::Fixed(s(10.0)))
+        .rows
+        .iter()
+        .map(|r| r.busy_seconds)
+        .sum();
+    assert!(
+        (windowed - busy).abs() < 1e-6 * busy.max(1.0),
+        "windows sum to {windowed} s, hosts to {busy} s"
+    );
 
-    // Queue depth never goes negative (saturating) and ends at zero:
-    // the 300 s stream drains completely.
-    let depth = queue_depth_timeline(events);
-    assert!(!depth.is_empty());
-    assert_eq!(depth.last().map(|&(_, d)| d), Some(0), "queue must drain");
-    for w in depth.windows(2) {
-        assert!(w[0].0 <= w[1].0, "change points must be time-ordered");
+    // Queue depth is time-ordered and ends at zero: the 300 s stream
+    // drains completely.
+    let aligned = series(events, WindowMode::EventAligned);
+    assert!(!aligned.rows.is_empty());
+    assert_eq!(aligned.rows.last().map(|r| r.queue_depth), Some(0));
+    for w in aligned.rows.windows(2) {
+        assert!(w[0].start < w[1].start, "rows must be time-ordered");
     }
 
-    // Every dispatched job has a non-negative decision latency, and
-    // the count matches the dispatched-job population of the trace.
-    let latency = decision_latency_seconds(events);
+    // Every dispatched job closed with a queue-wait (decision latency)
+    // bucket of its own.
     let dispatched: std::collections::BTreeSet<usize> = events
         .iter()
         .filter_map(|e| match e {
@@ -240,6 +294,7 @@ fn derived_timelines_are_consistent_on_a_real_trace() {
             _ => None,
         })
         .collect();
-    assert_eq!(latency.len(), dispatched.len());
-    assert!(latency.values().all(|&l| l >= 0.0));
+    let profiled: std::collections::BTreeSet<usize> = profile.jobs.iter().map(|j| j.job).collect();
+    assert_eq!(profiled, dispatched);
+    assert_eq!(profile.unclosed_jobs, 0);
 }
