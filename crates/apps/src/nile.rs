@@ -22,7 +22,7 @@ use apples::hat::{Hat, TaskFarmTemplate};
 use apples::info::InfoPool;
 use apples::schedule::{FarmSchedule, Schedule};
 use metasim::net::{simulate_transfers, TransferReq};
-use metasim::{HostId, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimTime, Topology};
 
 /// A typical CLEO analysis: `roar`-format compressed events (§2.1:
 /// raw events are 8 KB, `pass2` records 20 KB, `roar` is a lossy
@@ -215,11 +215,18 @@ impl SiteManager {
                     start: now,
                     tag: 0,
                 }],
+                &mut NoopSink,
             )?;
             now = res[0].delivered;
         }
         for _ in 0..self.runs {
-            let report = actuate(topo, hat, &Schedule::Farm(plan.per_run.clone()), now)?;
+            let report = actuate(
+                topo,
+                hat,
+                &Schedule::Farm(plan.per_run.clone()),
+                now,
+                &mut NoopSink,
+            )?;
             now = report.finish;
         }
         Ok(now.saturating_sub(start).as_secs_f64())
@@ -359,7 +366,13 @@ pub fn run_multi_site(
                 ..t.clone()
             },
         );
-        let report = actuate(topo, &site_hat, &Schedule::Farm(sched.clone()), start)?;
+        let report = actuate(
+            topo,
+            &site_hat,
+            &Schedule::Farm(sched.clone()),
+            start,
+            &mut NoopSink,
+        )?;
         worst = worst.max(report.elapsed_seconds);
     }
     Ok(worst)

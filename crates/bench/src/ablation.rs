@@ -16,7 +16,7 @@ use apples_apps::jacobi2d::partition::jacobi_context;
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// NWS warm-up before scheduling.
@@ -58,7 +58,7 @@ pub fn forecast_trial(n: usize, iterations: usize, seed: u64, source: ForecastSo
         Schedule::Stencil(s) => s.clone(),
         other => panic!("unexpected schedule {other:?}"),
     };
-    simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP))
+    simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP), &mut NoopSink)
         .expect("run")
         .makespan(WARMUP)
         .as_secs_f64()
@@ -131,7 +131,7 @@ pub fn noise_trial(n: usize, iterations: usize, seed: u64, noise: f64) -> f64 {
         Schedule::Stencil(s) => s.clone(),
         other => panic!("unexpected schedule {other:?}"),
     };
-    simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP))
+    simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP), &mut NoopSink)
         .expect("run")
         .makespan(WARMUP)
         .as_secs_f64()
@@ -173,7 +173,7 @@ pub fn selection_trial(n: usize, iterations: usize, seed: u64) -> SelectionTrial
             Schedule::Stencil(s) => s.clone(),
             other => panic!("unexpected schedule {other:?}"),
         };
-        let secs = simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP))
+        let secs = simulate_spmd(&tb.topo, &sched.to_spmd_job(t, WARMUP), &mut NoopSink)
             .expect("run")
             .makespan(WARMUP)
             .as_secs_f64();

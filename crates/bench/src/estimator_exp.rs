@@ -14,7 +14,7 @@ use apples_apps::jacobi2d::partition::jacobi_context;
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::{HostId, SimTime};
+use metasim::{HostId, NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -105,7 +105,8 @@ pub fn run(samples: usize, seed: u64) -> (Vec<EstimatorSample>, Stats) {
         let Ok(predicted) = estimate_stencil(&pool, &sched) else {
             continue;
         };
-        let Ok(outcome) = simulate_spmd(&tb.topo, &sched.to_spmd_job(t, warmup)) else {
+        let Ok(outcome) = simulate_spmd(&tb.topo, &sched.to_spmd_job(t, warmup), &mut NoopSink)
+        else {
             continue;
         };
         out.push(EstimatorSample {

@@ -19,7 +19,7 @@
 use crate::table;
 use apples_grid::metrics::FleetMetrics;
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
-use apples_grid::{run, FaultInjection, GridConfig, Regime, SchedRegime};
+use apples_grid::{run_regime_jobs_with_sink, FaultInjection, GridConfig, Regime, SchedRegime};
 use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, SimTime};
 
@@ -97,29 +97,24 @@ pub fn run_fault_sweep(cfg: &FaultExpConfig) -> Vec<FaultTrial> {
                 seed: cfg.seed,
                 retry: RetryPolicy::with_attempts(cfg.max_attempts),
             };
-            let aware = run(
-                &GridConfig {
-                    regime: Regime::Aware,
-                    ..grid.clone()
-                },
-                SchedRegime::Selfish,
-                &workload,
-                &mut NoopSink,
-            )
-            .expect("aware stream");
-            let blind = run(
-                &GridConfig {
-                    regime: Regime::Blind,
-                    ..grid.clone()
-                },
-                SchedRegime::Selfish,
-                &WorkloadConfig {
-                    retry: RetryPolicy::with_attempts(1),
-                    ..workload.clone()
-                },
-                &mut NoopSink,
-            )
-            .expect("blind stream");
+            // Both agents face the same realized stream; only the
+            // information regime and the retry budget differ.
+            let jobs = workload.realize();
+            let stream = |regime, retry| {
+                run_regime_jobs_with_sink(
+                    &GridConfig {
+                        regime,
+                        ..grid.clone()
+                    },
+                    SchedRegime::Selfish,
+                    &jobs,
+                    workload.duration,
+                    retry,
+                    &mut NoopSink,
+                )
+            };
+            let aware = stream(Regime::Aware, workload.retry).expect("aware stream");
+            let blind = stream(Regime::Blind, RetryPolicy::with_attempts(1)).expect("blind stream");
             FaultTrial {
                 crash_rate,
                 aware: aware.fleet,

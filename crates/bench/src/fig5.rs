@@ -16,7 +16,7 @@ use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_str
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// Time the Weather Service warms up before the scheduling decision.
@@ -82,19 +82,27 @@ pub fn run_trial(n: usize, iterations: usize, seed: u64, profile: LoadProfile) -
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
     let apples_sched = apples_stencil_schedule(&pool).expect("apples plan");
     let t = hat.as_stencil().expect("stencil HAT");
-    let apples_out =
-        simulate_spmd(&tb.topo, &apples_sched.to_spmd_job(t, WARMUP)).expect("apples run");
+    let apples_out = simulate_spmd(
+        &tb.topo,
+        &apples_sched.to_spmd_job(t, WARMUP),
+        &mut NoopSink,
+    )
+    .expect("apples run");
 
     // Static non-uniform strips over every workstation (Figure 4's
     // compile-time partition).
     let strip_sched = static_strip(&tb.topo, n, iterations, &workstations);
-    let strip_out =
-        simulate_spmd(&tb.topo, &strip_sched.to_spmd_job(t, WARMUP)).expect("strip run");
+    let strip_out = simulate_spmd(&tb.topo, &strip_sched.to_spmd_job(t, WARMUP), &mut NoopSink)
+        .expect("strip run");
 
     // HPF uniform blocked over every workstation.
     let blocked_sched = blocked_uniform(n, iterations, &workstations);
-    let blocked_out =
-        simulate_spmd(&tb.topo, &blocked_sched.to_spmd_job(t, WARMUP)).expect("blocked run");
+    let blocked_out = simulate_spmd(
+        &tb.topo,
+        &blocked_sched.to_spmd_job(t, WARMUP),
+        &mut NoopSink,
+    )
+    .expect("blocked run");
 
     let apples_fractions = apples_sched
         .parts

@@ -16,7 +16,7 @@ use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform};
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::trace::Stats;
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// NWS warm-up before the scheduling decision.
@@ -63,14 +63,18 @@ pub fn run_trial(n: usize, iterations: usize, seed: u64) -> Fig6Trial {
     // AppLeS over the whole pool.
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, WARMUP);
     let apples_sched = apples_stencil_schedule(&pool).expect("apples plan");
-    let apples_out =
-        simulate_spmd(&tb.topo, &apples_sched.to_spmd_job(t, WARMUP)).expect("apples run");
+    let apples_out = simulate_spmd(
+        &tb.topo,
+        &apples_sched.to_spmd_job(t, WARMUP),
+        &mut NoopSink,
+    )
+    .expect("apples run");
 
     // Blocked on the SP-2 alone: the natural compile-time choice for a
     // user who knows the SP-2 is fast and idle.
     let blocked = blocked_uniform(n, iterations, &sp2);
-    let blocked_out =
-        simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP)).expect("blocked run");
+    let blocked_out = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, WARMUP), &mut NoopSink)
+        .expect("blocked run");
 
     let apples_hosts = apples_sched
         .parts

@@ -13,7 +13,7 @@ use apples_apps::jacobi2d::partition::jacobi_context;
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_strip};
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, LoadProfile, Testbed, TestbedConfig};
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// The strategies compared.
@@ -66,7 +66,7 @@ pub fn measure(strategy: Strategy, n: usize, iterations: usize, seed: u64) -> f6
         }
         Strategy::Blocked => blocked_uniform(n, iterations, &hosts).to_spmd_job(t, warmup),
     };
-    simulate_spmd(&tb.topo, &job)
+    simulate_spmd(&tb.topo, &job, &mut NoopSink)
         .expect("run")
         .makespan(warmup)
         .as_secs_f64()

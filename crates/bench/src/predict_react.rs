@@ -19,7 +19,7 @@ use metasim::exec::{simulate_workqueue, WorkQueueJob};
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{LinkSpec, TopologyBuilder};
-use metasim::{HostId, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// Load volatility of the worker pool.
@@ -97,7 +97,7 @@ pub fn run_point(
     ws.advance(&topo, warmup);
     let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, warmup);
     let farm = plan_farm(&pool, &workers, master, master).expect("farm plan");
-    let predictive = actuate(&topo, &hat, &Schedule::Farm(farm), warmup)
+    let predictive = actuate(&topo, &hat, &Schedule::Farm(farm), warmup, &mut NoopSink)
         .expect("farm run")
         .elapsed_seconds;
 

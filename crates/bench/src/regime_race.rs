@@ -208,19 +208,47 @@ fn stretches(records: &[JobRecord], dedicated: &BTreeMap<usize, f64>) -> Vec<f64
         .collect()
 }
 
+/// Reject a race config whose knobs would panic or silently run
+/// something else: every f64 knob must be finite, the rate, duration
+/// and mean outage positive, the crash rate non-negative, and the retry
+/// budget at least one attempt.
+fn check(cfg: &RaceConfig) -> Result<(), GridError> {
+    for (what, v, positive) in [
+        ("rate", cfg.rate_hz, true),
+        ("duration", cfg.duration_secs, true),
+        ("mean outage", cfg.mean_outage_secs, true),
+        ("crash rate", cfg.crash_rate, false),
+    ] {
+        let ok = v.is_finite() && if positive { v > 0.0 } else { v >= 0.0 };
+        if !ok {
+            let want = if positive { "positive" } else { "non-negative" };
+            return Err(GridError::InvalidConfig(format!(
+                "race {what} must be a finite {want} number, got {v}"
+            )));
+        }
+    }
+    if cfg.max_attempts == 0 {
+        return Err(GridError::InvalidConfig(
+            "race max_attempts must be at least 1".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Race every regime over every topology in `cfg`.
 pub fn run_race(cfg: &RaceConfig) -> Result<Vec<RaceTrial>, GridError> {
     run_race_with(cfg, &mut |_, _| {})
 }
 
 /// [`run_race`] with a progress callback, invoked once per
-/// (topology, regime) pair just before that leg starts. A full race
-/// is minutes of wall clock with no output; the CLI points this at
-/// stderr so the user can see which leg is running.
+/// (topology, regime) pair just before that leg starts. The CLI points
+/// it at stderr so the user can see which leg is running. A config
+/// whose knobs the race cannot run is a [`GridError::InvalidConfig`].
 pub fn run_race_with(
     cfg: &RaceConfig,
     progress: &mut dyn FnMut(&str, SchedRegime),
 ) -> Result<Vec<RaceTrial>, GridError> {
+    check(cfg)?;
     let retry = RetryPolicy {
         max_attempts: cfg.max_attempts,
         ..RetryPolicy::default()
@@ -560,6 +588,45 @@ mod tests {
             crash_rate: 0.5,
             ..RaceConfig::default()
         }
+    }
+
+    #[test]
+    fn every_bad_knob_is_an_invalid_config() {
+        type Knob = fn(&mut RaceConfig);
+        let cases: [(&str, Knob); 14] = [
+            ("rate", |c| c.rate_hz = f64::NAN),
+            ("rate", |c| c.rate_hz = f64::INFINITY),
+            ("rate", |c| c.rate_hz = 0.0),
+            ("rate", |c| c.rate_hz = -0.01),
+            ("duration", |c| c.duration_secs = f64::NAN),
+            ("duration", |c| c.duration_secs = f64::INFINITY),
+            ("duration", |c| c.duration_secs = 0.0),
+            ("crash rate", |c| c.crash_rate = f64::NAN),
+            ("crash rate", |c| c.crash_rate = f64::INFINITY),
+            ("crash rate", |c| c.crash_rate = -1.0),
+            ("mean outage", |c| c.mean_outage_secs = f64::NAN),
+            ("mean outage", |c| c.mean_outage_secs = f64::INFINITY),
+            ("mean outage", |c| c.mean_outage_secs = 0.0),
+            ("max_attempts", |c| c.max_attempts = 0),
+        ];
+        for (what, spoil) in cases {
+            let mut cfg = tiny();
+            spoil(&mut cfg);
+            let mut legs = 0;
+            match run_race_with(&cfg, &mut |_, _| legs += 1) {
+                Err(GridError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(what), "{what}: {msg}")
+                }
+                other => panic!("{what}: {cfg:?} gave {other:?}"),
+            }
+            assert_eq!(legs, 0, "{what}: no leg may start");
+        }
+        // Zero crashes is a valid rate: the fault-free race.
+        assert!(check(&RaceConfig {
+            crash_rate: 0.0,
+            ..tiny()
+        })
+        .is_ok());
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::{
 use apples::info::InfoPool;
 use apples_apps::jacobi2d::partition::{apples_blocked_decision, jacobi_context};
 use apples_apps::jacobi2d::{apples_stencil_schedule, blocked_uniform, static_strip};
-use metasim::exec::{simulate_spmd, simulate_spmd_with_sink};
-use metasim::simtrace::VecSink;
+use metasim::exec::simulate_spmd;
+use metasim::simtrace::{NoopSink, VecSink};
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
 use metasim::SimTime;
 use nws::{WeatherService, WeatherServiceConfig};
@@ -377,13 +377,13 @@ fn abl3() -> Report {
             let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
 
             let strip = apples_stencil_schedule(&pool).expect("strip plan");
-            let strip_run =
-                simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup)).expect("strip run");
+            let strip_run = simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup), &mut NoopSink)
+                .expect("strip run");
             strip_total += strip_run.makespan(warmup).as_secs_f64();
 
             let (blocked, _) = apples_blocked_decision(&pool).expect("blocked plan");
-            let block_run =
-                simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup)).expect("block run");
+            let block_run = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup), &mut NoopSink)
+                .expect("block run");
             block_total += block_run.makespan(warmup).as_secs_f64();
         }
         let strip_s = strip_total / trials as f64;
@@ -683,7 +683,7 @@ fn t_prof() -> Report {
     );
     for (name, job) in &jobs {
         let mut sink = VecSink::new();
-        let run = simulate_spmd_with_sink(&tb.topo, job, &mut sink).expect("spmd run");
+        let run = simulate_spmd(&tb.topo, job, &mut sink).expect("spmd run");
         let shares = Profile::from_events(&sink.events)
             .exec_shares()
             .expect("nonempty trace");

@@ -12,7 +12,7 @@ use apples_bench::table;
 use metasim::exec::simulate_spmd;
 use metasim::host::{HostSpec, SharingPolicy};
 use metasim::testbed::{pcl_sdsc, LoadProfile, Testbed, TestbedConfig};
-use metasim::{HostId, SimTime};
+use metasim::{HostId, NoopSink, SimTime};
 use nws::{ResourceKey, WeatherService, WeatherServiceConfig};
 
 pub type CmdResult = Result<(), Box<dyn std::error::Error>>;
@@ -129,7 +129,8 @@ pub fn schedule(p: &Parsed) -> CmdResult {
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup).with_source(source);
     let agent = Coordinator::new(hat.clone(), user.clone());
     let decision = agent.decide(&pool)?;
-    let report = apples::actuator::actuate(&tb.topo, &hat, decision.schedule(), warmup)?;
+    let report =
+        apples::actuator::actuate(&tb.topo, &hat, decision.schedule(), warmup, &mut NoopSink)?;
 
     println!(
         "Jacobi2D {n}x{n}, {iterations} iterations — {} candidates considered, {} rejected",
@@ -168,13 +169,13 @@ pub fn compare(p: &Parsed) -> CmdResult {
     ws.advance(&tb.topo, warmup);
     let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, warmup);
     let apples = apples_apps::jacobi2d::apples_stencil_schedule(&pool)?;
-    let a = simulate_spmd(&tb.topo, &apples.to_spmd_job(t, warmup))?;
+    let a = simulate_spmd(&tb.topo, &apples.to_spmd_job(t, warmup), &mut NoopSink)?;
 
     let ws_hosts = tb.workstations();
     let strip = static_strip(&tb.topo, n, iterations, &ws_hosts);
-    let s = simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup))?;
+    let s = simulate_spmd(&tb.topo, &strip.to_spmd_job(t, warmup), &mut NoopSink)?;
     let blocked = blocked_uniform(n, iterations, &ws_hosts);
-    let b = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup))?;
+    let b = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, warmup), &mut NoopSink)?;
 
     let (a, s, b) = (
         a.makespan(warmup).as_secs_f64(),
@@ -378,14 +379,14 @@ pub fn resched(p: &Parsed) -> CmdResult {
     let mut ws1 = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
     ws1.advance(&topo, start);
     let one_shot = Coordinator::new(hat.clone(), user.clone());
-    let (_, one_shot_report) = one_shot.run(&topo, &ws1, start)?;
+    let (_, one_shot_report) = one_shot.run(&topo, &ws1, start, &mut NoopSink)?;
 
     // Adaptive: re-plan every `phase` iterations, migrate when the
     // predicted savings beat the data-movement cost.
     let mut ws2 = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
     let mut adaptive = ReschedulingAgent::new(Coordinator::new(hat, user));
     adaptive.policy.phase_iterations = phase;
-    let report = adaptive.run_stencil(&topo, &mut ws2, start)?;
+    let report = adaptive.run_stencil(&topo, &mut ws2, start, &mut NoopSink)?;
 
     println!(
         "Mid-execution rescheduling: Jacobi2D {n}x{n}, {iterations} iterations,\n\
@@ -774,12 +775,6 @@ pub fn race(p: &Parsed) -> CmdResult {
     } else {
         split_topo_list(topo_raw)
     };
-    if rate_hz <= 0.0 || duration_secs <= 0.0 {
-        return Err(ArgError("race needs a positive rate and duration".into()).into());
-    }
-    if crash_rate < 0.0 || mean_outage_secs <= 0.0 || max_attempts == 0 {
-        return Err(ArgError("race fault and retry knobs must be sane".into()).into());
-    }
     let cfg = RaceConfig {
         topos,
         rate_hz,
@@ -789,13 +784,8 @@ pub fn race(p: &Parsed) -> CmdResult {
         mean_outage_secs,
         max_attempts,
     };
-    println!(
-        "T-RACE: Poisson arrivals at {rate_hz}/s for {duration_secs} s, seed {seed}, \
-         crashes {crash_rate}/host-hour\n\
-         (every regime faces the same realized stream and fault schedule)\n"
-    );
-    // A full race is minutes of silent wall clock; narrate each leg
-    // on stderr so redirected stdout stays clean. --quiet disables it.
+    // Narrate each leg on stderr so redirected stdout stays clean.
+    // --quiet disables it.
     let quiet = p.switch("quiet");
     let legs = cfg.topos.len() * apples_grid::SchedRegime::ALL.len();
     let mut done = 0usize;
@@ -805,6 +795,11 @@ pub fn race(p: &Parsed) -> CmdResult {
             eprintln!("race [{done}/{legs}] {topo}: {} regime...", regime.name());
         }
     })?;
+    println!(
+        "T-RACE: Poisson arrivals at {rate_hz}/s for {duration_secs} s, seed {seed}, \
+         crashes {crash_rate}/host-hour\n\
+         (every regime faces the same realized stream and fault schedule)\n"
+    );
     println!("{}", render(&trials));
     let report_path = p.get("report", "");
     if !report_path.is_empty() {

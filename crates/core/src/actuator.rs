@@ -10,9 +10,9 @@
 use crate::error::ApplesError;
 use crate::hat::Hat;
 use crate::schedule::{FarmSchedule, Schedule};
-use metasim::exec::{simulate_pipeline, simulate_spmd_with_sink, PipelineOutcome, SpmdOutcome};
-use metasim::net::{simulate_transfers_with_sink, TransferReq};
-use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
+use metasim::exec::{simulate_pipeline, simulate_spmd, PipelineOutcome, SpmdOutcome};
+use metasim::net::{simulate_transfers, TransferReq};
+use metasim::simtrace::{EventSink, TraceEvent};
 use metasim::{HostId, SimTime, Topology};
 
 /// Realized outcome of a task-farm actuation.
@@ -46,19 +46,10 @@ pub struct ActuationReport {
     pub detail: ActuationDetail,
 }
 
-/// Run `schedule` on the simulated system starting at `start`.
+/// Run `schedule` on the simulated system starting at `start`,
+/// streaming the executors' compute/transfer events plus a closing
+/// [`TraceEvent::Actuated`] into `sink`.
 pub fn actuate(
-    topo: &Topology,
-    hat: &Hat,
-    schedule: &Schedule,
-    start: SimTime,
-) -> Result<ActuationReport, ApplesError> {
-    actuate_with_sink(topo, hat, schedule, start, &mut NoopSink)
-}
-
-/// [`actuate`], streaming the executors' compute/transfer events plus a
-/// closing [`TraceEvent::Actuated`] into `sink`.
-pub fn actuate_with_sink(
     topo: &Topology,
     hat: &Hat,
     schedule: &Schedule,
@@ -73,7 +64,7 @@ pub fn actuate_with_sink(
             })?;
             s.validate()?;
             let job = s.to_spmd_job(t, start);
-            let out = simulate_spmd_with_sink(topo, &job, sink)?;
+            let out = simulate_spmd(topo, &job, sink)?;
             ActuationReport {
                 finish: out.finish,
                 elapsed_seconds: out.makespan(start).as_secs_f64(),
@@ -135,7 +126,7 @@ fn actuate_farm(
             tag: i,
         })
         .collect();
-    let delivered = simulate_transfers_with_sink(topo, &pulls, sink)?;
+    let delivered = simulate_transfers(topo, &pulls, sink)?;
 
     // Phase 2: compute; phase 3: return results.
     let mut pushes = Vec::with_capacity(sched.assignments.len());
@@ -165,7 +156,7 @@ fn actuate_farm(
             tag: i,
         });
     }
-    let results = simulate_transfers_with_sink(topo, &pushes, sink)?;
+    let results = simulate_transfers(topo, &pushes, sink)?;
 
     let mut host_done = Vec::with_capacity(results.len());
     let mut finish = start;
@@ -183,10 +174,11 @@ fn actuate_farm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hat::{jacobi2d_hat, Hat, TaskFarmTemplate};
-    use crate::schedule::{StencilPart, StencilSchedule};
+    use crate::hat::{jacobi2d_hat, ArchEfficiency, Hat, PipelineTemplate, TaskFarmTemplate};
+    use crate::schedule::{PipelineSchedule, StencilPart, StencilSchedule};
     use metasim::host::HostSpec;
     use metasim::net::{LinkSpec, TopologyBuilder};
+    use metasim::simtrace::{NoopSink, VecSink};
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
@@ -212,7 +204,7 @@ mod tests {
                 rows: 1000,
             }],
         });
-        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO).unwrap();
+        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO, &mut NoopSink).unwrap();
         // 5 Mflop/iter at 10 Mflop/s × 10 iterations = 5 s.
         assert!((rep.elapsed_seconds - 5.0).abs() < 1e-6);
         assert!(matches!(rep.detail, ActuationDetail::Spmd(_)));
@@ -230,7 +222,7 @@ mod tests {
                 rows: 1000,
             }],
         });
-        let rep = actuate(&topo, &hat, &sched, s(100.0)).unwrap();
+        let rep = actuate(&topo, &hat, &sched, s(100.0), &mut NoopSink).unwrap();
         assert!((rep.finish.as_secs_f64() - 100.5).abs() < 1e-6);
         assert!((rep.elapsed_seconds - 0.5).abs() < 1e-6);
     }
@@ -245,7 +237,7 @@ mod tests {
             assignments: vec![(HostId(0), 1)],
         });
         assert!(matches!(
-            actuate(&topo, &hat, &farm, SimTime::ZERO),
+            actuate(&topo, &hat, &farm, SimTime::ZERO, &mut NoopSink),
             Err(ApplesError::TemplateMismatch { .. })
         ));
     }
@@ -267,7 +259,7 @@ mod tests {
             result_home: HostId(0),
             assignments: vec![(HostId(1), 100)],
         });
-        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO).unwrap();
+        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO, &mut NoopSink).unwrap();
         // Pull 10 MB at 10 MB/s = 1 s; compute 100 Mflop at 10 Mflop/s
         // = 10 s; push 1 MB = 0.1 s. Total 11.1 s.
         assert!(
@@ -298,8 +290,81 @@ mod tests {
             result_home: HostId(0),
             assignments: vec![(HostId(0), 100)],
         });
-        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO).unwrap();
+        let rep = actuate(&topo, &hat, &sched, SimTime::ZERO, &mut NoopSink).unwrap();
         // Compute only: 10 s.
         assert!((rep.elapsed_seconds - 10.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn the_sink_never_changes_the_outcome() {
+        let topo = topo2();
+        let stencil = (
+            jacobi2d_hat(1000, 4),
+            Schedule::Stencil(StencilSchedule {
+                n: 1000,
+                iterations: 4,
+                parts: vec![
+                    StencilPart {
+                        host: HostId(0),
+                        rows: 600,
+                    },
+                    StencilPart {
+                        host: HostId(1),
+                        rows: 400,
+                    },
+                ],
+            }),
+        );
+        let pipeline = (
+            Hat::pipeline(
+                "pipe",
+                PipelineTemplate {
+                    total_units: 40,
+                    producer_mflop_per_unit: 2.0,
+                    consumer_mflop_per_unit: 3.0,
+                    mb_per_unit: 0.5,
+                    producer_resident_mb: 10.0,
+                    consumer_base_mb: 10.0,
+                    consumer_mb_per_buffered_unit: 0.1,
+                    convert_mflop_per_message: 0.5,
+                    producer_efficiency: ArchEfficiency::default(),
+                    consumer_efficiency: ArchEfficiency::default(),
+                },
+            ),
+            Schedule::Pipeline(PipelineSchedule {
+                producer: HostId(0),
+                consumer: HostId(1),
+                unit_size: 5,
+                depth: 2,
+            }),
+        );
+        let farm = (
+            Hat::task_farm(
+                "farm",
+                TaskFarmTemplate {
+                    events: 100,
+                    mflop_per_event: 1.0,
+                    mb_per_event: 0.1,
+                    result_mb_per_event: 0.01,
+                },
+            ),
+            Schedule::Farm(FarmSchedule {
+                data_home: HostId(0),
+                result_home: HostId(0),
+                assignments: vec![(HostId(0), 60), (HostId(1), 40)],
+            }),
+        );
+        for (hat, sched) in [stencil, pipeline, farm] {
+            let plain = actuate(&topo, &hat, &sched, s(3.0), &mut NoopSink).unwrap();
+            let mut sink = VecSink::new();
+            let traced = actuate(&topo, &hat, &sched, s(3.0), &mut sink).unwrap();
+            assert_eq!(plain, traced, "{}", hat.class_name());
+            match sink.events.last() {
+                Some(TraceEvent::Actuated { at, finish, .. }) => {
+                    assert_eq!((*at, *finish), (s(3.0), plain.finish));
+                }
+                other => panic!("{}: trace ends in {other:?}", hat.class_name()),
+            }
+        }
     }
 }

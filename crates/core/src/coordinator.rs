@@ -7,7 +7,7 @@
 //! for reporting). [`Coordinator::run`] completes the loop by handing
 //! the winner to the Actuator.
 
-use crate::actuator::{actuate_with_sink, ActuationReport};
+use crate::actuator::{actuate, ActuationReport};
 use crate::error::ApplesError;
 use crate::estimator::{estimate_seconds, objective};
 use crate::hat::Hat;
@@ -133,7 +133,7 @@ impl Decision {
 /// use apples::{Coordinator, UserSpec};
 /// use metasim::host::HostSpec;
 /// use metasim::net::{LinkSpec, TopologyBuilder};
-/// use metasim::SimTime;
+/// use metasim::{NoopSink, SimTime};
 /// use nws::{WeatherService, WeatherServiceConfig};
 ///
 /// let mut b = TopologyBuilder::new();
@@ -147,7 +147,7 @@ impl Decision {
 /// weather.advance(&topo, now);
 ///
 /// let agent = Coordinator::new(jacobi2d_hat(600, 20), UserSpec::default());
-/// let (decision, report) = agent.run(&topo, &weather, now).unwrap();
+/// let (decision, report) = agent.run(&topo, &weather, now, &mut NoopSink).unwrap();
 /// assert!(!decision.considered.is_empty());
 /// assert!(report.elapsed_seconds > 0.0);
 /// ```
@@ -291,19 +291,9 @@ impl Coordinator {
     }
 
     /// The full blueprint: decide with NWS information at `now`, then
-    /// actuate the winner at `now`.
+    /// actuate the winner at `now`, streaming decision and actuation
+    /// events into `sink`.
     pub fn run(
-        &self,
-        topo: &Topology,
-        weather: &WeatherService,
-        now: SimTime,
-    ) -> Result<(Decision, ActuationReport), ApplesError> {
-        self.run_with_sink(topo, weather, now, &mut NoopSink)
-    }
-
-    /// [`Coordinator::run`], with decision and actuation events
-    /// streamed into `sink`.
-    pub fn run_with_sink(
         &self,
         topo: &Topology,
         weather: &WeatherService,
@@ -312,7 +302,7 @@ impl Coordinator {
     ) -> Result<(Decision, ActuationReport), ApplesError> {
         let pool = InfoPool::with_nws(topo, weather, &self.hat, &self.user, now);
         let decision = self.decide_with_sink(&pool, sink)?;
-        let report = actuate_with_sink(topo, &self.hat, decision.schedule(), now, sink)?;
+        let report = actuate(topo, &self.hat, decision.schedule(), now, sink)?;
         Ok((decision, report))
     }
 }
@@ -320,7 +310,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actuator::actuate;
     use crate::hat::jacobi2d_hat;
     use crate::info::ForecastSource;
     use metasim::host::HostSpec;
@@ -383,11 +372,11 @@ mod tests {
         // Static pool predicts the 3-host split is fastest...
         assert_eq!(d.schedule().hosts().len(), 3);
         // ...but actuating it is slower than the oracle-informed pick.
-        let static_run = actuate(&topo, &hat, d.schedule(), SimTime::ZERO).unwrap();
+        let static_run = actuate(&topo, &hat, d.schedule(), SimTime::ZERO, &mut NoopSink).unwrap();
         let oracle_pool = InfoPool::static_nominal(&topo, &hat, &agent.user, SimTime::ZERO)
             .with_source(ForecastSource::Oracle);
         let od = agent.decide(&oracle_pool).unwrap();
-        let oracle_run = actuate(&topo, &hat, od.schedule(), SimTime::ZERO).unwrap();
+        let oracle_run = actuate(&topo, &hat, od.schedule(), SimTime::ZERO, &mut NoopSink).unwrap();
         assert!(
             oracle_run.elapsed_seconds < static_run.elapsed_seconds,
             "oracle {} vs static {}",
@@ -404,7 +393,7 @@ mod tests {
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, s(600.0));
         let agent = Coordinator::new(hat.clone(), user.clone());
-        let (decision, report) = agent.run(&topo, &ws, s(600.0)).unwrap();
+        let (decision, report) = agent.run(&topo, &ws, s(600.0), &mut NoopSink).unwrap();
         assert!(!decision.considered.is_empty());
         assert!(report.elapsed_seconds > 0.0);
         assert!(report.finish > s(600.0));

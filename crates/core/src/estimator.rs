@@ -274,7 +274,7 @@ mod tests {
         let predicted = estimate_stencil(&pool, &sched).unwrap();
         let t = hat.as_stencil().unwrap();
         let job = sched.to_spmd_job(t, SimTime::ZERO);
-        let actual = metasim::exec::simulate_spmd(&topo, &job)
+        let actual = metasim::exec::simulate_spmd(&topo, &job, &mut metasim::NoopSink)
             .unwrap()
             .finish
             .as_secs_f64();

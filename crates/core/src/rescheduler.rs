@@ -13,7 +13,7 @@
 //! predicted saving exceeds the predicted cost of moving the data —
 //! the same application-centric calculus as the initial decision.
 
-use crate::actuator::actuate_with_sink;
+use crate::actuator::actuate;
 use crate::coordinator::Coordinator;
 use crate::error::ApplesError;
 use crate::estimator::estimate_stencil;
@@ -101,24 +101,14 @@ impl ReschedulingAgent {
         }
     }
 
-    /// Execute a stencil application with phase-wise rescheduling.
+    /// Execute a stencil application with phase-wise rescheduling,
+    /// streaming every re-plan's trigger, the keep/migrate calculus,
+    /// revocations, and the underlying executor events into `sink`.
     ///
     /// The weather service is advanced to each scheduling point, so
     /// every re-plan sees measurements up to (but never beyond) the
     /// current simulated time.
     pub fn run_stencil(
-        &self,
-        topo: &Topology,
-        weather: &mut WeatherService,
-        start: SimTime,
-    ) -> Result<RescheduleReport, ApplesError> {
-        self.run_stencil_with_sink(topo, weather, start, &mut NoopSink)
-    }
-
-    /// [`Self::run_stencil`], streaming every re-plan's trigger, the
-    /// keep/migrate calculus, revocations, and the underlying executor
-    /// events into `sink`.
-    pub fn run_stencil_with_sink(
         &self,
         topo: &Topology,
         weather: &mut WeatherService,
@@ -219,7 +209,7 @@ impl ReschedulingAgent {
                 iterations: phase_iters,
                 parts: sched.parts.clone(),
             };
-            let report = match actuate_with_sink(
+            let report = match actuate(
                 topo,
                 &rescoped_hat(&self.coordinator.hat.name, &template, phase_iters),
                 &Schedule::Stencil(phase_sched.clone()),
@@ -399,7 +389,7 @@ fn perform_migration(
     if reqs.is_empty() {
         return Ok(0.0);
     }
-    let done = simulate_transfers(topo, &reqs)?
+    let done = simulate_transfers(topo, &reqs, &mut NoopSink)?
         .into_iter()
         .map(|r| r.delivered)
         .fold(now, SimTime::max);
@@ -455,7 +445,9 @@ mod tests {
         let topo = swapping_topo();
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let a = agent(600, 50);
-        let report = a.run_stencil(&topo, &mut ws, s(600.0)).unwrap();
+        let report = a
+            .run_stencil(&topo, &mut ws, s(600.0), &mut NoopSink)
+            .unwrap();
         let total: usize = report.phases.iter().map(|p| p.iterations).sum();
         assert_eq!(total, 50);
         assert!(report.elapsed_seconds > 0.0);
@@ -471,7 +463,9 @@ mod tests {
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let mut a = agent(1400, 400);
         a.policy.phase_iterations = 50;
-        let report = a.run_stencil(&topo, &mut ws, s(600.0)).unwrap();
+        let report = a
+            .run_stencil(&topo, &mut ws, s(600.0), &mut NoopSink)
+            .unwrap();
         assert!(
             report.migrations >= 1,
             "expected at least one migration: {report:?}"
@@ -489,13 +483,17 @@ mod tests {
         let mut ws1 = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws1.advance(&topo, s(600.0));
         let one_shot_agent = Coordinator::new(hat.clone(), user.clone());
-        let (_, one_shot) = one_shot_agent.run(&topo, &ws1, s(600.0)).unwrap();
+        let (_, one_shot) = one_shot_agent
+            .run(&topo, &ws1, s(600.0), &mut NoopSink)
+            .unwrap();
 
         // Rescheduling across the same conditions.
         let mut ws2 = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let mut a = agent(1400, 400);
         a.policy.phase_iterations = 50;
-        let adaptive = a.run_stencil(&topo, &mut ws2, s(600.0)).unwrap();
+        let adaptive = a
+            .run_stencil(&topo, &mut ws2, s(600.0), &mut NoopSink)
+            .unwrap();
 
         assert!(
             adaptive.elapsed_seconds < one_shot.elapsed_seconds,
@@ -514,7 +512,9 @@ mod tests {
         let topo = b.instantiate(s(1e6), 0).unwrap();
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let a = agent(800, 100);
-        let report = a.run_stencil(&topo, &mut ws, s(600.0)).unwrap();
+        let report = a
+            .run_stencil(&topo, &mut ws, s(600.0), &mut NoopSink)
+            .unwrap();
         assert_eq!(report.migrations, 0, "{report:?}");
     }
 
@@ -595,7 +595,9 @@ mod tests {
         // Enough iterations that the run crosses t = 650.
         let mut a = agent(1400, 600);
         a.policy.phase_iterations = 100;
-        let report = a.run_stencil(&topo, &mut ws, s(600.0)).unwrap();
+        let report = a
+            .run_stencil(&topo, &mut ws, s(600.0), &mut NoopSink)
+            .unwrap();
         let total: usize = report.phases.iter().map(|p| p.iterations).sum();
         assert_eq!(total, 600, "all iterations must complete");
         // Later phases must not use the dead host.
@@ -620,7 +622,9 @@ mod tests {
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let mut a = agent(1400, 2000);
         a.policy.phase_iterations = 200;
-        assert!(a.run_stencil(&topo, &mut ws, s(600.0)).is_err());
+        assert!(a
+            .run_stencil(&topo, &mut ws, s(600.0), &mut NoopSink)
+            .is_err());
     }
 
     #[test]
@@ -629,6 +633,8 @@ mod tests {
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         let mut a = agent(100, 10);
         a.policy.phase_iterations = 0;
-        assert!(a.run_stencil(&topo, &mut ws, SimTime::ZERO).is_err());
+        assert!(a
+            .run_stencil(&topo, &mut ws, SimTime::ZERO, &mut NoopSink)
+            .is_err());
     }
 }

@@ -13,12 +13,13 @@
 //! actuate both plans under the *same* realized contention. Background
 //! load is untouched — faster silicon does not calm the other users.
 
+use crate::actuator::actuate;
 use crate::coordinator::Coordinator;
 use crate::error::ApplesError;
 use crate::hat::Hat;
 use crate::info::InfoPool;
 use crate::user::UserSpec;
-use metasim::{HostId, LinkId, SimTime, Topology};
+use metasim::{HostId, LinkId, NoopSink, SimTime, Topology};
 use nws::WeatherService;
 
 /// A hypothetical hardware change.
@@ -123,7 +124,8 @@ pub fn evaluate(
     let run_on = |t: &Topology| -> Result<f64, ApplesError> {
         let pool = InfoPool::with_nws(t, weather, hat, user, now);
         let decision = agent.decide(&pool)?;
-        Ok(crate::actuator::actuate(t, hat, decision.schedule(), now)?.elapsed_seconds)
+        let report = actuate(t, hat, decision.schedule(), now, &mut NoopSink)?;
+        Ok(report.elapsed_seconds)
     };
     let baseline_seconds = run_on(topo)?;
     let mut results = Vec::with_capacity(upgrades.len());

@@ -36,6 +36,12 @@
 //! exponential backoff ([`workload::RetryPolicy`]), with aware stencil
 //! jobs rescheduling remnant work onto surviving hosts.
 //!
+//! A stream enters through [`GridService::run`], which validates the
+//! config and workload first, or through [`run_regime_jobs_with_sink`]
+//! with an explicit job list (such as [`WorkloadConfig::realize`]'s).
+//! Both take an `EventSink` as their last parameter; pass `NoopSink`
+//! for none.
+//!
 //! Everything is deterministic per seed: same seed + same workload
 //! config + same fault schedule → bit-identical records and fleet
 //! metrics. The [`obsv`] crate (re-exported here) turns the service's
@@ -52,8 +58,8 @@ pub use obsv;
 
 pub use metrics::{percentile, slowdown_of, FleetMetrics, JobRecord};
 pub use sched::{
-    run, run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink,
-    run_solo_references, BackfillEntry, BatchLog, FractionalLog, SchedRegime, ShareSample,
+    run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, run_solo_references,
+    BackfillEntry, BatchLog, FractionalLog, SchedRegime, ShareSample,
 };
 pub use service::{
     validate_config, Diagnostic, FaultInjection, GridConfig, GridError, GridOutcome, GridService,

@@ -22,7 +22,7 @@ use crate::service::{build_topology, FaultInjection, GridConfig, GridError, Grid
 use crate::workload::{JobSpec, RetryPolicy};
 use apples::ApplesError;
 use metasim::simtrace::{EventSink, TraceEvent};
-use metasim::{apply_faults_with_sink, FaultSpec, HostId, SimError, SimTime, Topology};
+use metasim::{apply_faults, FaultSpec, HostId, SimError, SimTime, Topology};
 
 /// One submitted job's progress through the lifecycle.
 pub(crate) struct Job<'a> {
@@ -91,7 +91,7 @@ impl<'a> Lifecycle<'a> {
             return Err(GridError::InvalidConfig(m));
         }
         if !faults.is_empty() {
-            apply_faults_with_sink(&mut live, &faults, sink)?;
+            apply_faults(&mut live, &faults, sink)?;
         }
         let mut ordered: Vec<&JobSpec> = jobs.iter().collect();
         ordered.sort_by_key(|j| (j.submit, j.id));

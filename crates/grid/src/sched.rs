@@ -38,8 +38,9 @@
 //!
 //! ## Entry points
 //!
-//! [`run`] realizes a [`WorkloadConfig`]; [`run_regime_jobs_with_sink`]
-//! streams an explicit job list; [`GridService::run`] validates first.
+//! [`run_regime_jobs_with_sink`] streams a job list, such as a realized
+//! [`WorkloadConfig`]; [`GridService::run`] validates the config and
+//! workload first, then realizes and streams it.
 //! [`run_batch_with_log`] and [`run_fractional_with_log`] also return
 //! the audit logs the invariant tests read. Every one takes an
 //! [`EventSink`]; pass [`NoopSink`] for none. [`run_solo_references`]
@@ -78,6 +79,7 @@
 //! [`StepSeries::impose`]: metasim::load::StepSeries::impose
 //! [`FaultSpec`]: metasim::FaultSpec
 //! [`GridService::run`]: crate::GridService::run
+//! [`WorkloadConfig`]: crate::WorkloadConfig
 //! [`Regime::Blind`]: crate::Regime::Blind
 //! [`NoopSink`]: metasim::simtrace::NoopSink
 
@@ -86,8 +88,8 @@ use crate::metrics::JobRecord;
 use crate::service::{
     build_topology, decide, run_selfish, FaultInjection, GridConfig, GridError, GridOutcome,
 };
-use crate::workload::{JobKind, JobSpec, RetryPolicy, WorkloadConfig};
-use apples::actuator::actuate_with_sink;
+use crate::workload::{JobKind, JobSpec, RetryPolicy};
+use apples::actuator::actuate;
 use apples::hat::Hat;
 use apples::info::InfoPool;
 use apples::schedule::Schedule;
@@ -147,30 +149,12 @@ impl std::fmt::Display for SchedRegime {
     }
 }
 
-/// Realize `workload` and stream it under `regime`, narrating every
-/// job's lifecycle (submit → dispatch → retry → complete/fail), the
-/// agents' decisions, forecasts, faults, imposed load and executor
-/// events into `sink`.
-pub fn run(
-    cfg: &GridConfig,
-    regime: SchedRegime,
-    workload: &WorkloadConfig,
-    sink: &mut dyn EventSink,
-) -> Result<GridOutcome, GridError> {
-    workload.validate()?;
-    run_regime_jobs_with_sink(
-        cfg,
-        regime,
-        &workload.realize(),
-        workload.duration,
-        workload.retry,
-        sink,
-    )
-}
-
 /// Stream an explicit job list (offsets from stream start) under
-/// `regime` and `retry`. `duration` is the submission-window length
-/// used for throughput and utilization denominators.
+/// `regime` and `retry`, narrating every job's lifecycle (submit →
+/// dispatch → retry → complete/fail), the agents' decisions,
+/// forecasts, faults, imposed load and executor events into `sink`.
+/// `duration` is the submission-window length used for throughput and
+/// utilization denominators.
 pub fn run_regime_jobs_with_sink(
     cfg: &GridConfig,
     regime: SchedRegime,
@@ -537,7 +521,7 @@ impl<'a> BatchRun<'a> {
             .ok_or_else(|| GridError::Internal("started job has no plan".into()))?;
         self.life.dispatch(idx, now, self.sink);
         let topo = &self.life.live;
-        match actuate_with_sink(topo, &planned.hat, &planned.schedule, now, self.sink) {
+        match actuate(topo, &planned.hat, &planned.schedule, now, self.sink) {
             Ok(report) => {
                 let exec = report.elapsed_seconds;
                 let hosts = &planned.hosts;
@@ -829,8 +813,7 @@ impl<'a> FracRun<'a> {
                 // What-if actuation on the pristine testbed measures the
                 // job's dedicated-equivalent work; the executor events are
                 // hypothetical, so they go to a noop sink.
-                actuate_with_sink(pristine, &p.hat, &p.schedule, now, &mut NoopSink)
-                    .map(|report| (p, report))
+                actuate(pristine, &p.hat, &p.schedule, now, &mut NoopSink).map(|report| (p, report))
             });
         match outcome {
             Ok((p, report)) => {
@@ -894,7 +877,7 @@ impl<'a> FracRun<'a> {
 mod tests {
     use super::*;
     use crate::service::{FaultInjection, GridService, Regime};
-    use crate::workload::{ArrivalProcess, JobMix};
+    use crate::workload::{ArrivalProcess, JobMix, WorkloadConfig};
     use metasim::{FaultSpec, HostFault, LinkFault, LinkId};
 
     fn small_workload(seed: u64) -> WorkloadConfig {
@@ -918,7 +901,15 @@ mod tests {
         regime: SchedRegime,
         w: &WorkloadConfig,
     ) -> Result<GridOutcome, GridError> {
-        run(cfg, regime, w, &mut NoopSink)
+        w.validate()?;
+        run_regime_jobs_with_sink(
+            cfg,
+            regime,
+            &w.realize(),
+            w.duration,
+            w.retry,
+            &mut NoopSink,
+        )
     }
 
     #[test]

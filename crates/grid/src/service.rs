@@ -53,7 +53,7 @@ use crate::lifecycle::{realize_faults, unmodeled_knob, Lifecycle, Next};
 use crate::metrics::{FleetMetrics, JobRecord};
 use crate::sched::SchedRegime;
 use crate::workload::{JobKind, WorkloadConfig};
-use apples::actuator::{actuate_with_sink, ActuationDetail, ActuationReport};
+use apples::actuator::{actuate, ActuationDetail, ActuationReport};
 use apples::hat::Hat;
 use apples::info::InfoPool;
 use apples::rescheduler::{RescheduleReport, ReschedulingAgent};
@@ -410,7 +410,14 @@ impl GridService {
         sink: &mut dyn EventSink,
     ) -> Result<GridOutcome, GridError> {
         check(&self.cfg, Some(workload))?;
-        crate::sched::run(&self.cfg, regime, workload, sink)
+        crate::sched::run_regime_jobs_with_sink(
+            &self.cfg,
+            regime,
+            &workload.realize(),
+            workload.duration,
+            workload.retry,
+            sink,
+        )
     }
 }
 
@@ -516,7 +523,7 @@ pub(crate) fn run_selfish(
                 // topology as it stands now (see `Replay`).
                 let mut ws = replay.fork_at(topo, start);
                 agent
-                    .run_stencil_with_sink(topo, &mut ws, start, sink)
+                    .run_stencil(topo, &mut ws, start, sink)
                     .map(AttemptOutcome::Phased)
             } else {
                 let schedule = match &blind_ws {
@@ -531,7 +538,7 @@ pub(crate) fn run_selfish(
                     }
                 };
                 schedule.and_then(|(schedule, _)| {
-                    actuate_with_sink(topo, &hat, &schedule, start, sink)
+                    actuate(topo, &hat, &schedule, start, sink)
                         .map(|report| AttemptOutcome::OneShot(schedule, report))
                 })
             };
@@ -838,7 +845,7 @@ fn impose_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{run, run_regime_jobs_with_sink};
+    use crate::sched::run_regime_jobs_with_sink;
     use crate::workload::{ArrivalProcess, JobMix, JobSpec, RetryPolicy};
     use metasim::simtrace::NoopSink;
 
@@ -847,7 +854,9 @@ mod tests {
     }
 
     fn stream(cfg: &GridConfig, workload: &WorkloadConfig) -> Result<GridOutcome, GridError> {
-        run(cfg, SchedRegime::Selfish, workload, &mut NoopSink)
+        workload.validate()?;
+        let jobs = workload.realize();
+        selfish(cfg, &jobs, workload.duration, workload.retry)
     }
 
     fn traced_selfish(
@@ -1352,8 +1361,7 @@ mod tests {
             ws.advance(&topo, start);
             let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, start);
             let schedule = decide(&job.kind, &pool, &mut NoopSink).expect("plan").0;
-            let report =
-                actuate_with_sink(&topo, &hat, &schedule, start, &mut NoopSink).expect("run");
+            let report = actuate(&topo, &hat, &schedule, start, &mut NoopSink).expect("run");
             impose_job_load(&mut topo, &hat, &schedule, &report, start, &mut NoopSink)
                 .expect("impose");
         }

@@ -7,7 +7,7 @@
 //! completion order, keeping sweep output deterministic.
 
 use crate::metrics::FleetMetrics;
-use crate::sched::{run, SchedRegime::Selfish};
+use crate::sched::{run_regime_jobs_with_sink, SchedRegime::Selfish};
 use crate::service::{GridConfig, GridError};
 use crate::workload::WorkloadConfig;
 use metasim::simtrace::NoopSink;
@@ -28,6 +28,7 @@ pub fn sweep_seeds(
     workload: &WorkloadConfig,
     seeds: &[u64],
 ) -> Result<Vec<TrialResult>, GridError> {
+    workload.validate()?;
     let results: Vec<Result<TrialResult, GridError>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
@@ -41,7 +42,15 @@ pub fn sweep_seeds(
                     ..workload.clone()
                 };
                 scope.spawn(move |_| {
-                    let fleet = run(&trial_cfg, Selfish, &trial_workload, &mut NoopSink)?.fleet;
+                    let fleet = run_regime_jobs_with_sink(
+                        &trial_cfg,
+                        Selfish,
+                        &trial_workload.realize(),
+                        trial_workload.duration,
+                        trial_workload.retry,
+                        &mut NoopSink,
+                    )?
+                    .fleet;
                     Ok(TrialResult { seed, fleet })
                 })
             })

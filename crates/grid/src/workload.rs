@@ -66,7 +66,7 @@ impl ArrivalProcess {
     pub fn realize(&self, duration: SimTime, seed: u64) -> Vec<SimTime> {
         let mut out = match self {
             ArrivalProcess::Poisson { rate_hz } => {
-                // simlint: allow(panic-in-lib): ArrivalProcess::validate rejects non-positive rates before any stream is realized
+                // simlint: allow(panic-in-lib): the front doors (GridService::run, sweep_seeds, run_race_with) reject non-positive and non-finite rates before any stream is realized
                 assert!(
                     *rate_hz > 0.0 && rate_hz.is_finite(),
                     "Poisson arrivals need a positive rate"

@@ -18,8 +18,5 @@ pub mod spmd;
 pub mod workqueue;
 
 pub use pipeline::{simulate_pipeline, simulate_single_site, PipelineJob, PipelineOutcome};
-pub use spmd::{
-    simulate_spmd, simulate_spmd_traced, simulate_spmd_with_sink, SpmdJob, SpmdOutcome,
-    SpmdPlacement, SpmdTrace,
-};
+pub use spmd::{simulate_spmd, SpmdJob, SpmdOutcome, SpmdPlacement};
 pub use workqueue::{simulate_workqueue, WorkQueueJob, WorkQueueOutcome};

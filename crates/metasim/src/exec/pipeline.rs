@@ -17,6 +17,7 @@
 use crate::error::SimError;
 use crate::host::HostId;
 use crate::net::{simulate_transfers, Topology, TransferReq};
+use crate::simtrace::NoopSink;
 use crate::time::SimTime;
 
 /// A two-stage pipelined job.
@@ -134,6 +135,7 @@ pub fn simulate_pipeline(topo: &Topology, job: &PipelineJob) -> Result<PipelineO
                     start: x_start,
                     tag: i,
                 }],
+                &mut NoopSink,
             )?;
             arrive[i] = res[0].delivered;
             prev_xfer_done = arrive[i];

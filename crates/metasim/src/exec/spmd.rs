@@ -15,8 +15,8 @@
 
 use crate::error::SimError;
 use crate::host::HostId;
-use crate::net::{simulate_transfers_with_sink, Topology, TransferReq};
-use crate::simtrace::{EventSink, NoopSink, TraceEvent};
+use crate::net::{simulate_transfers, Topology, TransferReq};
+use crate::simtrace::{EventSink, TraceEvent};
 use crate::time::SimTime;
 
 /// One worker's placement and per-iteration behaviour.
@@ -66,73 +66,20 @@ impl SpmdOutcome {
     }
 }
 
-/// Per-iteration detail of an SPMD run, for straggler analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpmdTrace {
-    /// `compute_done[iteration][worker]`: when each worker finished its
-    /// compute phase.
-    pub compute_done: Vec<Vec<SimTime>>,
-}
-
-impl SpmdTrace {
-    /// The worker that finished its compute phase last in `iteration`
-    /// (the iteration's straggler), if the iteration exists.
-    pub fn straggler(&self, iteration: usize) -> Option<usize> {
-        self.compute_done.get(iteration).and_then(|row| {
-            row.iter()
-                .enumerate()
-                .max_by_key(|&(_, &t)| t)
-                .map(|(w, _)| w)
-        })
-    }
-
-    /// How many iterations each worker was the straggler for.
-    pub fn straggler_counts(&self) -> Vec<usize> {
-        let workers = self.compute_done.first().map(|r| r.len()).unwrap_or(0);
-        let mut counts = vec![0usize; workers];
-        for it in 0..self.compute_done.len() {
-            if let Some(w) = self.straggler(it) {
-                counts[w] += 1;
-            }
-        }
-        counts
-    }
-}
-
-/// Simulate a bulk-synchronous SPMD job on the topology.
+/// Simulate a bulk-synchronous SPMD job on the topology, emitting one
+/// [`TraceEvent::ComputeStart`] / [`TraceEvent::ComputeFinish`] pair
+/// per worker (covering all iterations) plus border-exchange transfer
+/// events into `sink`.
 ///
 /// Execution begins once every worker's host is ready (the maximum
 /// startup wait across the placements — a co-allocation of space-shared
 /// resources). Sends that name an out-of-range worker index are an
 /// error, as is an empty placement list.
-pub fn simulate_spmd(topo: &Topology, job: &SpmdJob) -> Result<SpmdOutcome, SimError> {
-    simulate_spmd_traced(topo, job).map(|(o, _)| o)
-}
-
-/// [`simulate_spmd`] plus the per-iteration compute-completion trace.
-pub fn simulate_spmd_traced(
-    topo: &Topology,
-    job: &SpmdJob,
-) -> Result<(SpmdOutcome, SpmdTrace), SimError> {
-    simulate_spmd_full(topo, job, &mut NoopSink)
-}
-
-/// [`simulate_spmd`], emitting one [`TraceEvent::ComputeStart`] /
-/// [`TraceEvent::ComputeFinish`] pair per worker (covering all
-/// iterations) plus border-exchange transfer events into `sink`.
-pub fn simulate_spmd_with_sink(
+pub fn simulate_spmd(
     topo: &Topology,
     job: &SpmdJob,
     sink: &mut dyn EventSink,
 ) -> Result<SpmdOutcome, SimError> {
-    simulate_spmd_full(topo, job, sink).map(|(o, _)| o)
-}
-
-fn simulate_spmd_full(
-    topo: &Topology,
-    job: &SpmdJob,
-    sink: &mut dyn EventSink,
-) -> Result<(SpmdOutcome, SpmdTrace), SimError> {
     if job.placements.is_empty() {
         return Err(SimError::EmptySchedule);
     }
@@ -180,9 +127,9 @@ fn simulate_spmd_full(
     let mut iteration_ends = Vec::with_capacity(job.iterations);
     let mut compute_time = vec![SimTime::ZERO; n];
     let mut sync_time = vec![SimTime::ZERO; n];
-    let mut trace = SpmdTrace {
-        compute_done: Vec::with_capacity(job.iterations),
-    };
+    // The last iteration's compute instants: all the closing
+    // ComputeFinish events read.
+    let mut last_compute_done = Vec::new();
 
     for _ in 0..job.iterations {
         // Compute phase.
@@ -209,7 +156,7 @@ fn simulate_spmd_full(
         }
         let mut next_barrier = compute_done.iter().copied().fold(barrier, SimTime::max);
         if !reqs.is_empty() {
-            for r in simulate_transfers_with_sink(topo, &reqs, sink)? {
+            for r in simulate_transfers(topo, &reqs, sink)? {
                 next_barrier = next_barrier.max(r.delivered);
             }
         }
@@ -217,7 +164,7 @@ fn simulate_spmd_full(
         for (w, &done) in compute_done.iter().enumerate() {
             sync_time[w] += next_barrier - done;
         }
-        trace.compute_done.push(compute_done);
+        last_compute_done = compute_done;
         barrier = next_barrier;
         iteration_ends.push(barrier);
     }
@@ -229,11 +176,7 @@ fn simulate_spmd_full(
 
     if sink.enabled() {
         for (w, p) in job.placements.iter().enumerate() {
-            let last_done = trace
-                .compute_done
-                .last()
-                .and_then(|row| row.get(w).copied())
-                .unwrap_or(barrier);
+            let last_done = last_compute_done.get(w).copied().unwrap_or(barrier);
             sink.record(TraceEvent::ComputeFinish {
                 host: p.host,
                 at: last_done,
@@ -242,15 +185,12 @@ fn simulate_spmd_full(
         }
     }
 
-    Ok((
-        SpmdOutcome {
-            finish: barrier,
-            iteration_ends,
-            compute_seconds,
-            sync_seconds,
-        },
-        trace,
-    ))
+    Ok(SpmdOutcome {
+        finish: barrier,
+        iteration_ends,
+        compute_seconds,
+        sync_seconds,
+    })
 }
 
 #[cfg(test)]
@@ -259,6 +199,7 @@ mod tests {
     use crate::host::HostSpec;
     use crate::load::LoadModel;
     use crate::net::{LinkSpec, TopologyBuilder};
+    use crate::simtrace::NoopSink;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
@@ -290,7 +231,7 @@ mod tests {
             iterations: 3,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         // 100 Mflop at 10 Mflop/s = 10 s per iteration.
         assert_eq!(out.finish, s(30.0));
         assert_eq!(out.iteration_ends, vec![s(10.0), s(20.0), s(30.0)]);
@@ -309,7 +250,7 @@ mod tests {
             iterations: 1,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(out.finish, s(10.0));
         // The fast worker idles 5 s at the barrier.
         assert!((out.sync_seconds[1] - 5.0).abs() < 1e-6);
@@ -326,7 +267,7 @@ mod tests {
             iterations: 2,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         // Both sends start at t=10 and share the 10 MB/s segment: each
         // runs at 5 MB/s, finishing 10 MB at t=12. Iteration = 12 s.
         assert_eq!(out.iteration_ends[0], s(12.0));
@@ -352,6 +293,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // 4 concurrent 10 MB flows share 10 MB/s: 2.5 MB/s each ⇒ 4 s.
@@ -377,6 +319,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // Only 25% of 10 Mflop/s available ⇒ 40 s.
@@ -399,6 +342,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         // Co-allocation waits out the 100 s queue, then 10 s compute.
@@ -414,7 +358,7 @@ mod tests {
             start: SimTime::ZERO,
         };
         assert!(matches!(
-            simulate_spmd(&topo, &job),
+            simulate_spmd(&topo, &job, &mut NoopSink),
             Err(SimError::EmptySchedule)
         ));
     }
@@ -428,7 +372,7 @@ mod tests {
             start: SimTime::ZERO,
         };
         assert!(matches!(
-            simulate_spmd(&topo, &job),
+            simulate_spmd(&topo, &job, &mut NoopSink),
             Err(SimError::Invalid(_))
         ));
     }
@@ -441,33 +385,9 @@ mod tests {
             iterations: 0,
             start: s(7.0),
         };
-        let out = simulate_spmd(&topo, &job).unwrap();
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(out.finish, s(7.0));
         assert!(out.iteration_ends.is_empty());
-    }
-
-    #[test]
-    fn trace_identifies_the_straggler() {
-        let topo = topo2();
-        let job = SpmdJob {
-            placements: vec![
-                placement(0, 200.0, vec![]), // 20 s/iter — the straggler
-                placement(1, 50.0, vec![]),  // 5 s/iter
-            ],
-            iterations: 4,
-            start: SimTime::ZERO,
-        };
-        let (out, trace) = simulate_spmd_traced(&topo, &job).unwrap();
-        assert_eq!(trace.compute_done.len(), 4);
-        assert_eq!(trace.compute_done[0].len(), 2);
-        for it in 0..4 {
-            assert_eq!(trace.straggler(it), Some(0));
-        }
-        assert_eq!(trace.straggler_counts(), vec![4, 0]);
-        assert!(trace.straggler(99).is_none());
-        // The traced outcome matches the untraced entry point.
-        let plain = simulate_spmd(&topo, &job).unwrap();
-        assert_eq!(out, plain);
     }
 
     #[test]
@@ -483,8 +403,8 @@ mod tests {
             start: SimTime::ZERO,
         };
         let mut sink = VecSink::new();
-        let traced = simulate_spmd_with_sink(&topo, &job, &mut sink).unwrap();
-        let plain = simulate_spmd(&topo, &job).unwrap();
+        let traced = simulate_spmd(&topo, &job, &mut sink).unwrap();
+        let plain = simulate_spmd(&topo, &job, &mut NoopSink).unwrap();
         assert_eq!(traced, plain, "tracing must not perturb the simulation");
         // 2 workers: one start + one finish each, plus 2 transfers per
         // iteration over 2 iterations = 8 transfer events.
@@ -522,6 +442,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         let spills = simulate_spmd(
@@ -536,6 +457,7 @@ mod tests {
                 iterations: 1,
                 start: SimTime::ZERO,
             },
+            &mut NoopSink,
         )
         .unwrap();
         assert!(spills.finish.as_secs_f64() > 10.0 * fits.finish.as_secs_f64());

@@ -226,12 +226,13 @@ impl FaultModel {
             } else {
                 let v: f64 = rng.gen_range(f64::EPSILON..1.0);
                 let outage = -v.ln() * self.mean_outage.as_secs_f64();
-                Some(at + SimTime::from_secs_f64(outage.max(1.0)))
+                // An outage that would end past SimTime::MAX never ends.
+                at.checked_add(SimTime::from_secs_f64(outage.max(1.0)))
             };
             out.push((at, recover));
-            // A permanent death ends the host's process; further draws
-            // would fault a corpse.
-            if permanent {
+            // A permanent death ends the resource's process; further
+            // draws would fault a corpse.
+            if recover.is_none() {
                 break;
             }
         }
@@ -241,15 +242,11 @@ impl FaultModel {
 
 /// Apply a fault schedule to a realized topology: pin each faulted
 /// resource's availability to zero over its windows and record host
-/// fault windows for revocation attribution by the executors.
-pub fn apply_faults(topo: &mut Topology, spec: &FaultSpec) -> Result<(), SimError> {
-    apply_faults_with_sink(topo, spec, &mut crate::simtrace::NoopSink)
-}
-
-/// [`apply_faults`], emitting one
+/// fault windows for revocation attribution by the executors. Emits one
 /// [`crate::simtrace::TraceEvent::HostFaultInjected`] /
-/// [`crate::simtrace::TraceEvent::LinkFaultInjected`] per fault window.
-pub fn apply_faults_with_sink(
+/// [`crate::simtrace::TraceEvent::LinkFaultInjected`] per fault window
+/// into `sink`.
+pub fn apply_faults(
     topo: &mut Topology,
     spec: &FaultSpec,
     sink: &mut dyn crate::simtrace::EventSink,
@@ -298,6 +295,7 @@ mod tests {
     use super::*;
     use crate::host::HostSpec;
     use crate::net::{LinkSpec, TopologyBuilder};
+    use crate::simtrace::NoopSink;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
@@ -322,7 +320,7 @@ mod tests {
             }],
             link_faults: vec![],
         };
-        apply_faults(&mut topo, &spec).unwrap();
+        apply_faults(&mut topo, &spec, &mut NoopSink).unwrap();
         let h = topo.host(HostId(0)).unwrap();
         assert_eq!(h.availability().value_at(s(5.0)), 1.0);
         assert_eq!(h.availability().value_at(s(15.0)), 0.0);
@@ -341,7 +339,7 @@ mod tests {
             }],
             link_faults: vec![],
         };
-        apply_faults(&mut topo, &spec).unwrap();
+        apply_faults(&mut topo, &spec, &mut NoopSink).unwrap();
         let h = topo.host(HostId(1)).unwrap();
         assert_eq!(h.availability().value_at(s(49.0)), 1.0);
         assert_eq!(h.availability().value_at(s(1e9)), 0.0);
@@ -395,7 +393,7 @@ mod tests {
                 recover: Some(s(9.0)),
             }],
         };
-        apply_faults(&mut topo, &spec).unwrap();
+        apply_faults(&mut topo, &spec, &mut NoopSink).unwrap();
         let l = topo.link(LinkId(0)).unwrap();
         assert_eq!(l.capacity_at(s(7.0)), 0.0);
         assert!(l.capacity_at(s(10.0)) > 0.0);
@@ -412,7 +410,7 @@ mod tests {
             }],
             link_faults: vec![],
         };
-        assert!(apply_faults(&mut topo, &unknown).is_err());
+        assert!(apply_faults(&mut topo, &unknown, &mut NoopSink).is_err());
         let backwards = FaultSpec {
             host_faults: vec![HostFault {
                 host: HostId(0),
@@ -421,7 +419,7 @@ mod tests {
             }],
             link_faults: vec![],
         };
-        assert!(apply_faults(&mut topo, &backwards).is_err());
+        assert!(apply_faults(&mut topo, &backwards, &mut NoopSink).is_err());
     }
 
     #[test]
@@ -445,6 +443,32 @@ mod tests {
         }
         let c = model.realize(&topo, s(600.0), s(4200.0), 43).unwrap();
         assert_ne!(a, c, "different seeds should draw different faults");
+    }
+
+    #[test]
+    fn an_outage_past_the_end_of_time_is_permanent() {
+        // A mean outage of SimTime::MAX draws outages that would end
+        // past it: each such fault is permanent and ends its resource's
+        // process, although no crash is drawn permanent.
+        let mut topo = topo2();
+        let model = FaultModel {
+            host_crashes_per_hour: 60.0,
+            link_outages_per_hour: 60.0,
+            mean_outage: SimTime::MAX,
+            permanent_fraction: 0.0,
+        };
+        let spec = model.realize(&topo, SimTime::ZERO, s(3600.0), 7).unwrap();
+        let hosts = spec.host_faults.iter().map(|f| (f.host.0, f.recover));
+        let links = spec.link_faults.iter().map(|f| (f.link.0 + 100, f.recover));
+        let faults: Vec<_> = hosts.chain(links).collect();
+        assert!(faults.iter().any(|(_, r)| r.is_none()), "{faults:?}");
+        for (i, (res, recover)) in faults.iter().enumerate() {
+            if recover.is_none() {
+                let later = faults.get(i + 1).map(|(next, _)| next);
+                assert_ne!(later, Some(res), "a fault after a permanent one");
+            }
+        }
+        apply_faults(&mut topo, &spec, &mut NoopSink).unwrap();
     }
 
     #[test]

@@ -59,9 +59,7 @@ pub mod tracefile;
 pub mod validate;
 
 pub use error::SimError;
-pub use fault::{
-    apply_faults, apply_faults_with_sink, FaultModel, FaultSpec, HostFault, LinkFault,
-};
+pub use fault::{apply_faults, FaultModel, FaultSpec, HostFault, LinkFault};
 pub use host::{Host, HostId, HostSpec, SharingPolicy};
 pub use net::{LinkId, LinkSpec, RouteRef, RouteTable, SegmentId, Topology};
 pub use simcore::{DirtySet, EventId, EventQueue};

@@ -943,22 +943,16 @@ enum NetEv {
 /// Simulate a batch of transfers through the topology with full
 /// bandwidth contention. Returns one result per request, in request
 /// order. Same-host transfers complete instantly at their start time.
-pub fn simulate_transfers(
-    topo: &Topology,
-    reqs: &[TransferReq],
-) -> Result<Vec<TransferResult>, SimError> {
-    simulate_transfers_with_sink(topo, reqs, &mut crate::simtrace::NoopSink)
-}
-
-/// [`simulate_transfers`], emitting [`TraceEvent::TransferStart`] when
-/// a flow is admitted to the network and
-/// [`TraceEvent::TransferFinish`] (with its achieved-over-nominal
-/// contention share) when it is delivered. Same-host and zero-size
-/// transfers never touch the network and emit nothing.
+///
+/// Emits [`TraceEvent::TransferStart`] into `sink` when a flow is
+/// admitted to the network and [`TraceEvent::TransferFinish`] (with its
+/// achieved-over-nominal contention share) when it is delivered.
+/// Same-host and zero-size transfers never touch the network and emit
+/// nothing.
 ///
 /// [`TraceEvent::TransferStart`]: crate::simtrace::TraceEvent::TransferStart
 /// [`TraceEvent::TransferFinish`]: crate::simtrace::TraceEvent::TransferFinish
-pub fn simulate_transfers_with_sink(
+pub fn simulate_transfers(
     topo: &Topology,
     reqs: &[TransferReq],
     sink: &mut dyn crate::simtrace::EventSink,
@@ -966,7 +960,7 @@ pub fn simulate_transfers_with_sink(
     simulate_transfers_counting(topo, reqs, sink).map(|(results, _)| results)
 }
 
-/// The incremental fluid-flow engine: [`simulate_transfers_with_sink`]
+/// The incremental fluid-flow engine: [`simulate_transfers`]
 /// plus a count of processed simulation events, the numerator of the
 /// events/sec benchmark. Both engines count the same metric — flow
 /// arrivals, flow completions, and availability change points on links
@@ -1479,6 +1473,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         // 100 MB at 10 MB/s = 10 s, plus 1 ms latency.
@@ -1497,7 +1492,7 @@ mod tests {
                 tag: i,
             })
             .collect();
-        let res = simulate_transfers(&topo, &reqs).unwrap();
+        let res = simulate_transfers(&topo, &reqs, &mut crate::simtrace::NoopSink).unwrap();
         // Two equal flows on a 10 MB/s link each get 5 MB/s: 10 s each.
         for r in &res {
             assert_eq!(r.delivered, s(10.0) + SimTime::from_millis(1));
@@ -1525,6 +1520,7 @@ mod tests {
                     tag: 1,
                 },
             ],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         // Shared at 5 MB/s until flow 0 finishes at t=10 (50 MB each
@@ -1545,6 +1541,7 @@ mod tests {
                 start: s(5.0),
                 tag: 7,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         assert_eq!(res[0].delivered, s(5.0));
@@ -1572,6 +1569,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         // 50 MB at 5 MB/s usable = 10 s.
@@ -1599,6 +1597,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         // 20 MB in [0,2], stalled in [2,7], remaining 20 MB in [7,9].
@@ -1626,6 +1625,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         );
         assert!(matches!(err, Err(SimError::NeverCompletes { .. })));
     }
@@ -1657,6 +1657,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         // Bottleneck is the 2 MB/s gateway: 10 s + 7 ms latency.
@@ -1768,6 +1769,7 @@ mod tests {
                 start: SimTime::ZERO,
                 tag: 0,
             }],
+            &mut crate::simtrace::NoopSink,
         )
         .unwrap();
         assert_eq!(est, sim[0].delivered);

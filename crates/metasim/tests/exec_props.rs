@@ -9,7 +9,7 @@ use metasim::exec::{
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{LinkSpec, TopologyBuilder};
-use metasim::{HostId, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimTime, Topology};
 use proptest::prelude::*;
 
 fn s(x: f64) -> SimTime {
@@ -57,7 +57,7 @@ proptest! {
             iterations,
             start: SimTime::ZERO,
         };
-        let out = simulate_spmd(&topo, &job).expect("run");
+        let out = simulate_spmd(&topo, &job, &mut NoopSink).expect("run");
         // The slowest worker's pure-compute time bounds the makespan.
         let slowest = speeds.iter().copied().fold(f64::INFINITY, f64::min);
         let bound = iterations as f64 * work / (slowest * avail);
@@ -99,8 +99,8 @@ proptest! {
             iterations,
             start: SimTime::ZERO,
         };
-        let a = simulate_spmd(&topo, &job(iters_a)).expect("a");
-        let b = simulate_spmd(&topo, &job(iters_a + extra)).expect("b");
+        let a = simulate_spmd(&topo, &job(iters_a), &mut NoopSink).expect("a");
+        let b = simulate_spmd(&topo, &job(iters_a + extra), &mut NoopSink).expect("b");
         prop_assert!(b.finish >= a.finish);
     }
 

@@ -5,7 +5,7 @@
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{simulate_transfers, LinkSpec, TopologyBuilder, TransferReq};
-use metasim::{HostId, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimTime, Topology};
 use proptest::prelude::*;
 
 fn s(x: f64) -> SimTime {
@@ -46,7 +46,7 @@ proptest! {
     fn transfers_respect_capacity_lower_bound(reqs in arb_reqs(4)) {
         let bw = 10.0;
         let topo = segment_topo(4, bw);
-        let results = simulate_transfers(&topo, &reqs).expect("simulate");
+        let results = simulate_transfers(&topo, &reqs, &mut NoopSink).expect("simulate");
         prop_assert_eq!(results.len(), reqs.len());
         for (req, res) in reqs.iter().zip(&results) {
             prop_assert_eq!(req.tag, res.tag);
@@ -74,7 +74,7 @@ proptest! {
         let crossing: Vec<&TransferReq> =
             reqs.iter().filter(|r| r.from != r.to).collect();
         prop_assume!(!crossing.is_empty());
-        let results = simulate_transfers(&topo, &reqs).expect("simulate");
+        let results = simulate_transfers(&topo, &reqs, &mut NoopSink).expect("simulate");
         let earliest = crossing.iter().map(|r| r.start).min().unwrap();
         let last = reqs
             .iter()
@@ -96,8 +96,8 @@ proptest! {
     #[test]
     fn transfer_simulation_is_deterministic(reqs in arb_reqs(3)) {
         let topo = segment_topo(3, 7.5);
-        let a = simulate_transfers(&topo, &reqs).expect("a");
-        let b = simulate_transfers(&topo, &reqs).expect("b");
+        let a = simulate_transfers(&topo, &reqs, &mut NoopSink).expect("a");
+        let b = simulate_transfers(&topo, &reqs, &mut NoopSink).expect("b");
         prop_assert_eq!(a, b);
     }
 
@@ -117,8 +117,8 @@ proptest! {
         }
         let loaded = b.instantiate(s(1e9), 0).expect("topo");
 
-        let fast = simulate_transfers(&free, &reqs).expect("free");
-        let slow = simulate_transfers(&loaded, &reqs).expect("loaded");
+        let fast = simulate_transfers(&free, &reqs, &mut NoopSink).expect("free");
+        let slow = simulate_transfers(&loaded, &reqs, &mut NoopSink).expect("loaded");
         for (f, l) in fast.iter().zip(&slow) {
             prop_assert!(
                 l.delivered + SimTime::from_micros(2) >= f.delivered,

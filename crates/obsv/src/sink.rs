@@ -2,10 +2,11 @@
 //! [`Registry`] on the fly, plus [`FanoutSink`] so tracing and metrics
 //! can watch the same run simultaneously.
 //!
-//! Because every `_with_sink` call site in metasim exec/fault/load, nws
-//! `Service::advance`, core decide/actuate/run_stencil and grid
-//! run/retry already threads an `EventSink`, attaching a `MetricsSink`
-//! instruments the whole stack without touching any of those layers.
+//! Because every layer's entry point (metasim exec/fault/net, nws
+//! `WeatherService::advance_with_sink`, core decide/actuate/run_stencil
+//! and the grid streams) already threads an `EventSink`, attaching a
+//! `MetricsSink` instruments the whole stack without touching any of
+//! those layers.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -16,7 +16,7 @@ use metasim::load::LoadModel;
 use metasim::net::{LinkSpec, TopologyBuilder};
 use metasim::trace::render_timeline;
 use metasim::tracefile::load_model_from_trace;
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 /// A recorded availability trace — in practice read from a file with
@@ -67,7 +67,7 @@ fn main() {
 
     let hat = jacobi2d_hat(1200, 80);
     let agent = Coordinator::new(hat.clone(), UserSpec::default());
-    let (decision, _) = agent.run(&topo, &ws, now).expect("schedule");
+    let (decision, _) = agent.run(&topo, &ws, now, &mut NoopSink).expect("schedule");
 
     println!("Custom testbed with a trace-driven host (decision at t = 1500 s,");
     println!("while the recorded trace shows the shared server at ~22%):\n");
@@ -88,7 +88,7 @@ fn main() {
     }
 
     let t = hat.as_stencil().expect("stencil");
-    let outcome = simulate_spmd(&topo, &sched.to_spmd_job(t, now)).expect("run");
+    let outcome = simulate_spmd(&topo, &sched.to_spmd_job(t, now), &mut NoopSink).expect("run");
     println!(
         "\nexecution: {:.2} s; per-worker utilization:\n",
         outcome.makespan(now).as_secs_f64()

@@ -9,7 +9,7 @@
 //! ```
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, GridConfig, Regime, SchedRegime};
+use apples_grid::{GridConfig, GridService, Regime, SchedRegime};
 use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
@@ -31,7 +31,10 @@ fn main() {
             regime,
             ..GridConfig::default()
         };
-        let out = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("job stream");
+        let out = GridService::new(cfg)
+            .expect("valid grid config")
+            .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+            .expect("job stream");
         let f = &out.fleet;
         println!(
             "{:?}: {} jobs, mean exec {:.1} s, p95 latency {:.1} s",

@@ -15,7 +15,7 @@ use apples_apps::jacobi2d::{
 };
 use metasim::exec::simulate_spmd;
 use metasim::testbed::{pcl_sdsc, TestbedConfig};
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 fn main() {
@@ -34,7 +34,8 @@ fn main() {
     // -- AppLeS --
     let pool = InfoPool::with_nws(&tb.topo, &weather, &hat, &user, now);
     let apples = apples_stencil_schedule(&pool).expect("apples plan");
-    let apples_run = simulate_spmd(&tb.topo, &apples.to_spmd_job(t, now)).expect("run");
+    let apples_run =
+        simulate_spmd(&tb.topo, &apples.to_spmd_job(t, now), &mut NoopSink).expect("run");
     println!("AppLeS partition:");
     for p in &apples.parts {
         let h = tb.topo.host(p.host).expect("host");
@@ -52,7 +53,8 @@ fn main() {
 
     // -- static strip --
     let strip = static_strip(&tb.topo, n, iterations, &tb.workstations());
-    let strip_run = simulate_spmd(&tb.topo, &strip.to_spmd_job(t, now)).expect("run");
+    let strip_run =
+        simulate_spmd(&tb.topo, &strip.to_spmd_job(t, now), &mut NoopSink).expect("run");
     println!(
         "static Strip partition (nominal speeds): {:.2} s",
         strip_run.makespan(now).as_secs_f64()
@@ -60,7 +62,8 @@ fn main() {
 
     // -- blocked --
     let blocked = blocked_uniform(n, iterations, &tb.workstations());
-    let blocked_run = simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, now)).expect("run");
+    let blocked_run =
+        simulate_spmd(&tb.topo, &blocked.to_spmd_job(t, now), &mut NoopSink).expect("run");
     println!(
         "HPF Uniform/Blocked partition:           {:.2} s",
         blocked_run.makespan(now).as_secs_f64()

@@ -16,7 +16,7 @@ use apples::Coordinator;
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{LinkSpec, TopologyBuilder};
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 fn main() {
@@ -79,7 +79,9 @@ fn main() {
 
     // 4. Run the agent: decide and actuate.
     let agent = Coordinator::new(hat, user);
-    let (decision, report) = agent.run(&topo, &weather, now).expect("schedule");
+    let (decision, report) = agent
+        .run(&topo, &weather, now, &mut NoopSink)
+        .expect("schedule");
 
     println!("AppLeS quickstart — Jacobi2D 800x800, 50 iterations\n");
     println!(

@@ -27,7 +27,7 @@ pub use obsv;
 /// weather.advance(&topo, SimTime::from_secs(60));
 ///
 /// let agent = Coordinator::new(jacobi2d_hat(300, 10), UserSpec::default());
-/// let (decision, report) = agent.run(&topo, &weather, SimTime::from_secs(60)).unwrap();
+/// let (decision, report) = agent.run(&topo, &weather, SimTime::from_secs(60), &mut NoopSink).unwrap();
 /// assert!(report.elapsed_seconds > 0.0);
 /// assert_eq!(decision.schedule().hosts().len(), 1);
 /// ```
@@ -40,6 +40,6 @@ pub mod prelude {
     pub use metasim::load::LoadModel;
     pub use metasim::net::{LinkSpec, TopologyBuilder};
     pub use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
-    pub use metasim::{HostId, SimTime, Topology};
+    pub use metasim::{HostId, NoopSink, SimTime, Topology};
     pub use nws::{ResourceKey, WeatherService, WeatherServiceConfig};
 }

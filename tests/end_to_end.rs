@@ -7,7 +7,7 @@ use apples::info::{ForecastSource, InfoPool};
 use apples::user::{PerformanceMetric, UserSpec};
 use apples::{Coordinator, Schedule};
 use metasim::testbed::{pcl_sdsc, LoadProfile, TestbedConfig};
-use metasim::SimTime;
+use metasim::{NoopSink, SimTime};
 use nws::{WeatherService, WeatherServiceConfig};
 
 fn warmup_weather(tb: &metasim::testbed::Testbed, now: SimTime) -> WeatherService {
@@ -23,7 +23,7 @@ fn full_blueprint_on_the_paper_testbed() {
     let ws = warmup_weather(&tb, now);
 
     let agent = Coordinator::new(jacobi2d_hat(1200, 40), UserSpec::default());
-    let (decision, report) = agent.run(&tb.topo, &ws, now).expect("run");
+    let (decision, report) = agent.run(&tb.topo, &ws, now, &mut NoopSink).expect("run");
 
     // Exhaustive selection over 8 hosts: 255 candidate sets.
     assert_eq!(decision.considered.len() + decision.rejected, 255);
@@ -45,7 +45,7 @@ fn estimator_tracks_actuation_within_a_factor() {
     let now = SimTime::from_secs(600);
     let ws = warmup_weather(&tb, now);
     let agent = Coordinator::new(jacobi2d_hat(1500, 50), UserSpec::default());
-    let (decision, report) = agent.run(&tb.topo, &ws, now).expect("run");
+    let (decision, report) = agent.run(&tb.topo, &ws, now, &mut NoopSink).expect("run");
     let predicted = decision.chosen().predicted_seconds;
     let actual = report.elapsed_seconds;
     let ratio = predicted / actual;
@@ -62,7 +62,7 @@ fn decisions_are_deterministic() {
         let now = SimTime::from_secs(600);
         let ws = warmup_weather(&tb, now);
         let agent = Coordinator::new(jacobi2d_hat(1000, 20), UserSpec::default());
-        let (decision, report) = agent.run(&tb.topo, &ws, now).expect("run");
+        let (decision, report) = agent.run(&tb.topo, &ws, now, &mut NoopSink).expect("run");
         (decision.chosen().clone(), report.elapsed_seconds)
     };
     let (a_dec, a_secs) = mk();
@@ -83,7 +83,7 @@ fn oracle_information_never_loses_badly_to_nws() {
         let pool = InfoPool::with_nws(&tb.topo, &ws, &hat, &user, now).with_source(source);
         let agent = Coordinator::new(hat.clone(), user.clone());
         let d = agent.decide(&pool).expect("decision");
-        actuate(&tb.topo, &hat, d.schedule(), now)
+        actuate(&tb.topo, &hat, d.schedule(), now, &mut NoopSink)
             .expect("actuate")
             .elapsed_seconds
     };
@@ -110,7 +110,7 @@ fn excluding_hosts_is_respected_end_to_end() {
         ..Default::default()
     };
     let agent = Coordinator::new(jacobi2d_hat(1000, 10), user);
-    let (decision, _) = agent.run(&tb.topo, &ws, now).expect("run");
+    let (decision, _) = agent.run(&tb.topo, &ws, now, &mut NoopSink).expect("run");
     let hosts = decision.schedule().hosts();
     assert!(!hosts.contains(&tb.sparc2));
     assert!(!hosts.contains(&tb.sparc10));
@@ -124,7 +124,9 @@ fn cost_metric_changes_the_decision() {
     let hat = jacobi2d_hat(1000, 40);
 
     let time_agent = Coordinator::new(hat.clone(), UserSpec::default());
-    let (time_dec, _) = time_agent.run(&tb.topo, &ws, now).expect("run");
+    let (time_dec, _) = time_agent
+        .run(&tb.topo, &ws, now, &mut NoopSink)
+        .expect("run");
 
     let cost_agent = Coordinator::new(
         hat,
@@ -135,7 +137,9 @@ fn cost_metric_changes_the_decision() {
             ..Default::default()
         },
     );
-    let (cost_dec, _) = cost_agent.run(&tb.topo, &ws, now).expect("run");
+    let (cost_dec, _) = cost_agent
+        .run(&tb.topo, &ws, now, &mut NoopSink)
+        .expect("run");
 
     assert!(
         cost_dec.schedule().hosts().len() <= time_dec.schedule().hosts().len(),
@@ -228,7 +232,7 @@ fn heavier_load_profiles_slow_the_same_schedule() {
         // Fixed uniform schedule so only the environment varies.
         let sched = apples_apps::jacobi2d::uniform_strip(1000, 30, &tb.workstations());
         let t = hat.as_stencil().expect("stencil");
-        metasim::exec::simulate_spmd(&tb.topo, &sched.to_spmd_job(t, now))
+        metasim::exec::simulate_spmd(&tb.topo, &sched.to_spmd_job(t, now), &mut NoopSink)
             .expect("run")
             .makespan(now)
             .as_secs_f64()

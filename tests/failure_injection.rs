@@ -12,7 +12,7 @@ use metasim::exec::{simulate_spmd, SpmdJob, SpmdPlacement};
 use metasim::host::HostSpec;
 use metasim::load::LoadModel;
 use metasim::net::{simulate_transfers, LinkSpec, TopologyBuilder, TransferReq};
-use metasim::{HostId, SimError, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimError, SimTime, Topology};
 use nws::{WeatherService, WeatherServiceConfig};
 
 fn s(x: f64) -> SimTime {
@@ -49,7 +49,7 @@ fn work_on_a_dead_host_reports_placement_lost() {
     };
     // The revocation signal names the host that died and when, so a
     // retry layer can exclude it and re-plan the remnant work.
-    match simulate_spmd(&topo, &job) {
+    match simulate_spmd(&topo, &job, &mut NoopSink) {
         Err(SimError::PlacementLost { host, at }) => {
             assert_eq!(host, 1);
             assert_eq!(at, s(100.0));
@@ -71,7 +71,7 @@ fn work_finishing_before_the_death_succeeds() {
         iterations: 1,
         start: SimTime::ZERO,
     };
-    let out = simulate_spmd(&topo, &job).expect("completes before death");
+    let out = simulate_spmd(&topo, &job, &mut NoopSink).expect("completes before death");
     assert_eq!(out.finish, s(10.0));
 }
 
@@ -97,6 +97,7 @@ fn transfers_over_a_dead_link_report_never_completes() {
             start: SimTime::ZERO,
             tag: 0,
         }],
+        &mut NoopSink,
     );
     assert!(matches!(err, Err(SimError::NeverCompletes { .. })));
 }
@@ -121,7 +122,9 @@ fn agent_schedules_around_the_dead_host_and_completes() {
     let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
     ws.advance(&topo, s(2000.0));
     let agent = Coordinator::new(jacobi2d_hat(400, 10), UserSpec::default());
-    let (decision, report) = agent.run(&topo, &ws, s(2000.0)).expect("run");
+    let (decision, report) = agent
+        .run(&topo, &ws, s(2000.0), &mut NoopSink)
+        .expect("run");
     assert_eq!(decision.schedule().hosts(), vec![HostId(0)]);
     assert!(report.elapsed_seconds > 0.0);
 }

@@ -8,7 +8,7 @@ use apples_grid::workload::{
     ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
 };
 use apples_grid::{
-    run, run_regime_jobs_with_sink, FaultInjection, GridConfig, Regime, SchedRegime,
+    run_regime_jobs_with_sink, FaultInjection, GridConfig, GridService, Regime, SchedRegime,
 };
 use metasim::simtrace::NoopSink;
 use metasim::{FaultModel, FaultSpec, HostFault, HostId, SimTime};
@@ -73,10 +73,13 @@ fn seeded_fault_stream_replays_bit_identically() {
         seed: 11,
         retry: RetryPolicy::with_attempts(3),
     };
-    let a =
-        run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("first faulted stream");
-    let b =
-        run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("second faulted stream");
+    let svc = GridService::new(cfg).expect("valid grid config");
+    let a = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("first faulted stream");
+    let b = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("second faulted stream");
     assert!(a.fleet.jobs > 0, "stream should admit jobs");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);
@@ -85,6 +88,33 @@ fn seeded_fault_stream_replays_bit_identically() {
 /// When the whole testbed dies permanently mid-stream, every job that
 /// needs it afterwards exhausts its retries and is *recorded* failed —
 /// the stream terminates instead of hanging or dropping jobs.
+/// An outage drawn past the end of simulated time is a permanent
+/// crash, not an overflow: the stream runs and records every job.
+#[test]
+fn an_endless_mean_outage_streams_to_completion() {
+    let cfg = GridConfig {
+        faults: FaultInjection::Random(FaultModel {
+            host_crashes_per_hour: 1.0,
+            mean_outage: SimTime::MAX,
+            ..FaultModel::default()
+        }),
+        ..GridConfig::default()
+    };
+    let workload = WorkloadConfig {
+        arrivals: ArrivalProcess::Poisson { rate_hz: 0.02 },
+        mix: JobMix::default_mix(),
+        duration: s(600.0),
+        seed: 1996,
+        retry: RetryPolicy::with_attempts(3),
+    };
+    let out = GridService::new(cfg)
+        .expect("valid grid config")
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("stream");
+    assert_eq!(out.records.len(), workload.realize().len());
+    assert!(out.records.iter().any(|r| r.completed));
+}
+
 #[test]
 fn a_fully_dead_testbed_fails_every_job_and_terminates() {
     let jobs: Vec<JobSpec> = (0..3)

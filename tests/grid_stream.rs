@@ -6,7 +6,7 @@
 use apples_grid::workload::{
     ArrivalProcess, JobKind, JobMix, JobSpec, RetryPolicy, WorkloadConfig,
 };
-use apples_grid::{run, run_regime_jobs_with_sink, GridConfig, Regime, SchedRegime};
+use apples_grid::{run_regime_jobs_with_sink, GridConfig, GridService, Regime, SchedRegime};
 use metasim::simtrace::NoopSink;
 use metasim::SimTime;
 
@@ -38,8 +38,13 @@ fn same_seed_and_workload_reproduce_fleet_metrics_exactly() {
         ..GridConfig::default()
     };
     let workload = stream_workload();
-    let a = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("first run");
-    let b = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("second run");
+    let svc = GridService::new(cfg).expect("valid grid config");
+    let a = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("first run");
+    let b = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("second run");
     assert!(a.fleet.jobs > 0, "stream should admit at least one job");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);
@@ -57,7 +62,10 @@ fn both_regimes_complete_every_admitted_job() {
             regime,
             ..GridConfig::default()
         };
-        let out = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("stream");
+        let out = GridService::new(cfg)
+            .expect("valid grid config")
+            .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+            .expect("stream");
         assert_eq!(out.records.len(), n_submitted, "{regime:?} lost jobs");
         for r in &out.records {
             assert!(r.exec_seconds > 0.0);
@@ -160,8 +168,13 @@ fn long_soak_stream_stays_deterministic() {
         seed: 7,
         ..GridConfig::default()
     };
-    let a = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("first soak");
-    let b = run(&cfg, SchedRegime::Selfish, &workload, &mut NoopSink).expect("second soak");
+    let svc = GridService::new(cfg).expect("valid grid config");
+    let a = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("first soak");
+    let b = svc
+        .run(SchedRegime::Selfish, &workload, &mut NoopSink)
+        .expect("second soak");
     assert!(a.fleet.jobs >= 20, "soak should admit a real stream");
     assert_eq!(a.records, b.records);
     assert_eq!(a.fleet, b.fleet);

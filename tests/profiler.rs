@@ -7,8 +7,8 @@
 //! across two runs of the same seed, so they can gate regressions.
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, GridConfig, SchedRegime};
-use metasim::simtrace::{NoopSink, VecSink};
+use apples_grid::{GridConfig, GridOutcome, GridService, SchedRegime};
+use metasim::simtrace::{EventSink, NoopSink, VecSink};
 use metasim::SimTime;
 use obsv::{FanoutSink, MetricsSink, Profile, PHASES};
 
@@ -22,15 +22,17 @@ fn workload() -> WorkloadConfig {
     }
 }
 
+/// Stream the workload through the validated default service.
+fn stream(sink: &mut dyn EventSink) -> GridOutcome {
+    GridService::new(GridConfig::default())
+        .expect("valid grid config")
+        .run(SchedRegime::Selfish, &workload(), sink)
+        .expect("stream")
+}
+
 fn run_traced() -> Vec<metasim::simtrace::TraceEvent> {
     let mut sink = VecSink::new();
-    run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut sink,
-    )
-    .expect("traced stream");
+    stream(&mut sink);
     sink.events
 }
 
@@ -97,13 +99,7 @@ fn jsonl_roundtrip_profile_matches_in_memory_profile() {
 fn metrics_exposition_is_byte_identical_across_runs() {
     let expose = || {
         let mut sink = MetricsSink::new();
-        run(
-            &GridConfig::default(),
-            SchedRegime::Selfish,
-            &workload(),
-            &mut sink,
-        )
-        .expect("metered stream");
+        stream(&mut sink);
         sink.registry().expose()
     };
     let a = expose();
@@ -126,21 +122,9 @@ fn fanout_sink_feeds_both_consumers_without_perturbing_the_run() {
         let mut fan = FanoutSink::new();
         fan.push(&mut trace);
         fan.push(&mut metrics);
-        run(
-            &GridConfig::default(),
-            SchedRegime::Selfish,
-            &workload(),
-            &mut fan,
-        )
-        .expect("fanout stream")
+        stream(&mut fan)
     };
-    let plain = run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut NoopSink,
-    )
-    .expect("plain stream");
+    let plain = stream(&mut NoopSink);
     assert_eq!(
         traced.records, plain.records,
         "fan-out must not perturb the simulation"

@@ -11,7 +11,7 @@ use metasim::fault::{apply_faults, FaultSpec, HostFault};
 use metasim::host::HostSpec;
 use metasim::load::{Imposition, LoadModel, StepSeries};
 use metasim::net::{LinkSpec, TopologyBuilder};
-use metasim::{HostId, SimTime, Topology};
+use metasim::{HostId, NoopSink, SimTime, Topology};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -597,8 +597,8 @@ fn lazy_op(
                 }],
                 link_faults: vec![],
             };
-            apply_faults(lazy, &spec).expect("fault");
-            apply_faults(eager, &spec).expect("fault");
+            apply_faults(lazy, &spec, &mut NoopSink).expect("fault");
+            apply_faults(eager, &spec, &mut NoopSink).expect("fault");
         }
         _ => {
             // 1–4 overlapping windows from the anchor on, some

@@ -4,7 +4,7 @@
 //! `trace diff` machinery must report zero divergence on such a pair.
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
-use apples_grid::{run, GridConfig, SchedRegime};
+use apples_grid::{GridConfig, GridOutcome, GridService, SchedRegime};
 use metasim::simtrace::{
     first_divergence, EventSink, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink,
 };
@@ -25,16 +25,18 @@ fn workload() -> WorkloadConfig {
     }
 }
 
+/// Stream the workload through the validated default service.
+fn stream(sink: &mut dyn EventSink) -> GridOutcome {
+    GridService::new(GridConfig::default())
+        .expect("valid grid config")
+        .run(SchedRegime::Selfish, &workload(), sink)
+        .expect("stream")
+}
+
 /// Run the stream with a JSONL sink and return the bytes written.
 fn traced_jsonl() -> String {
     let mut sink = WriterSink::new(Vec::new());
-    run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut sink,
-    )
-    .expect("traced stream");
+    stream(&mut sink);
     assert!(sink.take_error().is_none());
     String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8")
 }
@@ -76,20 +78,8 @@ fn trace_diff_pinpoints_the_first_divergence() {
 #[test]
 fn traced_grid_run_spans_the_stack_and_matches_untraced() {
     let mut sink = VecSink::new();
-    let traced = run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut sink,
-    )
-    .expect("traced stream");
-    let plain = run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut NoopSink,
-    )
-    .expect("plain stream");
+    let traced = stream(&mut sink);
+    let plain = stream(&mut NoopSink);
     assert_eq!(
         traced.records, plain.records,
         "attaching a sink must not perturb the simulation"
@@ -235,13 +225,7 @@ fn derived_timelines_match_hand_computed_values() {
 #[test]
 fn derived_timelines_are_consistent_on_a_real_trace() {
     let mut sink = VecSink::new();
-    run(
-        &GridConfig::default(),
-        SchedRegime::Selfish,
-        &workload(),
-        &mut sink,
-    )
-    .expect("traced stream");
+    stream(&mut sink);
     let events = &sink.events;
     let profile = Profile::from_events(events);
 
