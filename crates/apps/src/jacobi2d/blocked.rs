@@ -8,6 +8,7 @@
 //! harder to predict — which is exactly why we keep them around as a
 //! baseline.
 
+use apples::estimator::LinkFlows;
 use apples::hat::StencilTemplate;
 use metasim::exec::{SpmdJob, SpmdPlacement};
 use metasim::{HostId, SimTime};
@@ -111,19 +112,15 @@ pub fn estimate_blocked(
     sched: &BlockedSchedule,
     t: &StencilTemplate,
 ) -> Result<f64, apples::ApplesError> {
-    use std::collections::BTreeMap;
     let job = sched.to_spmd_job(t, SimTime::ZERO);
 
     // Count the schedule's own flows per link.
-    let mut link_flows: BTreeMap<metasim::LinkId, usize> = BTreeMap::new();
+    let mut link_flows = LinkFlows::default();
     for p in &job.placements {
         for &(dst, _) in &p.sends {
             let to = job.placements[dst].host;
-            if to == p.host {
-                continue;
-            }
-            for l in pool.topo.route(p.host, to)? {
-                *link_flows.entry(l).or_insert(0) += 1;
+            if to != p.host {
+                link_flows.add(pool.topo.route_ref(p.host, to)?, 1);
             }
         }
     }
@@ -155,10 +152,10 @@ pub fn estimate_blocked(
             for (a, b) in [(p.host, to), (to, p.host)] {
                 let mut latency = 0.0;
                 let mut bw = f64::INFINITY;
-                for l in pool.topo.route(a, b)? {
+                for l in pool.topo.route_ref(a, b)?.iter() {
                     let link = pool.topo.link(l)?;
                     latency += link.spec.latency.as_secs_f64();
-                    let share = *link_flows.get(&l).unwrap_or(&1) as f64;
+                    let share = link_flows.share(l);
                     bw = bw.min(link.spec.bandwidth_mbps * pool.link_availability(l) / share);
                 }
                 if bw <= 0.0 {
