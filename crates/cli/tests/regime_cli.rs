@@ -124,3 +124,22 @@ fn validate_reports_the_knobs_a_regime_does_not_model() {
         "{text}"
     );
 }
+
+#[test]
+fn degenerate_durations_are_rejected() {
+    for args in [
+        ["grid", "--duration", "nan"].as_slice(),
+        &["grid", "--duration", "inf"],
+        &["grid", "--duration", "1e300", "--rate", "1e-300"],
+        &["validate", "--duration", "nan"],
+        &["validate", "--duration", "inf"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let text = [out.stdout, out.stderr].concat();
+        assert!(
+            String::from_utf8_lossy(&text).contains("[duration]"),
+            "{args:?}"
+        );
+    }
+}

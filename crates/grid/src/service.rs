@@ -288,6 +288,8 @@ pub(crate) fn build_topology(cfg: &GridConfig) -> Result<Topology, SimError> {
 /// * `fault-model` — a random fault model with invalid rates;
 /// * `arrivals` / `job-mix` / `retry` — the corresponding workload knob
 ///   was rejected;
+/// * `duration` — the submission window is empty, or ends at or past
+///   the end of simulated time after the warm-up;
 /// * `memory-overcommit` — a job kind in the mix cannot fit on the
 ///   testbed's hosts even when spread perfectly;
 /// * `regime` — `regime` is given and does not model a knob that is
@@ -349,6 +351,15 @@ pub fn validate_config(
         if let Err(e) = w.retry.validate() {
             out.push(Diagnostic {
                 code: "retry".into(),
+                message: e.to_string(),
+            });
+        }
+        if let Err(e) = w
+            .validate_duration()
+            .and_then(|()| w.validate_end(cfg.warmup))
+        {
+            out.push(Diagnostic {
+                code: "duration".into(),
                 message: e.to_string(),
             });
         }
@@ -972,6 +983,96 @@ mod tests {
         assert!(c.contains(&"arrivals"), "{c:?}");
         assert!(c.contains(&"job-mix"), "{c:?}");
         assert!(c.contains(&"retry"), "{c:?}");
+    }
+
+    /// A default workload whose `--duration` was given as `secs`, at
+    /// Poisson `rate_hz`.
+    fn window(secs: f64, rate_hz: f64) -> WorkloadConfig {
+        WorkloadConfig {
+            arrivals: ArrivalProcess::Poisson { rate_hz },
+            duration: s(secs),
+            ..WorkloadConfig::default()
+        }
+    }
+
+    /// `w` is refused as a `duration` diagnostic by the validator and as
+    /// a typed error by the service and the seed sweep, before any
+    /// stream is realized.
+    fn assert_rejected_at_every_front_door(w: &WorkloadConfig) {
+        let cfg = GridConfig::default();
+        let diags = validate_config(&cfg, Some(w), Some(SchedRegime::Selfish));
+        assert_eq!(codes(&diags), ["duration"], "{diags:?}");
+        let svc = GridService::new(cfg.clone()).unwrap();
+        for regime in [
+            SchedRegime::Selfish,
+            SchedRegime::Batch,
+            SchedRegime::Fractional,
+        ] {
+            assert!(matches!(
+                svc.run(regime, w, &mut NoopSink),
+                Err(GridError::InvalidConfig(_))
+            ));
+        }
+        assert!(matches!(
+            crate::sweep::sweep_seeds(&cfg, w, &[1, 2]),
+            Err(GridError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn a_nan_or_non_positive_duration_is_rejected() {
+        // Each reads as a zero-length window, which used to run an
+        // empty stream and report success.
+        for secs in [f64::NAN, 0.0, -5.0] {
+            let w = window(secs, 0.02);
+            assert_eq!(w.duration, SimTime::ZERO);
+            assert!(matches!(w.validate(), Err(GridError::InvalidConfig(_))));
+            assert_rejected_at_every_front_door(&w);
+        }
+    }
+
+    #[test]
+    fn an_infinite_duration_is_rejected_before_arrivals_are_drawn() {
+        // Realizing arrivals up to the end of simulated time would not
+        // finish; the check must come first.
+        let w = window(f64::INFINITY, 0.02);
+        assert_eq!(w.duration, SimTime::MAX);
+        assert_rejected_at_every_front_door(&w);
+        // The fault model is realized over the same window.
+        let faulted = GridConfig {
+            faults: FaultInjection::Random(metasim::FaultModel {
+                host_crashes_per_hour: 1.0,
+                link_outages_per_hour: 0.0,
+                mean_outage: s(600.0),
+                permanent_fraction: 0.25,
+            }),
+            ..GridConfig::default()
+        };
+        let diags = validate_config(&faulted, Some(&w), Some(SchedRegime::Batch));
+        assert_eq!(codes(&diags), ["duration"], "{diags:?}");
+    }
+
+    #[test]
+    fn an_arrival_at_the_end_of_time_is_rejected() {
+        // A window this long and a rate this low draw one arrival near
+        // `SimTime::MAX`; adding the warm-up to it used to overflow.
+        let w = window(1e300, 1e-300);
+        assert_rejected_at_every_front_door(&w);
+        let cfg = GridConfig::default();
+        let jobs = w.realize();
+        assert_eq!(jobs.len(), 1);
+        assert!(jobs[0].submit > SimTime::MAX - cfg.warmup);
+        // Streaming the realized jobs directly refuses them too.
+        for regime in [
+            SchedRegime::Selfish,
+            SchedRegime::Batch,
+            SchedRegime::Fractional,
+        ] {
+            assert!(matches!(
+                run_regime_jobs_with_sink(&cfg, regime, &jobs, w.duration, w.retry, &mut NoopSink),
+                Err(GridError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub fn sweep_seeds(
     seeds: &[u64],
 ) -> Result<Vec<TrialResult>, GridError> {
     workload.validate()?;
+    workload.validate_end(cfg.warmup)?;
     let results: Vec<Result<TrialResult, GridError>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()

@@ -66,7 +66,7 @@ impl ArrivalProcess {
     pub fn realize(&self, duration: SimTime, seed: u64) -> Vec<SimTime> {
         let mut out = match self {
             ArrivalProcess::Poisson { rate_hz } => {
-                // simlint: allow(panic-in-lib): the front doors (GridService::run, sweep_seeds, run_race_with) reject non-positive and non-finite rates before any stream is realized
+                // simlint: allow(panic-in-lib): the front doors (GridService::run, sweep_seeds, validate_config, run_race_with) reject non-positive and non-finite rates before any stream is realized
                 assert!(
                     *rate_hz > 0.0 && rate_hz.is_finite(),
                     "Poisson arrivals need a positive rate"
@@ -430,10 +430,40 @@ impl Default for WorkloadConfig {
 
 impl WorkloadConfig {
     /// Typed validation of every knob the CLI or a caller can set.
+    /// A service that runs the workload also checks
+    /// [`WorkloadConfig::validate_end`] against its warm-up.
     pub fn validate(&self) -> Result<(), GridError> {
         self.arrivals.validate()?;
         self.mix.validate()?;
-        self.retry.validate()
+        self.retry.validate()?;
+        self.validate_duration()
+    }
+
+    /// Reject an empty submission window. A NaN or non-positive number
+    /// of seconds reads as zero through [`SimTime::from_secs_f64`].
+    pub fn validate_duration(&self) -> Result<(), GridError> {
+        if self.duration == SimTime::ZERO {
+            return Err(GridError::InvalidConfig(
+                "workload duration must be a positive number of seconds".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Reject a submission window that, opening after a service's
+    /// `warmup`, would close at or past the end of simulated time.
+    /// [`SimTime::from_secs_f64`] saturates an infinite or huge number
+    /// of seconds to [`SimTime::MAX`]; realizing arrivals up to there
+    /// would not end, and an arrival near it overflows once the
+    /// warm-up is added.
+    pub fn validate_end(&self, warmup: SimTime) -> Result<(), GridError> {
+        match warmup.checked_add(self.duration) {
+            Some(end) if end < SimTime::MAX => Ok(()),
+            _ => Err(GridError::InvalidConfig(format!(
+                "the {warmup} warm-up plus the {} duration ends past the end of simulated time",
+                self.duration
+            ))),
+        }
     }
 
     /// Realize the workload into a concrete job stream, sorted by
