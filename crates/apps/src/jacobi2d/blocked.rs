@@ -120,7 +120,7 @@ pub fn estimate_blocked(
         for &(dst, _) in &p.sends {
             let to = job.placements[dst].host;
             if to != p.host {
-                link_flows.add(pool.topo.route_ref(p.host, to)?, 1);
+                link_flows.add(pool.topo.route(p.host, to)?, 1);
             }
         }
     }
@@ -152,7 +152,7 @@ pub fn estimate_blocked(
             for (a, b) in [(p.host, to), (to, p.host)] {
                 let mut latency = 0.0;
                 let mut bw = f64::INFINITY;
-                for l in pool.topo.route_ref(a, b)?.iter() {
+                for &l in pool.topo.route(a, b)? {
                     let link = pool.topo.link(l)?;
                     latency += link.spec.latency.as_secs_f64();
                     let share = link_flows.share(l);

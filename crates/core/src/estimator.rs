@@ -13,7 +13,7 @@ use crate::hat::StencilTemplate;
 use crate::info::InfoPool;
 use crate::schedule::{FarmSchedule, PipelineSchedule, Schedule, StencilSchedule};
 use crate::user::PerformanceMetric;
-use metasim::{HostId, LinkId, RouteRef};
+use metasim::{HostId, LinkId};
 use std::cell::RefCell;
 
 /// Predicted wall-clock seconds for any schedule variant.
@@ -33,8 +33,8 @@ pub struct LinkFlows(Vec<(LinkId, usize)>);
 
 impl LinkFlows {
     /// Add `flows` flows on every link of `route`.
-    pub fn add(&mut self, route: RouteRef<'_>, flows: usize) {
-        for l in route.iter() {
+    pub fn add(&mut self, route: &[LinkId], flows: usize) {
+        for &l in route {
             match self.0.iter_mut().find(|(x, _)| *x == l) {
                 Some((_, n)) => *n += flows,
                 None => self.0.push((l, flows)),
@@ -84,7 +84,7 @@ pub fn estimate_stencil(pool: &InfoPool<'_>, sched: &StencilSchedule) -> Result<
         link_flows.0.clear();
         for w in sched.parts.windows(2) {
             if w[0].host != w[1].host {
-                link_flows.add(pool.topo.route_ref(w[0].host, w[1].host)?, 2);
+                link_flows.add(pool.topo.route(w[0].host, w[1].host)?, 2);
             }
         }
         contended_stencil_seconds(pool, t, sched, link_flows)
@@ -115,7 +115,7 @@ fn contended_stencil_seconds(
         }
         let mut latency = metasim::SimTime::ZERO;
         let mut bw = f64::INFINITY;
-        for l in pool.topo.route_ref(from, to)?.iter() {
+        for &l in pool.topo.route(from, to)? {
             let link = pool.topo.link(l)?;
             latency += link.spec.latency;
             let share = link_flows.share(l);

@@ -297,7 +297,7 @@ impl<'a> InfoPool<'a> {
             return Ok(v);
         }
         let mut bw = f64::INFINITY;
-        for l in self.topo.route_ref(from, to)?.iter() {
+        for &l in self.topo.route(from, to)? {
             let link = self.topo.link(l)?;
             bw = bw.min(link.spec.bandwidth_mbps * self.link_availability(l));
         }
@@ -527,7 +527,7 @@ mod tests {
                 return 0.0;
             }
             let mut bw = f64::INFINITY;
-            for l in topo.route(a, b).unwrap() {
+            for &l in topo.route(a, b).unwrap() {
                 let avail = direct(source, horizon, ResourceKey::Link(l));
                 bw = bw.min(topo.link(l).unwrap().spec.bandwidth_mbps * avail);
             }

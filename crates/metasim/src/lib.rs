@@ -61,7 +61,7 @@ pub mod validate;
 pub use error::SimError;
 pub use fault::{apply_faults, FaultModel, FaultSpec, HostFault, LinkFault};
 pub use host::{Host, HostId, HostSpec, SharingPolicy};
-pub use net::{LinkId, LinkSpec, RouteRef, RouteTable, SegmentId, Topology};
+pub use net::{LinkId, LinkSpec, RouteTable, SegmentId, Topology};
 pub use simcore::{DirtySet, EventId, EventQueue};
 pub use simtrace::{EventSink, NoopSink, TraceEvent, TraceSummary, VecSink, WriterSink};
 pub use time::SimTime;

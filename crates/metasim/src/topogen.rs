@@ -14,9 +14,7 @@
 //!
 //! Every generator is pure: the same spec, profile, horizon and seed
 //! produce a byte-identical [`Topology`]; its availability series are
-//! realized lazily, up to the horizon. Clusters-of-clusters builds
-//! tag segments with cluster hints so instantiation uses the
-//! hierarchical route cache (cluster-level routes stored once).
+//! realized lazily, up to the horizon.
 
 use crate::error::SimError;
 use crate::host::HostSpec;
@@ -60,7 +58,6 @@ pub enum TopoSpec {
     },
     /// Clusters-of-clusters: each cluster is a root segment with leaf
     /// segments below it; cluster roots meet at a backbone segment.
-    /// Built with hierarchical routing hints.
     Clusters {
         /// Number of clusters.
         clusters: usize,
@@ -291,9 +288,8 @@ fn shared_link(
 }
 
 /// Build (but do not instantiate) the topology for a spec. Exposed so
-/// differential tests can tweak the builder — e.g. strip the cluster
-/// hints off a `clusters` build — before instantiation; most callers
-/// want [`generate`].
+/// a caller can extend the builder — more links, hosts or routes —
+/// before instantiation; most callers want [`generate`].
 pub fn build(spec: &TopoSpec, cfg: &TopoGenConfig) -> Result<TopologyBuilder, SimError> {
     // Independent streams for the wiring draws and the host draws, so
     // adding a link never shifts every later host's class.
@@ -453,8 +449,6 @@ pub fn build(spec: &TopoSpec, cfg: &TopoGenConfig) -> Result<TopologyBuilder, Si
                 SimTime::from_micros(200),
                 p,
             ));
-            b.set_segment_cluster(backbone, 0);
-            b.set_cluster_root(0, backbone);
             let mut host_idx = 0usize;
             for c in 0..clusters {
                 let root = b.add_segment(shared_link(
@@ -464,8 +458,6 @@ pub fn build(spec: &TopoSpec, cfg: &TopoGenConfig) -> Result<TopologyBuilder, Si
                     SimTime::from_micros(500),
                     p,
                 ));
-                b.set_segment_cluster(root, c + 1);
-                b.set_cluster_root(c + 1, root);
                 b.connect(
                     root,
                     backbone,
@@ -485,7 +477,6 @@ pub fn build(spec: &TopoSpec, cfg: &TopoGenConfig) -> Result<TopologyBuilder, Si
                         SimTime::from_millis(1),
                         p,
                     ));
-                    b.set_segment_cluster(leaf, c + 1);
                     b.connect(
                         leaf,
                         root,
@@ -591,7 +582,7 @@ mod tests {
             for a in 0..n {
                 for b in 0..n {
                     assert!(
-                        topo.route_ref(HostId(a), HostId(b)).is_ok(),
+                        topo.route(HostId(a), HostId(b)).is_ok(),
                         "{s}: no route {a}->{b}"
                     );
                 }

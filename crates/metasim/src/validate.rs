@@ -366,7 +366,7 @@ pub fn validate_topology(topo: &Topology) -> ValidationReport {
             }
             match topo.segment_route(SegmentId(a), SegmentId(b)) {
                 Ok(Some(route)) => {
-                    for l in route.iter() {
+                    for l in route {
                         if l.0 >= n_links {
                             report.push(ConfigIssue::RouteViaUnknownLink {
                                 from: (*from).to_string(),

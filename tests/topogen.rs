@@ -1,9 +1,8 @@
 //! Property-based and regression tests for the parametric topology
-//! generators and the routing cache: generated testbeds must validate
-//! clean, the cached `route_ref` fast path must agree with the
-//! BFS-derived table it replaced, hierarchical cluster hints must not
-//! change routing, same-seed generation must be byte-identical, and
-//! fleet-scale validation must stay fast.
+//! generators and the route index: generated testbeds must validate
+//! clean, the indexed `route` lookup must agree with the explicit and
+//! BFS-derived route table it is built from, same-seed generation must
+//! be byte-identical, and fleet-scale validation must stay fast.
 
 use metasim::testbed::LoadProfile;
 use metasim::topogen::{self, TopoGenConfig, TopoSpec};
@@ -18,9 +17,8 @@ fn cfg(profile: LoadProfile, seed: u64) -> TopoGenConfig {
     }
 }
 
-/// A strategy over small dense (unhinted) specs: every family except
-/// clusters, whose hinted route derivation is covered separately.
-fn dense_spec() -> impl Strategy<Value = TopoSpec> {
+/// A strategy over small specs of every family.
+fn small_spec() -> impl Strategy<Value = TopoSpec> {
     prop_oneof![
         (4usize..30, 2usize..6).prop_map(|(hosts, per_seg)| TopoSpec::Star { hosts, per_seg }),
         (4usize..30, 2usize..4, 2usize..5).prop_map(|(hosts, arity, per_seg)| TopoSpec::Tree {
@@ -33,13 +31,6 @@ fn dense_spec() -> impl Strategy<Value = TopoSpec> {
             l1,
             hosts_per_l1
         }),
-    ]
-}
-
-/// A strategy over small specs of every family.
-fn small_spec() -> impl Strategy<Value = TopoSpec> {
-    prop_oneof![
-        dense_spec(),
         (1usize..4, 1usize..4, 1usize..4).prop_map(|(clusters, segs, hosts_per_seg)| {
             TopoSpec::Clusters {
                 clusters,
@@ -66,50 +57,20 @@ proptest! {
         prop_assert!(report.is_ok(), "{} (seed {seed}): {report}", spec.label());
     }
 
-    /// The cached `route_ref` fast path returns the same link sequence
-    /// as the uncached table walk, for every host pair. Restricted to
-    /// dense (unhinted) families where the legacy table is complete.
+    /// The indexed `route` lookup returns the same link sequence as the
+    /// uncached table walk, for every host pair of every family.
     #[test]
-    fn route_ref_matches_uncached_table(
-        spec in dense_spec(),
+    fn route_matches_uncached_table(
+        spec in small_spec(),
         seed in 0u64..1000,
     ) {
         let topo = topogen::generate(&spec, &cfg(LoadProfile::Dedicated, seed)).expect("generate");
         let n = topo.hosts().len();
         for a in 0..n {
             for b in 0..n {
-                let fast = topo.route_ref(HostId(a), HostId(b)).expect("route_ref").to_vec();
+                let fast = topo.route(HostId(a), HostId(b)).expect("route");
                 let slow = topo.route_uncached(HostId(a), HostId(b)).expect("route_uncached");
-                prop_assert_eq!(&fast, &slow, "{}: {a}->{b}", spec.label());
-            }
-        }
-    }
-
-    /// Hierarchical cluster hints are a compression strategy, not a
-    /// semantic switch: the same clusters topology built with and
-    /// without hints routes identically.
-    #[test]
-    fn cluster_hints_do_not_change_routes(
-        clusters in 1usize..4,
-        segs in 1usize..4,
-        hosts_per_seg in 1usize..3,
-        seed in 0u64..1000,
-    ) {
-        let spec = TopoSpec::Clusters { clusters, segs, hosts_per_seg };
-        let c = cfg(LoadProfile::Dedicated, seed);
-        let hinted = topogen::generate(&spec, &c).expect("hinted");
-        let mut builder = topogen::build(&spec, &c).expect("builder");
-        builder.clear_cluster_hints();
-        let dense = builder.instantiate(c.horizon, c.seed).expect("dense");
-        let n = hinted.hosts().len();
-        for a in 0..n {
-            for b in 0..n {
-                let h = hinted.route_ref(HostId(a), HostId(b)).expect("hinted route").to_vec();
-                let d = dense.route_ref(HostId(a), HostId(b)).expect("dense route").to_vec();
-                prop_assert_eq!(&h, &d, "{a}->{b}");
-                let hl = hinted.route_latency(HostId(a), HostId(b)).expect("hinted latency");
-                let dl = dense.route_latency(HostId(a), HostId(b)).expect("dense latency");
-                prop_assert_eq!(hl, dl, "latency {a}->{b}");
+                prop_assert_eq!(fast, &slow[..], "{}: {a}->{b}", spec.label());
             }
         }
     }
