@@ -228,17 +228,13 @@ impl Coordinator {
                     continue;
                 }
             };
-            let score = objective(
-                &self.user.metric,
-                predicted,
-                sched.hosts().len(),
-                best_single,
-            );
+            let hosts = sched.host_count();
+            let score = objective(&self.user.metric, predicted, hosts, best_single);
             if sink.enabled() {
                 sink.record(TraceEvent::CandidateConsidered {
                     at: pool.now(),
                     index: considered.len(),
-                    hosts: sched.hosts().len(),
+                    hosts,
                     predicted_seconds: predicted,
                     objective: score,
                 });
@@ -272,7 +268,7 @@ impl Coordinator {
                 let pb = self.user.preference_count(&b.hosts);
                 pb.cmp(&pa)
                     .then_with(|| a.objective.total_cmp(&b.objective))
-                    .then_with(|| a.schedule.hosts().len().cmp(&b.schedule.hosts().len()))
+                    .then_with(|| a.schedule.host_count().cmp(&b.schedule.host_count()))
             })
             .map(|(i, _)| i)
             .ok_or(ApplesError::NoViableSchedule)?;
