@@ -143,3 +143,40 @@ fn degenerate_durations_are_rejected() {
         );
     }
 }
+
+#[test]
+fn sp2_nodes_on_a_generated_topology_are_rejected() {
+    for args in [
+        [
+            "validate",
+            "--sp2",
+            "--topo",
+            "tree:hosts=16,arity=2,per_seg=4",
+        ]
+        .as_slice(),
+        &[
+            "grid",
+            "--sp2",
+            "--topo",
+            "star:hosts=6",
+            "--duration",
+            "300",
+        ],
+        &[
+            "metrics",
+            "--sp2",
+            "--topo",
+            "star:hosts=6",
+            "--duration",
+            "300",
+        ],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let text = String::from_utf8_lossy(&[out.stdout, out.stderr].concat()).into_owned();
+        assert!(
+            text.contains("[testbed]") && text.contains("SP-2"),
+            "{args:?}: {text}"
+        );
+    }
+}
