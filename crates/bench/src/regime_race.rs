@@ -42,7 +42,7 @@ use apples_grid::{
 use metasim::simtrace::VecSink;
 use metasim::topogen::TopoSpec;
 use metasim::{FaultModel, SimTime};
-use obsv::{Composition, FanoutSink, SpanTree, TimeSeries, TimeSeriesSink, PHASES};
+use obsv::{Composition, SpanTree, TimeSeries, WindowMode, PHASES};
 
 /// Window width of the per-regime report timeline, seconds.
 pub const REPORT_WINDOW_SECS: f64 = 300.0;
@@ -298,15 +298,12 @@ pub fn run_race_with(
         for regime in SchedRegime::ALL {
             progress(&label, regime);
             let mut trace = VecSink::new();
-            let mut series_sink = TimeSeriesSink::fixed_seconds(REPORT_WINDOW_SECS);
-            let out = {
-                let mut fan = FanoutSink::new();
-                fan.push(&mut series_sink);
-                fan.push(&mut trace);
-                run_regime_jobs_with_sink(&grid, regime, &jobs, duration, retry, &mut fan)?
-            };
+            let out = run_regime_jobs_with_sink(&grid, regime, &jobs, duration, retry, &mut trace)?;
             let composition = SpanTree::from_events(&trace.events).composition();
-            let series = series_sink.finalize();
+            let series = TimeSeries::from_events(
+                &trace.events,
+                WindowMode::Fixed(SimTime::from_secs_f64(REPORT_WINDOW_SECS)),
+            );
 
             let completed: Vec<&JobRecord> = out.records.iter().filter(|r| r.completed).collect();
             let stretches = stretches(&out.records, &dedicated);

@@ -980,7 +980,7 @@ pub fn spans(args: &[String]) -> i32 {
 /// switches to event-aligned (one row per distinct event time) and
 /// `--jsonl` emits the byte-stable JSONL export instead.
 pub fn timeseries(args: &[String]) -> i32 {
-    use metasim::simtrace::{EventSink, TraceEvent};
+    use metasim::simtrace::TraceEvent;
     let mut file: Option<&str> = None;
     let mut window = 60.0f64;
     let mut aligned = false;
@@ -1016,15 +1016,12 @@ pub fn timeseries(args: &[String]) -> i32 {
         }
     };
     let (events, skipped) = TraceEvent::from_jsonl(&text);
-    let mut sink = if aligned {
-        obsv::TimeSeriesSink::new(obsv::WindowMode::EventAligned)
+    let mode = if aligned {
+        obsv::WindowMode::EventAligned
     } else {
-        obsv::TimeSeriesSink::fixed_seconds(window)
+        obsv::WindowMode::Fixed(SimTime::from_secs_f64(window))
     };
-    for e in events {
-        sink.record(e);
-    }
-    let series = sink.finalize();
+    let series = obsv::TimeSeries::from_events(&events, mode);
     if jsonl {
         print!("{}", series.to_jsonl());
     } else {

@@ -152,6 +152,16 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
+    /// Fold a recorded event stream: the series a [`TimeSeriesSink`]
+    /// in `mode` finalizes after recording the same events.
+    pub fn from_events(events: &[TraceEvent], mode: WindowMode) -> TimeSeries {
+        let mut sink = TimeSeriesSink::new(mode);
+        for e in events {
+            sink.add(e);
+        }
+        sink.finalize()
+    }
+
     /// Byte-deterministic JSONL export, one row per line. Per-kind
     /// counts include only non-zero kinds, in canonical order.
     pub fn to_jsonl(&self) -> String {
@@ -347,15 +357,14 @@ impl TimeSeriesSink {
         }
         TimeSeries { rows }
     }
-}
 
-impl EventSink for TimeSeriesSink {
-    fn record(&mut self, event: TraceEvent) {
+    /// Fold one event into its rows.
+    fn add(&mut self, event: &TraceEvent) {
         let at = event.at();
         if let Some(i) = kind_index(event.kind()) {
             self.row(at).kinds[i] += 1;
         }
-        match &event {
+        match event {
             TraceEvent::ComputeFinish {
                 at,
                 elapsed_seconds,
@@ -400,6 +409,12 @@ impl EventSink for TimeSeriesSink {
     }
 }
 
+impl EventSink for TimeSeriesSink {
+    fn record(&mut self, event: TraceEvent) {
+        self.add(&event);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +456,17 @@ mod tests {
                 exec_seconds: 23.0,
             },
         ]
+    }
+
+    #[test]
+    fn from_events_matches_the_sink() {
+        for mode in [WindowMode::Fixed(t(10.0)), WindowMode::EventAligned] {
+            let mut sink = TimeSeriesSink::new(mode);
+            for e in stream() {
+                sink.record(e);
+            }
+            assert_eq!(TimeSeries::from_events(&stream(), mode), sink.finalize());
+        }
     }
 
     #[test]
