@@ -15,6 +15,11 @@ const USAGE: &str = "\
 apples-cli — application-level scheduling on a simulated metacomputer
 
 USAGE:
+  Every command but lint reads one grammar: a flag is --key value or
+  --key=value, and a flag given twice, a flag the command (or its chosen
+  mode) ignores, or a missing or extra argument is a usage error
+  (exit 2).
+
   apples-cli testbed   [--profile P] [--seed N] [--sp2]
       Print the Figure 2 SDSC/PCL testbed (FIG2): every host's speed,
       memory, sharing policy, segment and mean availability, and every
@@ -102,6 +107,7 @@ USAGE:
       buckets (they sum to each job's makespan exactly). folded emits
       flamegraph-compatible stacks, gantt an ASCII timeline with
       per-host utilization lanes, table a plain-text breakdown.
+      --width sets the gantt's width, so the other modes refuse it.
   apples-cli spans FILE [--mode tree|jsonl|composition]
       Fold a JSONL trace into causal span trees: job → attempt →
       phase with retry/revocation/backfill cause edges. The phase
@@ -113,7 +119,9 @@ USAGE:
       Windowed time-series of a JSONL trace: per-kind event counts,
       busy-host utilization, queue depth, backlog, imposed load.
       Default 60 s fixed windows as a table; --aligned makes one row
-      per distinct event time; --jsonl emits the byte-stable export.
+      per distinct event time, so it refuses --window; --jsonl emits
+      the byte-stable export. A window under 1 µs, or one that cuts the
+      trace into more than 100000 rows, is refused.
   apples-cli metrics   [grid's flags except --trace, --metrics, --csv,
                        --json] [--out FILE]
       Run a seeded grid scenario with the metrics registry attached
@@ -123,14 +131,15 @@ USAGE:
       Exit 0 when identical, 1 on any difference, 2 on usage errors.
   apples-cli reproduce ID
       Print one recorded experiment exactly as EXPERIMENTS.md holds it.
-      ID is one of FIG1 FIG3 FIG4 FIG5 FIG6 T-NWS ABL-1 ABL-2 ABL-3
-      ABL-4 T-EST T-MULTI T-PRED T-FIXED T-GRID T-FAULT T-PROF, or
-      CHECKS: every headline claim at reduced size as a pass/fail
+      ID is one of
+        FIG1 FIG3 FIG4 FIG5 FIG6 T-NWS ABL-1 ABL-2 ABL-3 ABL-4 T-EST
+        T-MULTI T-PRED T-FIXED T-GRID T-FAULT T-PROF CHECKS
+      CHECKS checks every headline claim at reduced size as a pass/fail
       checklist, exit 1 if any fails. Takes no flags; other
       configurations go through grid, compare and schedule.
   apples-cli lint      [PATH ...] [--format text|json|github] [--deny LINT]
       Run the simlint static analyzer over the workspace (defaults to
-      the current directory). --format github emits workflow-command
+      the current directory). Parses its own flags: --deny may repeat. --format github emits workflow-command
       annotations; --deny fails even on allowed findings of LINT.
       Exit 0 clean, 1 on unallowed or denied findings, 2 on usage.
   apples-cli bench     [--hosts N[,N...]] [--topo SPEC1,SPEC2,...]
@@ -156,66 +165,55 @@ USAGE:
 Profiles: dedicated | light | moderate (default) | heavy
 ";
 
-/// Value flags every grid scenario reads (`grid`, `metrics`, `validate`).
-const SCENARIO_FLAGS: &str = "rate duration seed profile topo horizon max-in-flight \
-     fault-rate link-fault-rate mean-outage permanent max-attempts backoff";
+/// Flags every grid scenario reads (`grid`, `metrics`, `validate`).
+const SCENARIO: &str = "rate= duration= seed= profile= topo= horizon= max-in-flight= \
+     fault-rate= link-fault-rate= mean-outage= permanent= max-attempts= backoff= \
+     regime= sp2 blind";
 
 type Run = fn(&Parsed) -> commands::CmdResult;
 
-/// A flag-parsed command's handler and the flags it reads, as
-/// space-separated lists: shared scenario flags, the command's own
-/// value flags, switches. Anything else is a parse error, so a flag a
-/// command would ignore never runs silently. `None` for an unknown
+/// A command's handler and its grammar ([`Parsed::parse`]), as lists
+/// of space-separated words. Anything else is a parse error, so a flag
+/// a command would ignore never runs silently. `None` for an unknown
 /// command.
-fn command_of(name: &str) -> Option<(Run, [&'static str; 3])> {
+fn command_of(name: &str) -> Option<(Run, &'static [&'static str])> {
     use commands as c;
+    const JACOBI: &str = "n= iterations= profile= seed= sp2";
     Some(match name {
-        "testbed" => (c::testbed, ["", "profile seed", "sp2"]),
-        "schedule" => (
-            c::schedule,
-            [
-                "",
-                "n iterations profile seed source metric max-hosts warmup",
-                "sp2",
-            ],
-        ),
-        "compare" => (c::compare, ["", "n iterations profile seed", "sp2"]),
-        "forecast" => (c::forecast, ["", "host until profile seed", "sp2"]),
-        "react" => (c::react, ["", "unit depth seed", ""]),
-        "nile" => (c::nile, ["", "events runs seed", ""]),
-        "resched" => (c::resched, ["", "n iterations phase seed", ""]),
-        "advise" => (c::advise_cmd, ["", "wait avail n iterations", ""]),
-        "whatif" => (c::whatif, ["", "n iterations profile seed", "sp2"]),
-        "grid" => (
-            c::grid,
-            [SCENARIO_FLAGS, "regime trace metrics", "sp2 blind csv json"],
-        ),
-        "metrics" => (c::metrics, [SCENARIO_FLAGS, "regime out", "sp2 blind"]),
-        "validate" => (c::validate, [SCENARIO_FLAGS, "regime", "sp2 blind"]),
+        "testbed" => (c::testbed, &["profile= seed= sp2"]),
+        "schedule" => (c::schedule, &[JACOBI, "source= metric= max-hosts= warmup="]),
+        "compare" => (c::compare, &[JACOBI]),
+        "forecast" => (c::forecast, &["host= until= profile= seed= sp2"]),
+        "react" => (c::react, &["unit= depth= seed="]),
+        "nile" => (c::nile, &["events= runs= seed="]),
+        "resched" => (c::resched, &["n= iterations= phase= seed="]),
+        "advise" => (c::advise_cmd, &["wait= avail= n= iterations="]),
+        "whatif" => (c::whatif, &[JACOBI]),
+        "grid" => (c::grid, &[SCENARIO, "trace= metrics= csv json"]),
+        "metrics" => (c::metrics, &[SCENARIO, "out="]),
+        "validate" => (c::validate, &[SCENARIO]),
         "race" => (
             c::race,
-            [
-                "",
-                "rate duration seed topo fault-rate mean-outage max-attempts report",
-                "quiet",
-            ],
+            &["rate= duration= seed= topo= fault-rate= mean-outage= max-attempts= report= quiet"],
         ),
-        "bench" => (c::bench, ["", "hosts topo jobs seed out check", "json"]),
+        "trace" => (c::trace, &["SUB A [B]"]),
+        "prof" => (c::prof, &["FILE mode= width="]),
+        "spans" => (c::spans, &["FILE mode="]),
+        "timeseries" => (c::timeseries, &["FILE window= aligned jsonl"]),
+        "snapshot-diff" => (c::snapshot_diff, &["A B"]),
+        "reproduce" => (c::reproduce, &["ID"]),
+        "bench" => (c::bench, &["hosts= topo= jobs= seed= out= check= json"]),
         _ => return None,
     })
 }
 
-/// Parse `raw` (command first) against that command's own flags.
+/// Parse `raw` (command first) against that command's own grammar.
 fn parse_command(raw: &[String]) -> Result<(Run, Parsed), ArgError> {
     let name = raw.first().map(String::as_str).unwrap_or_default();
-    let (run, [shared, own, switches]) =
+    let (run, words) =
         command_of(name).ok_or_else(|| ArgError(format!("unknown command {name:?}")))?;
-    let flags: Vec<&str> = shared
-        .split_whitespace()
-        .chain(own.split_whitespace())
-        .collect();
-    let switches: Vec<&str> = switches.split_whitespace().collect();
-    Ok((run, Parsed::parse(raw, &flags, &switches)?))
+    let grammar: Vec<&str> = words.iter().flat_map(|w| w.split_whitespace()).collect();
+    Ok((run, Parsed::parse(raw, &grammar)?))
 }
 
 fn main() {
@@ -224,29 +222,10 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    // `trace`, `prof`, `snapshot-diff` and `reproduce` take positional
-    // arguments, which the flag grammar rejects — route them before
-    // the parser.
-    if raw[0] == "trace" {
-        std::process::exit(commands::trace(&raw[1..]));
-    }
-    if raw[0] == "prof" {
-        std::process::exit(commands::prof(&raw[1..]));
-    }
-    if raw[0] == "spans" {
-        std::process::exit(commands::spans(&raw[1..]));
-    }
-    if raw[0] == "timeseries" {
-        std::process::exit(commands::timeseries(&raw[1..]));
-    }
-    if raw[0] == "snapshot-diff" {
-        std::process::exit(commands::snapshot_diff(&raw[1..]));
-    }
+    // `lint` hands its arguments to simlint's own driver, whose
+    // `--deny` may be given more than once.
     if raw[0] == "lint" {
-        std::process::exit(commands::lint(&raw[1..]));
-    }
-    if raw[0] == "reproduce" {
-        std::process::exit(commands::reproduce(&raw[1..]));
+        std::process::exit(simlint::driver::run(raw.into_iter().skip(1)).into());
     }
     let (run, parsed) = match parse_command(&raw) {
         Ok(p) => p,
@@ -256,11 +235,14 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = run(&parsed);
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        // A command's own argument check is a usage error like the
-        // parser's; everything else is a failed run.
-        std::process::exit(if e.is::<ArgError>() { 2 } else { 1 });
+    match run(&parsed) {
+        Ok(commands::Outcome::Done) => {}
+        Ok(commands::Outcome::Differs) => std::process::exit(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            // A command's own argument check is a usage error like the
+            // parser's; everything else is a failed run.
+            std::process::exit(if e.is::<ArgError>() { 2 } else { 1 });
+        }
     }
 }

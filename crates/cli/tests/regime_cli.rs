@@ -180,3 +180,39 @@ fn sp2_nodes_on_a_generated_topology_are_rejected() {
         );
     }
 }
+
+#[test]
+fn oversized_topologies_are_refused_before_generation() {
+    let out_file =
+        std::env::temp_dir().join(format!("apples-oversized-{}.json", std::process::id()));
+    let out_file = out_file.to_str().expect("utf-8 path");
+    for line in [
+        "validate --topo fat-tree:k=4294967296 --horizon 100",
+        "validate --topo clusters:clusters=1000 --horizon 100",
+        "grid --topo clusters:clusters=1000",
+        "metrics --topo fat-tree:k=18",
+        // A list is checked whole before its first leg or point runs.
+        "race --topo fat-tree:k=4,clusters:clusters=1000",
+        "bench --hosts 10 --jobs 10 --topo star:hosts=16385 --out OUT",
+    ] {
+        let args: Vec<&str> = line
+            .split(' ')
+            .map(|w| if w == "OUT" { out_file } else { w })
+            .collect();
+        let out = cli(&args);
+        assert_eq!(out.status.code(), Some(1), "`{line}`: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("exceeds the limits of 16384 hosts and 640 segments"),
+            "`{line}`: {err}"
+        );
+        assert!(
+            out.stdout.is_empty() && !err.contains("race ["),
+            "`{line}` ran: {out:?}"
+        );
+        assert!(
+            !std::path::Path::new(out_file).exists(),
+            "`{line}` wrote results"
+        );
+    }
+}

@@ -299,7 +299,6 @@ pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
             span,
             events: events.len(),
             unclosed_jobs: open.len(),
-            skipped_lines: 0,
             busy,
         },
         structure,

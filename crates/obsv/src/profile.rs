@@ -164,9 +164,6 @@ pub struct Profile {
     pub events: usize,
     /// Jobs submitted but never completed/failed in the trace.
     pub unclosed_jobs: usize,
-    /// JSONL lines that did not parse (only via
-    /// [`Profile::from_jsonl`]).
-    pub skipped_lines: usize,
     /// Each host's compute intervals `[finish - elapsed, finish]`,
     /// seconds, for the gantt's host lanes.
     pub(crate) busy: BTreeMap<HostId, Vec<(f64, f64)>>,
@@ -176,16 +173,6 @@ impl Profile {
     /// Fold an in-memory event stream.
     pub fn from_events(events: &[TraceEvent]) -> Profile {
         fold(events).profile
-    }
-
-    /// Fold a JSONL trace (as written by `WriterSink` / `--trace`).
-    /// Unparseable lines are counted in
-    /// [`Profile::skipped_lines`] and skipped.
-    pub fn from_jsonl(text: &str) -> Profile {
-        let (events, skipped) = TraceEvent::from_jsonl(text);
-        let mut p = Profile::from_events(&events);
-        p.skipped_lines = skipped;
-        p
     }
 
     /// Trace-wide execution-time shares from the per-host totals.
@@ -394,13 +381,6 @@ impl Profile {
                 self.unclosed_jobs
             );
         }
-        if self.skipped_lines > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} unparseable line(s) skipped",
-                self.skipped_lines
-            );
-        }
         out
     }
 }
@@ -534,9 +514,10 @@ mod tests {
             .iter()
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
-        let from_text = Profile::from_jsonl(&jsonl);
+        let (parsed, skipped) = TraceEvent::from_jsonl(&jsonl);
+        assert_eq!(skipped, 0);
+        let from_text = Profile::from_events(&parsed);
         let from_mem = Profile::from_events(&events);
-        assert_eq!(from_text.skipped_lines, 0);
         assert_eq!(from_text.jobs, from_mem.jobs);
         assert_eq!(from_text.folded(), from_mem.folded());
     }

@@ -329,8 +329,6 @@ pub struct SpanTree {
     pub jobs: Vec<JobSpanTree>,
     /// Jobs submitted but never completed/failed in the trace.
     pub unclosed_jobs: usize,
-    /// JSONL lines that did not parse (via [`SpanTree::from_jsonl`]).
-    pub skipped_lines: usize,
 }
 
 impl SpanTree {
@@ -345,17 +343,7 @@ impl SpanTree {
                 .map(|(jp, js)| build_job_tree(jp, js))
                 .collect(),
             unclosed_jobs: profile.unclosed_jobs,
-            skipped_lines: 0,
         }
-    }
-
-    /// Fold a JSONL trace. Unparseable lines are counted in
-    /// [`SpanTree::skipped_lines`] and skipped.
-    pub fn from_jsonl(text: &str) -> SpanTree {
-        let (events, skipped) = TraceEvent::from_jsonl(text);
-        let mut t = SpanTree::from_events(&events);
-        t.skipped_lines = skipped;
-        t
     }
 
     /// Aggregate critical-path composition across all closed jobs.
@@ -480,13 +468,6 @@ impl SpanTree {
                 out,
                 "note: {} job(s) still open at end of trace",
                 self.unclosed_jobs
-            );
-        }
-        if self.skipped_lines > 0 {
-            let _ = writeln!(
-                out,
-                "note: {} unparseable line(s) skipped",
-                self.skipped_lines
             );
         }
         out
@@ -809,7 +790,9 @@ mod tests {
             .iter()
             .map(|e| format!("{}\n", e.to_json()))
             .collect();
-        let c = SpanTree::from_jsonl(&jsonl);
+        let (parsed, skipped) = TraceEvent::from_jsonl(&jsonl);
+        assert_eq!(skipped, 0);
+        let c = SpanTree::from_events(&parsed);
         assert_eq!(c.to_jsonl(), a.to_jsonl());
     }
 

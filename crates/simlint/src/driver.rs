@@ -1,6 +1,5 @@
-//! The one lint driver shared by the standalone `simlint` binary and
-//! `apples-cli lint`: flag parsing, workspace scan, rendering, exit
-//! code.
+//! The lint driver behind `apples-cli lint`: flag parsing, workspace
+//! scan, rendering, exit code.
 
 use std::path::Path;
 
@@ -14,7 +13,8 @@ pub enum Format {
     Github,
 }
 
-pub const USAGE: &str = "usage: simlint [--format text|json|github] [--deny <lint>] [PATH ...]";
+pub const USAGE: &str =
+    "usage: apples-cli lint [--format text|json|github] [--deny <lint>] [PATH ...]";
 
 /// Parse args and run the lint driver. Returns the process exit code:
 /// 0 when clean (every finding allowed and no denied lints hit), 1 when

@@ -8,7 +8,7 @@
 
 use apples_grid::workload::{ArrivalProcess, JobMix, WorkloadConfig};
 use apples_grid::{GridConfig, GridOutcome, GridService, SchedRegime};
-use metasim::simtrace::{EventSink, NoopSink, VecSink};
+use metasim::simtrace::{EventSink, NoopSink, TraceEvent, VecSink};
 use metasim::SimTime;
 use obsv::{FanoutSink, MetricsSink, Profile, PHASES};
 
@@ -88,8 +88,9 @@ fn jsonl_roundtrip_profile_matches_in_memory_profile() {
     let events = traced_events();
     let direct = Profile::from_events(events);
     let jsonl: String = events.iter().map(|e| e.to_json() + "\n").collect();
-    let reparsed = Profile::from_jsonl(&jsonl);
-    assert_eq!(reparsed.skipped_lines, 0, "every emitted line must parse");
+    let (parsed, skipped) = TraceEvent::from_jsonl(&jsonl);
+    assert_eq!(skipped, 0, "every emitted line must parse");
+    let reparsed = Profile::from_events(&parsed);
     assert_eq!(reparsed.events, direct.events);
     assert_eq!(reparsed.folded(), direct.folded());
     assert_eq!(reparsed.table(), direct.table());

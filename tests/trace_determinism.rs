@@ -105,7 +105,9 @@ fn traced_grid_run_spans_the_stack_and_matches_untraced() {
 
     // The JSONL round-trip preserves the per-kind counts.
     let jsonl: String = sink.events.iter().map(|e| e.to_json() + "\n").collect();
-    let reparsed = TraceSummary::from_jsonl(&jsonl);
+    let (parsed, skipped) = TraceEvent::from_jsonl(&jsonl);
+    assert_eq!(skipped, 0, "every emitted line must parse");
+    let reparsed = TraceSummary::from_events(&parsed);
     assert_eq!(reparsed.by_kind, summary.by_kind);
     assert_eq!(reparsed.first_at, summary.first_at);
     assert_eq!(reparsed.last_at, summary.last_at);
