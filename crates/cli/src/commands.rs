@@ -663,6 +663,9 @@ fn sched_regime_of(p: &Parsed) -> Result<apples_grid::SchedRegime, ArgError> {
 pub fn grid(p: &Parsed) -> CmdResult {
     use apples_grid::workload::ArrivalProcess;
     use apples_grid::{GridService, Regime};
+    if p.switch("csv") && p.switch("json") {
+        return Err(ArgError("--csv and --json are two outputs; pick one".into()).into());
+    }
     let (cfg, workload) = grid_setup(p)?;
     let sched = sched_regime_of(p)?;
     let ArrivalProcess::Poisson { rate_hz: rate } = workload.arrivals else {

@@ -54,7 +54,7 @@ USAGE:
       (T-WHATIF; Jacobi2D 2000x2000, 80 iterations by default).
   apples-cli grid      [--rate R] [--duration SECS] [--seed N] [--profile P]
                        [--regime selfish|batch|fractional] [--topo SPEC]
-                       [--max-in-flight K] [--blind] [--csv] [--json]
+                       [--max-in-flight K] [--blind] [--csv | --json]
                        [--fault-rate C] [--link-fault-rate L] [--mean-outage SECS]
                        [--permanent F] [--max-attempts K] [--backoff SECS]
                        [--trace FILE] [--metrics FILE] [--horizon SECS]
@@ -73,6 +73,9 @@ USAGE:
       with exponential backoff from --backoff seconds. --trace writes
       every structured event the stack emits to FILE as JSONL;
       --metrics writes a Prometheus text-format snapshot to FILE.
+      --csv prints the fleet row and the per-job records, --json the
+      fleet metrics; the two are one choice, so both together are
+      refused.
   apples-cli race      [--rate R] [--duration SECS] [--seed N]
                        [--topo SPEC1,SPEC2,...] [--fault-rate C]
                        [--mean-outage SECS] [--max-attempts K]

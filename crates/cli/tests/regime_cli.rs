@@ -91,6 +91,15 @@ fn race_rejects_flags_it_would_ignore() {
 }
 
 #[test]
+fn grid_refuses_two_output_formats() {
+    let out = cli(&["grid", "--duration", "300", "--csv", "--json"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--csv and --json"), "{err}");
+    assert!(out.stdout.is_empty(), "grid ran: {out:?}");
+}
+
+#[test]
 fn fractional_rejects_an_admission_bound() {
     let out = cli(&[
         "grid",

@@ -23,6 +23,10 @@
 //! code, so two runs with the same seed and configuration produce
 //! byte-identical JSONL streams ([`WriterSink`]). [`first_divergence`]
 //! turns that guarantee into a mechanical check.
+//!
+//! The taxonomy is declared once, in the `trace_events!` table below,
+//! which generates [`TraceEvent`], [`TraceKind`], [`KINDS`] and the
+//! JSONL writer and reader: a new event or field is one entry.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,52 +36,162 @@ use crate::host::HostId;
 use crate::net::LinkId;
 use crate::time::SimTime;
 
-/// One structured event from somewhere in the stack.
-///
-/// Every variant carries an absolute simulation timestamp ([`SimTime`],
-/// serialized as integer microseconds) so streams from different layers
-/// interleave on a common clock.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+/// Generates the event enum, its kind names and its JSONL codec from one
+/// table. An entry is `Variant = "wire_kind" { at, field: Type, .. }`
+/// with docs on the variant, on `at` and on each field; fields are listed
+/// in wire order (`kind`, then `at`, then the rest), and
+/// `field: Type as "key"` renames a field on the wire.
+macro_rules! trace_events {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident = $wire:literal {
+            $(#[doc = $at_doc:literal])*
+            at
+            $(, $(#[doc = $field_doc:literal])* $field:ident: $ty:ty $(as $key:literal)?)*
+            $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured event from somewhere in the stack.
+        ///
+        /// Every variant carries an absolute simulation timestamp
+        /// ([`SimTime`], serialized as integer microseconds) so streams from
+        /// different layers interleave on a common clock.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {
+            $(
+                $(#[doc = $doc])*
+                $variant {
+                    $(#[doc = $at_doc])*
+                    at: SimTime,
+                    $($(#[doc = $field_doc])* $field: $ty,)*
+                },
+            )*
+        }
+
+        /// The kind of a [`TraceEvent`] without its fields; `kind as usize`
+        /// indexes [`KINDS`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceKind {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        /// Every event kind's wire name (the JSON `kind` field), in
+        /// [`TraceKind`] order.
+        pub const KINDS: [&str; [$($wire),*].len()] = [$($wire),*];
+
+        impl TraceEvent {
+            /// Position of the event's kind in [`KINDS`].
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(TraceEvent::$variant { .. } => TraceKind::$variant as usize,)*
+                }
+            }
+
+            /// The event's absolute timestamp.
+            pub fn at(&self) -> SimTime {
+                match *self {
+                    $(TraceEvent::$variant { at, .. })|* => at,
+                }
+            }
+
+            /// Serialize the event as one line of JSON (hand-rolled; the
+            /// workspace carries no serialization dependency). [`SimTime`]
+            /// fields are integer microseconds so streams compare
+            /// byte-exactly.
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(128);
+                match self {
+                    $(TraceEvent::$variant { at, $($field),* } => {
+                        out.push_str(concat!("{\"kind\":\"", $wire, "\",\"at\":"));
+                        at.write_wire(&mut out);
+                        $(
+                            out.push_str(concat!(",\"", wire_key!($field $($key)?), "\":"));
+                            $field.write_wire(&mut out);
+                        )*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// Parse one JSONL line produced by [`TraceEvent::to_json`]
+            /// back into an event.
+            ///
+            /// Keys may come in any order and unknown keys are ignored.
+            /// Returns `None` when the line is not a flat JSON object, its
+            /// `kind` is unknown, a required field is missing, or a value
+            /// does not fit its field (an integer out of range or with
+            /// trailing bytes), so consumers of foreign or truncated traces
+            /// can skip bad lines and keep going. Floats serialized as
+            /// `null` (non-finite) come back as NaN, preserving the event
+            /// rather than dropping it.
+            pub fn from_json(line: &str) -> Option<TraceEvent> {
+                let pairs = split_object(line)?;
+                let get = |key: &str| pairs.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+                let kind = get("kind")?.strip_prefix('"')?.strip_suffix('"')?;
+                let at = read_field(get("at"))?;
+                Some(match kind {
+                    $($wire => TraceEvent::$variant {
+                        at,
+                        $($field: read_field(get(wire_key!($field $($key)?)))?,)*
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+/// The wire key of a table field: its name, or its `as "key"` rename.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+trace_events! {
     /// A worker began its compute phase on a host (one event per worker
     /// per run, covering all iterations; `work_mflop` is the total).
-    ComputeStart {
+    ComputeStart = "compute_start" {
+        /// Co-allocation barrier time when compute began.
+        at,
         /// Host executing the worker.
         host: HostId,
-        /// Co-allocation barrier time when compute began.
-        at: SimTime,
         /// Total work across all iterations, Mflop.
         work_mflop: f64,
     },
     /// A worker finished its last compute phase.
-    ComputeFinish {
+    ComputeFinish = "compute_finish" {
+        /// When the final compute phase completed.
+        at,
         /// Host that executed the worker.
         host: HostId,
-        /// When the final compute phase completed.
-        at: SimTime,
         /// Total wall-clock seconds spent computing (load and paging
         /// slowdown included).
         elapsed_seconds: f64,
     },
     /// A transfer was admitted to the network.
-    TransferStart {
+    TransferStart = "transfer_start" {
+        /// When the transfer entered the network.
+        at,
         /// Sending host.
         from: HostId,
         /// Receiving host.
         to: HostId,
-        /// When the transfer entered the network.
-        at: SimTime,
         /// Payload, MB.
         mb: f64,
     },
     /// A transfer was fully delivered.
-    TransferFinish {
+    TransferFinish = "transfer_finish" {
+        /// Delivery time (propagation latency included).
+        at,
         /// Sending host.
         from: HostId,
         /// Receiving host.
         to: HostId,
-        /// Delivery time (propagation latency included).
-        at: SimTime,
         /// Payload, MB.
         mb: f64,
         /// Mean achieved bandwidth over the nominal bottleneck
@@ -86,37 +200,37 @@ pub enum TraceEvent {
         contention_share: f64,
     },
     /// A host crash was injected into the topology.
-    HostFaultInjected {
+    HostFaultInjected = "host_fault_injected" {
+        /// Crash time.
+        at,
         /// Crashed host.
         host: HostId,
-        /// Crash time.
-        at: SimTime,
         /// Recovery time; `None` is a permanent crash.
         recover: Option<SimTime>,
     },
     /// A link outage was injected into the topology.
-    LinkFaultInjected {
+    LinkFaultInjected = "link_fault_injected" {
+        /// Outage start.
+        at,
         /// Dark link.
         link: LinkId,
-        /// Outage start.
-        at: SimTime,
         /// Recovery time; `None` is a permanent outage.
         recover: Option<SimTime>,
     },
     /// A running placement was revoked mid-run by a host death.
-    PlacementRevoked {
+    PlacementRevoked = "placement_revoked" {
+        /// When the loss was detected.
+        at,
         /// Host that died under the placement.
         host: HostId,
-        /// When the loss was detected.
-        at: SimTime,
     },
     /// Background load was imposed on a host (a dispatched job making
     /// the resource busier for everyone after it).
-    LoadImposed {
+    LoadImposed = "load_imposed" {
+        /// Load window start.
+        at,
         /// Loaded host.
         host: HostId,
-        /// Load window start.
-        at: SimTime,
         /// Load window end.
         until: SimTime,
         /// Multiplicative availability factor applied over the window.
@@ -124,11 +238,11 @@ pub enum TraceEvent {
     },
     /// The forecaster published a prediction for a resource and
     /// immediately scored it against the newly observed value.
-    ForecastIssued {
+    ForecastIssued = "forecast_issued" {
+        /// Wall-clock of the monitoring advance.
+        at,
         /// Monitored resource, e.g. `cpu:3` or `link:1`.
         resource: String,
-        /// Wall-clock of the monitoring advance.
-        at: SimTime,
         /// Prediction made *before* the new samples arrived.
         predicted: f64,
         /// Most recent observed value.
@@ -139,16 +253,16 @@ pub enum TraceEvent {
         method: String,
     },
     /// The coordinator started a selection over a candidate pool.
-    ResourceSelection {
+    ResourceSelection = "resource_selection" {
         /// Decision time.
-        at: SimTime,
+        at,
         /// Number of candidate resource sets under consideration.
         candidates: usize,
     },
     /// One candidate schedule was evaluated by the cost model.
-    CandidateConsidered {
+    CandidateConsidered = "candidate_considered" {
         /// Decision time.
-        at: SimTime,
+        at,
         /// Index of the candidate within the selection.
         index: usize,
         /// Number of hosts the candidate uses.
@@ -159,34 +273,34 @@ pub enum TraceEvent {
         objective: f64,
     },
     /// The coordinator committed to a schedule.
-    ScheduleChosen {
+    ScheduleChosen = "schedule_chosen" {
         /// Decision time.
-        at: SimTime,
+        at,
         /// Index of the winning candidate.
         index: usize,
         /// Predicted execution seconds of the winner.
         predicted_seconds: f64,
     },
     /// A schedule was actuated on the simulated testbed.
-    Actuated {
+    Actuated = "actuated" {
         /// Actuation start time.
-        at: SimTime,
+        at,
         /// Simulated completion time.
         finish: SimTime,
         /// Elapsed wall-clock seconds.
         elapsed_seconds: f64,
     },
     /// The rescheduler re-planned at a phase boundary.
-    RescheduleTriggered {
+    RescheduleTriggered = "reschedule_triggered" {
         /// Re-planning time.
-        at: SimTime,
+        at,
         /// Phase number (0-based).
         phase: usize,
     },
     /// The rescheduler compared staying put against migrating.
-    RescheduleDecision {
+    RescheduleDecision = "reschedule_decision" {
         /// Decision time.
-        at: SimTime,
+        at,
         /// Predicted seconds for the remaining work if it stays.
         keep_seconds: f64,
         /// Predicted seconds for the remaining work if it moves.
@@ -197,40 +311,40 @@ pub enum TraceEvent {
         migrated: bool,
     },
     /// A job entered the stream.
-    JobSubmitted {
+    JobSubmitted = "job_submitted" {
+        /// Absolute submission time.
+        at,
         /// Submission-order index within the stream.
         job: usize,
         /// Job class name.
-        kind: String,
-        /// Absolute submission time.
-        at: SimTime,
+        kind: String as "class",
     },
     /// A job was admitted and its agent dispatched a placement attempt.
-    JobDispatched {
+    JobDispatched = "job_dispatched" {
+        /// Dispatch time.
+        at,
         /// Job index.
         job: usize,
-        /// Dispatch time.
-        at: SimTime,
         /// Attempt number (1 = first try).
         attempt: u32,
     },
     /// A failed attempt was scheduled for retry after backoff.
-    JobRetried {
+    JobRetried = "job_retried" {
+        /// Time the retry was scheduled (next attempt start).
+        at,
         /// Job index.
         job: usize,
-        /// Time the retry was scheduled (next attempt start).
-        at: SimTime,
         /// The attempt that failed.
         attempt: u32,
     },
     /// A centralized batch scheduler started a queued job ahead of
     /// FCFS order because it fits without delaying the head-of-queue
     /// reservation (EASY backfilling).
-    JobBackfilled {
+    JobBackfilled = "job_backfilled" {
+        /// Backfill start time.
+        at,
         /// Job index.
         job: usize,
-        /// Backfill start time.
-        at: SimTime,
         /// The head-of-queue reservation the backfill must not delay.
         reservation: SimTime,
     },
@@ -239,455 +353,212 @@ pub enum TraceEvent {
     /// fractional-share regime dilutes. Profilers use this to split the
     /// attempt window into compute vs. contention-wait when the actual
     /// execution never touches the shared executor trace.
-    JobWorkMeasured {
+    JobWorkMeasured = "job_work_measured" {
+        /// Measurement time (the dispatch this estimate covers).
+        at,
         /// Job index.
         job: usize,
-        /// Measurement time (the dispatch this estimate covers).
-        at: SimTime,
         /// Predicted dedicated execution seconds for the attempt.
         dedicated_seconds: f64,
     },
     /// A job finished its work.
-    JobCompleted {
+    JobCompleted = "job_completed" {
+        /// Completion time.
+        at,
         /// Job index.
         job: usize,
-        /// Completion time.
-        at: SimTime,
         /// Admission-to-completion seconds.
         exec_seconds: f64,
     },
     /// A job exhausted its retry budget.
-    JobFailed {
+    JobFailed = "job_failed" {
+        /// Time of the final failed attempt.
+        at,
         /// Job index.
         job: usize,
-        /// Time of the final failed attempt.
-        at: SimTime,
         /// Attempts made before giving up.
         attempts: u32,
     },
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// How one field type is spelled on the wire.
+trait Wire: Sized {
+    /// The value of a key the line lacks (`None`: the line is malformed).
+    const ABSENT: Option<Self> = None;
+    /// Append the value's JSON spelling.
+    fn write_wire(&self, out: &mut String);
+    /// Read a raw JSON value (a string keeps its quotes and escapes).
+    fn read_wire(raw: &str) -> Option<Self>;
+}
+
+fn read_field<T: Wire>(raw: Option<&str>) -> Option<T> {
+    raw.map_or(T::ABSENT, T::read_wire)
+}
+
+/// Integers are bare digits. Reading refuses a sign, trailing bytes and
+/// a value out of the type's range.
+macro_rules! wire_uint {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn write_wire(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            c => out.push(c),
+            fn read_wire(raw: &str) -> Option<Self> {
+                if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+                    return None;
+                }
+                raw.parse::<u64>().ok()?.try_into().ok()
+            }
+        }
+    )*};
+}
+
+/// The id and time newtypes are spelled as their integer.
+macro_rules! wire_newtype {
+    ($($ty:ident($inner:ty)),*) => {$(
+        impl Wire for $ty {
+            fn write_wire(&self, out: &mut String) {
+                self.0.write_wire(out);
+            }
+            fn read_wire(raw: &str) -> Option<Self> {
+                <$inner>::read_wire(raw).map($ty)
+            }
+        }
+    )*};
+}
+
+wire_uint!(u64, usize, u32);
+wire_newtype!(HostId(usize), LinkId(usize), SimTime(u64));
+
+impl Wire for Option<SimTime> {
+    const ABSENT: Option<Self> = Some(None);
+    fn write_wire(&self, out: &mut String) {
+        match self {
+            Some(t) => t.write_wire(out),
+            None => out.push_str("null"),
         }
     }
-    out
-}
-
-/// Format an `f64` as a JSON value (`null` for non-finite inputs, which
-/// JSON cannot represent).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+    fn read_wire(raw: &str) -> Option<Self> {
+        match raw {
+            "null" => Some(None),
+            _ => SimTime::read_wire(raw).map(Some),
+        }
     }
 }
 
-/// Format an optional [`SimTime`] as integer microseconds or `null`.
-fn json_opt_time(t: Option<SimTime>) -> String {
-    match t {
-        Some(t) => format!("{}", t.0),
-        None => "null".to_string(),
+/// Non-finite floats, which JSON cannot represent, are written `null`
+/// and read back as NaN so the enclosing event survives the round trip.
+impl Wire for f64 {
+    fn write_wire(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
     }
+    fn read_wire(raw: &str) -> Option<Self> {
+        let numeric = |b: u8| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+        match raw {
+            "null" => Some(f64::NAN),
+            _ if raw.bytes().all(numeric) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+impl Wire for bool {
+    fn write_wire(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read_wire(raw: &str) -> Option<Self> {
+        raw.parse().ok()
+    }
+}
+
+impl Wire for String {
+    fn write_wire(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+    fn read_wire(raw: &str) -> Option<Self> {
+        let mut chars = raw.strip_prefix('"')?.strip_suffix('"')?.chars();
+        let mut out = String::new();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next()? {
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                other => out.push(other),
+            }
+        }
+        Some(out)
+    }
+}
+
+/// Split a one-line flat JSON object into its `(key, raw value)` pairs
+/// in one pass. A string value keeps its quotes and escapes; `None` when
+/// the line is not such an object.
+fn split_object(line: &str) -> Option<Vec<(&str, &str)>> {
+    let mut rest = line.trim().strip_prefix('{')?.strip_suffix('}')?;
+    let mut pairs = Vec::with_capacity(8);
+    while !rest.is_empty() {
+        let (key, value) = rest.strip_prefix('"')?.split_once("\":")?;
+        let end = if value.starts_with('"') {
+            string_end(value)?
+        } else {
+            value.find(',').unwrap_or(value.len())
+        };
+        let (value, tail) = value.split_at(end);
+        pairs.push((key, value));
+        rest = match tail {
+            "" => "",
+            tail => tail.strip_prefix(',')?,
+        };
+    }
+    Some(pairs)
+}
+
+/// Byte length of the JSON string literal that opens `s`, closing quote
+/// included.
+fn string_end(s: &str) -> Option<usize> {
+    let mut escaped = false;
+    for (i, b) in s.bytes().enumerate().skip(1) {
+        match b {
+            _ if escaped => escaped = false,
+            b'\\' => escaped = true,
+            b'"' => return Some(i + 1),
+            _ => {}
+        }
+    }
+    None
 }
 
 impl TraceEvent {
     /// Stable snake_case name of the event kind (the JSON `kind`
     /// field).
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ComputeStart { .. } => "compute_start",
-            TraceEvent::ComputeFinish { .. } => "compute_finish",
-            TraceEvent::TransferStart { .. } => "transfer_start",
-            TraceEvent::TransferFinish { .. } => "transfer_finish",
-            TraceEvent::HostFaultInjected { .. } => "host_fault_injected",
-            TraceEvent::LinkFaultInjected { .. } => "link_fault_injected",
-            TraceEvent::PlacementRevoked { .. } => "placement_revoked",
-            TraceEvent::LoadImposed { .. } => "load_imposed",
-            TraceEvent::ForecastIssued { .. } => "forecast_issued",
-            TraceEvent::ResourceSelection { .. } => "resource_selection",
-            TraceEvent::CandidateConsidered { .. } => "candidate_considered",
-            TraceEvent::ScheduleChosen { .. } => "schedule_chosen",
-            TraceEvent::Actuated { .. } => "actuated",
-            TraceEvent::RescheduleTriggered { .. } => "reschedule_triggered",
-            TraceEvent::RescheduleDecision { .. } => "reschedule_decision",
-            TraceEvent::JobSubmitted { .. } => "job_submitted",
-            TraceEvent::JobDispatched { .. } => "job_dispatched",
-            TraceEvent::JobRetried { .. } => "job_retried",
-            TraceEvent::JobBackfilled { .. } => "job_backfilled",
-            TraceEvent::JobWorkMeasured { .. } => "job_work_measured",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JobFailed { .. } => "job_failed",
-        }
-    }
-
-    /// The event's absolute timestamp.
-    pub fn at(&self) -> SimTime {
-        match *self {
-            TraceEvent::ComputeStart { at, .. }
-            | TraceEvent::ComputeFinish { at, .. }
-            | TraceEvent::TransferStart { at, .. }
-            | TraceEvent::TransferFinish { at, .. }
-            | TraceEvent::HostFaultInjected { at, .. }
-            | TraceEvent::LinkFaultInjected { at, .. }
-            | TraceEvent::PlacementRevoked { at, .. }
-            | TraceEvent::LoadImposed { at, .. }
-            | TraceEvent::ForecastIssued { at, .. }
-            | TraceEvent::ResourceSelection { at, .. }
-            | TraceEvent::CandidateConsidered { at, .. }
-            | TraceEvent::ScheduleChosen { at, .. }
-            | TraceEvent::Actuated { at, .. }
-            | TraceEvent::RescheduleTriggered { at, .. }
-            | TraceEvent::RescheduleDecision { at, .. }
-            | TraceEvent::JobSubmitted { at, .. }
-            | TraceEvent::JobDispatched { at, .. }
-            | TraceEvent::JobRetried { at, .. }
-            | TraceEvent::JobBackfilled { at, .. }
-            | TraceEvent::JobWorkMeasured { at, .. }
-            | TraceEvent::JobCompleted { at, .. }
-            | TraceEvent::JobFailed { at, .. } => at,
-        }
-    }
-
-    /// Serialize the event as one line of JSON (hand-rolled; the
-    /// workspace carries no serialization dependency). [`SimTime`]
-    /// fields are integer microseconds so streams compare byte-exactly.
-    pub fn to_json(&self) -> String {
-        let kind = self.kind();
-        match self {
-            TraceEvent::ComputeStart {
-                host,
-                at,
-                work_mflop,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"work_mflop\":{}}}",
-                at.0,
-                host.0,
-                json_f64(*work_mflop)
-            ),
-            TraceEvent::ComputeFinish {
-                host,
-                at,
-                elapsed_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"elapsed_seconds\":{}}}",
-                at.0,
-                host.0,
-                json_f64(*elapsed_seconds)
-            ),
-            TraceEvent::TransferStart { from, to, at, mb } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"from\":{},\"to\":{},\"mb\":{}}}",
-                at.0,
-                from.0,
-                to.0,
-                json_f64(*mb)
-            ),
-            TraceEvent::TransferFinish {
-                from,
-                to,
-                at,
-                mb,
-                contention_share,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"from\":{},\"to\":{},\"mb\":{},\
-                 \"contention_share\":{}}}",
-                at.0,
-                from.0,
-                to.0,
-                json_f64(*mb),
-                json_f64(*contention_share)
-            ),
-            TraceEvent::HostFaultInjected { host, at, recover } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"recover\":{}}}",
-                at.0,
-                host.0,
-                json_opt_time(*recover)
-            ),
-            TraceEvent::LinkFaultInjected { link, at, recover } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"link\":{},\"recover\":{}}}",
-                at.0,
-                link.0,
-                json_opt_time(*recover)
-            ),
-            TraceEvent::PlacementRevoked { host, at } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{}}}",
-                at.0, host.0
-            ),
-            TraceEvent::LoadImposed {
-                host,
-                at,
-                until,
-                factor,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"host\":{},\"until\":{},\"factor\":{}}}",
-                at.0,
-                host.0,
-                until.0,
-                json_f64(*factor)
-            ),
-            TraceEvent::ForecastIssued {
-                resource,
-                at,
-                predicted,
-                observed,
-                error,
-                method,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"resource\":\"{}\",\"predicted\":{},\
-                 \"observed\":{},\"error\":{},\"method\":\"{}\"}}",
-                at.0,
-                json_escape(resource),
-                json_f64(*predicted),
-                json_f64(*observed),
-                json_f64(*error),
-                json_escape(method)
-            ),
-            TraceEvent::ResourceSelection { at, candidates } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"candidates\":{candidates}}}",
-                at.0
-            ),
-            TraceEvent::CandidateConsidered {
-                at,
-                index,
-                hosts,
-                predicted_seconds,
-                objective,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"index\":{index},\"hosts\":{hosts},\
-                 \"predicted_seconds\":{},\"objective\":{}}}",
-                at.0,
-                json_f64(*predicted_seconds),
-                json_f64(*objective)
-            ),
-            TraceEvent::ScheduleChosen {
-                at,
-                index,
-                predicted_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"index\":{index},\"predicted_seconds\":{}}}",
-                at.0,
-                json_f64(*predicted_seconds)
-            ),
-            TraceEvent::Actuated {
-                at,
-                finish,
-                elapsed_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"finish\":{},\"elapsed_seconds\":{}}}",
-                at.0,
-                finish.0,
-                json_f64(*elapsed_seconds)
-            ),
-            TraceEvent::RescheduleTriggered { at, phase } => {
-                format!("{{\"kind\":\"{kind}\",\"at\":{},\"phase\":{phase}}}", at.0)
-            }
-            TraceEvent::RescheduleDecision {
-                at,
-                keep_seconds,
-                move_seconds,
-                move_cost_seconds,
-                migrated,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"keep_seconds\":{},\"move_seconds\":{},\
-                 \"move_cost_seconds\":{},\"migrated\":{migrated}}}",
-                at.0,
-                json_f64(*keep_seconds),
-                json_f64(*move_seconds),
-                json_f64(*move_cost_seconds)
-            ),
-            TraceEvent::JobSubmitted { job, kind: k, at } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"class\":\"{}\"}}",
-                at.0,
-                json_escape(k)
-            ),
-            TraceEvent::JobDispatched { job, at, attempt } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempt\":{attempt}}}",
-                at.0
-            ),
-            TraceEvent::JobRetried { job, at, attempt } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempt\":{attempt}}}",
-                at.0
-            ),
-            TraceEvent::JobBackfilled {
-                job,
-                at,
-                reservation,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"reservation\":{}}}",
-                at.0, reservation.0
-            ),
-            TraceEvent::JobWorkMeasured {
-                job,
-                at,
-                dedicated_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"dedicated_seconds\":{}}}",
-                at.0,
-                json_f64(*dedicated_seconds)
-            ),
-            TraceEvent::JobCompleted {
-                job,
-                at,
-                exec_seconds,
-            } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"exec_seconds\":{}}}",
-                at.0,
-                json_f64(*exec_seconds)
-            ),
-            TraceEvent::JobFailed { job, at, attempts } => format!(
-                "{{\"kind\":\"{kind}\",\"at\":{},\"job\":{job},\"attempts\":{attempts}}}",
-                at.0
-            ),
-        }
-    }
-
-    /// Parse one JSONL line produced by [`TraceEvent::to_json`] back
-    /// into an event.
-    ///
-    /// Returns `None` when the line has no recognizable `kind`, an
-    /// unknown kind, or a missing required field, so consumers of
-    /// foreign or truncated traces can skip bad lines and keep going.
-    /// Numeric fields serialized as `null` (non-finite floats) come
-    /// back as NaN, preserving the event rather than dropping it.
-    pub fn from_json(line: &str) -> Option<TraceEvent> {
-        let kind = extract_json_str(line, "kind")?;
-        let at = SimTime(extract_json_u64(line, "at")?);
-        let host = |key: &str| Some(HostId(extract_json_u64(line, key)? as usize));
-        let idx = |key: &str| Some(extract_json_u64(line, key)? as usize);
-        Some(match kind.as_str() {
-            "compute_start" => TraceEvent::ComputeStart {
-                host: host("host")?,
-                at,
-                work_mflop: extract_json_f64(line, "work_mflop")?,
-            },
-            "compute_finish" => TraceEvent::ComputeFinish {
-                host: host("host")?,
-                at,
-                elapsed_seconds: extract_json_f64(line, "elapsed_seconds")?,
-            },
-            "transfer_start" => TraceEvent::TransferStart {
-                from: host("from")?,
-                to: host("to")?,
-                at,
-                mb: extract_json_f64(line, "mb")?,
-            },
-            "transfer_finish" => TraceEvent::TransferFinish {
-                from: host("from")?,
-                to: host("to")?,
-                at,
-                mb: extract_json_f64(line, "mb")?,
-                contention_share: extract_json_f64(line, "contention_share")?,
-            },
-            "host_fault_injected" => TraceEvent::HostFaultInjected {
-                host: host("host")?,
-                at,
-                recover: extract_json_u64(line, "recover").map(SimTime),
-            },
-            "link_fault_injected" => TraceEvent::LinkFaultInjected {
-                link: LinkId(extract_json_u64(line, "link")? as usize),
-                at,
-                recover: extract_json_u64(line, "recover").map(SimTime),
-            },
-            "placement_revoked" => TraceEvent::PlacementRevoked {
-                host: host("host")?,
-                at,
-            },
-            "load_imposed" => TraceEvent::LoadImposed {
-                host: host("host")?,
-                at,
-                until: SimTime(extract_json_u64(line, "until")?),
-                factor: extract_json_f64(line, "factor")?,
-            },
-            "forecast_issued" => TraceEvent::ForecastIssued {
-                resource: extract_json_str(line, "resource")?,
-                at,
-                predicted: extract_json_f64(line, "predicted")?,
-                observed: extract_json_f64(line, "observed")?,
-                error: extract_json_f64(line, "error")?,
-                method: extract_json_str(line, "method")?,
-            },
-            "resource_selection" => TraceEvent::ResourceSelection {
-                at,
-                candidates: idx("candidates")?,
-            },
-            "candidate_considered" => TraceEvent::CandidateConsidered {
-                at,
-                index: idx("index")?,
-                hosts: idx("hosts")?,
-                predicted_seconds: extract_json_f64(line, "predicted_seconds")?,
-                objective: extract_json_f64(line, "objective")?,
-            },
-            "schedule_chosen" => TraceEvent::ScheduleChosen {
-                at,
-                index: idx("index")?,
-                predicted_seconds: extract_json_f64(line, "predicted_seconds")?,
-            },
-            "actuated" => TraceEvent::Actuated {
-                at,
-                finish: SimTime(extract_json_u64(line, "finish")?),
-                elapsed_seconds: extract_json_f64(line, "elapsed_seconds")?,
-            },
-            "reschedule_triggered" => TraceEvent::RescheduleTriggered {
-                at,
-                phase: idx("phase")?,
-            },
-            "reschedule_decision" => TraceEvent::RescheduleDecision {
-                at,
-                keep_seconds: extract_json_f64(line, "keep_seconds")?,
-                move_seconds: extract_json_f64(line, "move_seconds")?,
-                move_cost_seconds: extract_json_f64(line, "move_cost_seconds")?,
-                migrated: extract_json_bool(line, "migrated")?,
-            },
-            "job_submitted" => TraceEvent::JobSubmitted {
-                job: idx("job")?,
-                kind: extract_json_str(line, "class")?,
-                at,
-            },
-            "job_dispatched" => TraceEvent::JobDispatched {
-                job: idx("job")?,
-                at,
-                attempt: extract_json_u64(line, "attempt")? as u32,
-            },
-            "job_retried" => TraceEvent::JobRetried {
-                job: idx("job")?,
-                at,
-                attempt: extract_json_u64(line, "attempt")? as u32,
-            },
-            "job_backfilled" => TraceEvent::JobBackfilled {
-                job: idx("job")?,
-                at,
-                reservation: SimTime(extract_json_u64(line, "reservation")?),
-            },
-            "job_work_measured" => TraceEvent::JobWorkMeasured {
-                job: idx("job")?,
-                at,
-                dedicated_seconds: extract_json_f64(line, "dedicated_seconds")?,
-            },
-            "job_completed" => TraceEvent::JobCompleted {
-                job: idx("job")?,
-                at,
-                exec_seconds: extract_json_f64(line, "exec_seconds")?,
-            },
-            "job_failed" => TraceEvent::JobFailed {
-                job: idx("job")?,
-                at,
-                attempts: extract_json_u64(line, "attempts")? as u32,
-            },
-            _ => return None,
-        })
+        KINDS[self.kind_index()]
     }
 
     /// Parse a whole JSONL stream, skipping unparseable lines (see
@@ -845,80 +716,6 @@ impl TraceSummary {
             let _ = writeln!(out, "  {kind:width$}  {n}");
         }
         out
-    }
-}
-
-/// Pull a `"key":"value"` string field out of a one-line JSON object
-/// without a full parser (the format is our own, from
-/// [`TraceEvent::to_json`]).
-fn extract_json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Unescape up to the closing quote, honoring the escapes
-    // `json_escape` produces.
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Pull a `"key":123` integer field out of a one-line JSON object.
-fn extract_json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Pull a `"key":<number>` float field out of a one-line JSON object.
-/// A `null` value (how [`json_f64`] spells non-finite floats) parses as
-/// NaN so the enclosing event survives the round-trip.
-fn extract_json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("null") {
-        return Some(f64::NAN);
-    }
-    let num: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .collect();
-    num.parse().ok()
-}
-
-/// Pull a `"key":true|false` field out of a one-line JSON object.
-fn extract_json_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
     }
 }
 
@@ -1080,6 +877,104 @@ mod tests {
             "{\"kind\":\"job_backfilled\",\"at\":12500000,\"job\":7,\"reservation\":90000000}"
         );
         assert_eq!(TraceEvent::from_json(&j), Some(e));
+    }
+
+    #[test]
+    fn reader_refuses_out_of_range_and_trailing_bytes() {
+        let dispatched = |attempt: &str| {
+            TraceEvent::from_json(&format!(
+                "{{\"kind\":\"job_dispatched\",\"at\":1,\"job\":0,\"attempt\":{attempt}}}"
+            ))
+        };
+        assert_eq!(
+            dispatched("4294967295"),
+            Some(TraceEvent::JobDispatched {
+                job: 0,
+                at: SimTime(1),
+                attempt: u32::MAX,
+            })
+        );
+        // 2^32 + 2 used to wrap to attempt 2.
+        assert_eq!(dispatched("4294967298"), None);
+        assert_eq!(dispatched("+2"), None);
+        assert_eq!(dispatched("-2"), None);
+        let failed = r#"{"kind":"job_failed","at":1,"job":0,"attempts":4294967298}"#;
+        let trailing = r#"{"kind":"job_failed","at":12abc,"job":0,"attempts":2}"#;
+        let float = r#"{"kind":"job_completed","at":1,"job":0,"exec_seconds":1.5s}"#;
+        let good = r#"{"kind":"job_failed","at":12,"job":0,"attempts":2}"#;
+        for bad in [failed, trailing, float] {
+            assert_eq!(TraceEvent::from_json(bad), None, "{bad}");
+        }
+        let (events, skipped) = TraceEvent::from_jsonl(&[failed, trailing, good].join("\n"));
+        assert_eq!((events.len(), skipped), (1, 2));
+        assert_eq!(events[0].at(), SimTime(12));
+    }
+
+    #[test]
+    fn reader_takes_keys_in_any_order_and_ignores_unknown_ones() {
+        let e = TraceEvent::TransferFinish {
+            from: HostId(1),
+            to: HostId(2),
+            at: SimTime(7),
+            mb: 0.25,
+            contention_share: 1.0,
+        };
+        let shuffled =
+            r#"{"contention_share":1,"to":2,"mb":0.25,"at":7,"from":1,"kind":"transfer_finish"}"#;
+        let extra = r#"{"kind":"transfer_finish","note":"x,y","at":7,"from":1,"to":2,"mb":0.25,"contention_share":1,"seq":9}"#;
+        assert_eq!(TraceEvent::from_json(shuffled), Some(e.clone()));
+        assert_eq!(TraceEvent::from_json(extra), Some(e));
+        let missing = r#"{"kind":"transfer_finish","at":7,"from":1,"to":2,"mb":0.25}"#;
+        assert_eq!(TraceEvent::from_json(missing), None);
+        assert_eq!(
+            TraceEvent::from_json(r#"{"kind":"no_such_kind","at":7}"#),
+            None
+        );
+    }
+
+    #[test]
+    fn absent_or_null_recover_reads_as_none() {
+        let fault = |tail: &str| {
+            TraceEvent::from_json(&format!(
+                "{{\"kind\":\"host_fault_injected\",\"at\":3,\"host\":1{tail}}}"
+            ))
+        };
+        let crash = |recover| TraceEvent::HostFaultInjected {
+            host: HostId(1),
+            at: SimTime(3),
+            recover,
+        };
+        assert_eq!(fault(""), Some(crash(None)));
+        assert_eq!(fault(",\"recover\":null"), Some(crash(None)));
+        assert_eq!(fault(",\"recover\":9"), Some(crash(Some(SimTime(9)))));
+        assert_eq!(fault(",\"recover\":soon"), None);
+    }
+
+    #[test]
+    fn null_float_reads_as_nan() {
+        let line = r#"{"kind":"compute_start","at":0,"host":3,"work_mflop":null}"#;
+        match TraceEvent::from_json(line) {
+            Some(TraceEvent::ComputeStart { work_mflop, .. }) => assert!(work_mflop.is_nan()),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strings_holding_json_punctuation_survive() {
+        let e = TraceEvent::ForecastIssued {
+            resource: r#"cpu:"a,b":{c}"#.into(),
+            at: s(1.0),
+            predicted: 0.5,
+            observed: 0.25,
+            error: 0.125,
+            method: "}\\\",\"kind\":\"job_failed".into(),
+        };
+        let j = e.to_json();
+        assert_eq!(TraceEvent::from_json(&j), Some(e));
+        assert_eq!(
+            TraceEvent::from_json(&format!("  {j} ")).map(|e| e.to_json()),
+            Some(j)
+        );
     }
 
     #[test]

@@ -91,7 +91,8 @@ impl TopoSpec {
     /// * `tree:hosts=64,arity=4,per_seg=8`
     /// * `fat-tree:l2=4,l1=32,hosts=8` (`hosts` = hosts per edge
     ///   segment), or the shorthand `fat-tree:k=K` for `l2=K,
-    ///   l1=2*K*K, hosts=K` — `fat-tree:k=8` is a 1024-host testbed
+    ///   l1=2*K*K, hosts=K` — `fat-tree:k=8` is a 1024-host testbed;
+    ///   `k` next to `l1`, `l2` or `hosts` is refused
     /// * `clusters:clusters=8,segs=4,hosts=8`
     ///
     /// Omitted keys take the defaults shown above. A spec with more
@@ -138,12 +139,18 @@ impl TopoSpec {
                 &["hosts", "arity", "per_seg"],
             ),
             "fat-tree" | "fattree" => {
+                let long_form = kv
+                    .iter()
+                    .any(|(key, _)| ["l1", "l2", "hosts"].contains(key));
                 let spec = match get("k", 0) {
                     0 => TopoSpec::FatTree {
                         l2: get("l2", 4),
                         l1: get("l1", 32),
                         hosts_per_l1: get("hosts", 8),
                     },
+                    _ if long_form => {
+                        return Err(bad(s, "`k` sets `l1`, `l2` and `hosts`; give `k` alone"))
+                    }
                     k => TopoSpec::FatTree {
                         l2: k,
                         l1: k.saturating_mul(k).saturating_mul(2),

@@ -47,8 +47,9 @@ pub mod span;
 pub mod timeseries;
 
 pub use expose::{snapshot_diff, SeriesDelta, Snapshot};
+pub use metasim::simtrace::KINDS;
 pub use profile::{ExecShares, HostProfile, JobProfile, Phase, Profile, PHASES};
 pub use registry::{percentile, Histogram, Registry};
 pub use sink::{FanoutSink, MetricsSink};
 pub use span::{Cause, Composition, JobSpanTree, Span, SpanKind, SpanTree};
-pub use timeseries::{Row, TimeSeries, TimeSeriesSink, WindowMode, KINDS};
+pub use timeseries::{Row, TimeSeries, TimeSeriesSink, WindowMode};

@@ -37,45 +37,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use metasim::simtrace::{EventSink, TraceEvent};
+use metasim::simtrace::{EventSink, TraceEvent, TraceKind, KINDS};
 use metasim::SimTime;
-
-/// Canonical trace-event kinds, in taxonomy order. Row exports list
-/// per-kind counts in this order.
-pub const KINDS: [&str; 22] = [
-    "compute_start",
-    "compute_finish",
-    "transfer_start",
-    "transfer_finish",
-    "host_fault_injected",
-    "link_fault_injected",
-    "placement_revoked",
-    "load_imposed",
-    "forecast_issued",
-    "resource_selection",
-    "candidate_considered",
-    "schedule_chosen",
-    "actuated",
-    "reschedule_triggered",
-    "reschedule_decision",
-    "job_submitted",
-    "job_dispatched",
-    "job_retried",
-    "job_backfilled",
-    "job_work_measured",
-    "job_completed",
-    "job_failed",
-];
-
-fn kind_index(kind: &str) -> Option<usize> {
-    KINDS.iter().position(|&k| k == kind)
-}
-
-const I_JOB_SUBMITTED: usize = 15;
-const I_JOB_DISPATCHED: usize = 16;
-const I_JOB_RETRIED: usize = 17;
-const I_JOB_COMPLETED: usize = 20;
-const I_JOB_FAILED: usize = 21;
 
 /// How event time maps to rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +55,7 @@ pub enum WindowMode {
 /// Fixed-size per-window accumulator.
 #[derive(Debug, Clone, PartialEq)]
 struct RowAcc {
-    kinds: [u64; 22],
+    kinds: [u64; KINDS.len()],
     busy_seconds: f64,
     mb: f64,
     imposed_load_seconds: f64,
@@ -103,7 +66,7 @@ struct RowAcc {
 impl RowAcc {
     fn new() -> RowAcc {
         RowAcc {
-            kinds: [0; 22],
+            kinds: [0; KINDS.len()],
             busy_seconds: 0.0,
             mb: 0.0,
             imposed_load_seconds: 0.0,
@@ -124,7 +87,7 @@ pub struct Row {
     /// Events recorded in the window.
     pub events: u64,
     /// Per-kind event counts, [`KINDS`] order.
-    pub kinds: [u64; 22],
+    pub kinds: [u64; KINDS.len()],
     /// Compute seconds overlapping the window.
     pub busy_seconds: f64,
     /// Megabytes delivered in the window.
@@ -203,7 +166,10 @@ impl TimeSeries {
     /// Events of `kind` across every row (0 for a kind not in
     /// [`KINDS`]).
     pub fn count(&self, kind: &str) -> u64 {
-        kind_index(kind).map_or(0, |i| self.rows.iter().map(|r| r.kinds[i]).sum())
+        KINDS
+            .iter()
+            .position(|&k| k == kind)
+            .map_or(0, |i| self.rows.iter().map(|r| r.kinds[i]).sum())
     }
 
     /// Compact human rendering: one line per row with the headline
@@ -326,11 +292,11 @@ impl TimeSeriesSink {
         let mut completed = 0u64;
         let mut failed = 0u64;
         for (i, (&start, acc)) in self.rows.iter().enumerate() {
-            submitted += acc.kinds[I_JOB_SUBMITTED];
-            dispatched += acc.kinds[I_JOB_DISPATCHED];
-            retried += acc.kinds[I_JOB_RETRIED];
-            completed += acc.kinds[I_JOB_COMPLETED];
-            failed += acc.kinds[I_JOB_FAILED];
+            submitted += acc.kinds[TraceKind::JobSubmitted as usize];
+            dispatched += acc.kinds[TraceKind::JobDispatched as usize];
+            retried += acc.kinds[TraceKind::JobRetried as usize];
+            completed += acc.kinds[TraceKind::JobCompleted as usize];
+            failed += acc.kinds[TraceKind::JobFailed as usize];
             let end = match self.mode {
                 WindowMode::Fixed(_) => start + self.width_us,
                 WindowMode::EventAligned => starts.get(i + 1).copied().unwrap_or(start),
@@ -361,9 +327,7 @@ impl TimeSeriesSink {
     /// Fold one event into its rows.
     fn add(&mut self, event: &TraceEvent) {
         let at = event.at();
-        if let Some(i) = kind_index(event.kind()) {
-            self.row(at).kinds[i] += 1;
-        }
+        self.row(at).kinds[event.kind_index()] += 1;
         match event {
             TraceEvent::ComputeFinish {
                 at,
@@ -571,15 +535,45 @@ mod tests {
     }
 
     #[test]
-    fn every_trace_kind_is_indexed() {
-        // KINDS must stay in sync with the TraceEvent taxonomy; a new
-        // variant without a slot would silently drop from rows.
-        let probe = TraceEvent::JobWorkMeasured {
-            job: 0,
-            at: t(1.0),
-            dedicated_seconds: 2.0,
-        };
-        assert!(kind_index(probe.kind()).is_some());
-        assert_eq!(KINDS.len(), 22);
+    fn every_kind_has_its_own_row_slot() {
+        // One wire line per kind, in taxonomy order.
+        let lines = [
+            r#"{"kind":"compute_start","at":1,"host":0,"work_mflop":1}"#,
+            r#"{"kind":"compute_finish","at":1,"host":0,"elapsed_seconds":0}"#,
+            r#"{"kind":"transfer_start","at":1,"from":0,"to":1,"mb":1}"#,
+            r#"{"kind":"transfer_finish","at":1,"from":0,"to":1,"mb":1,"contention_share":1}"#,
+            r#"{"kind":"host_fault_injected","at":1,"host":0,"recover":null}"#,
+            r#"{"kind":"link_fault_injected","at":1,"link":0,"recover":5}"#,
+            r#"{"kind":"placement_revoked","at":1,"host":0}"#,
+            r#"{"kind":"load_imposed","at":1,"host":0,"until":2,"factor":0.5}"#,
+            r#"{"kind":"forecast_issued","at":1,"resource":"cpu:0","predicted":1,"observed":1,"error":0,"method":"mean"}"#,
+            r#"{"kind":"resource_selection","at":1,"candidates":2}"#,
+            r#"{"kind":"candidate_considered","at":1,"index":0,"hosts":1,"predicted_seconds":1,"objective":1}"#,
+            r#"{"kind":"schedule_chosen","at":1,"index":0,"predicted_seconds":1}"#,
+            r#"{"kind":"actuated","at":1,"finish":2,"elapsed_seconds":1}"#,
+            r#"{"kind":"reschedule_triggered","at":1,"phase":0}"#,
+            r#"{"kind":"reschedule_decision","at":1,"keep_seconds":1,"move_seconds":2,"move_cost_seconds":1,"migrated":false}"#,
+            r#"{"kind":"job_submitted","at":1,"job":0,"class":"jacobi2d"}"#,
+            r#"{"kind":"job_dispatched","at":1,"job":0,"attempt":1}"#,
+            r#"{"kind":"job_retried","at":1,"job":0,"attempt":1}"#,
+            r#"{"kind":"job_backfilled","at":1,"job":0,"reservation":2}"#,
+            r#"{"kind":"job_work_measured","at":1,"job":0,"dedicated_seconds":1}"#,
+            r#"{"kind":"job_completed","at":1,"job":0,"exec_seconds":1}"#,
+            r#"{"kind":"job_failed","at":1,"job":0,"attempts":3}"#,
+        ];
+        assert_eq!(lines.len(), KINDS.len());
+        let events: Vec<TraceEvent> = lines
+            .iter()
+            .map(|l| TraceEvent::from_json(l).expect("every kind parses"))
+            .collect();
+        for (i, (e, line)) in events.iter().zip(lines).enumerate() {
+            assert_eq!(e.kind_index(), i);
+            assert_eq!(KINDS[e.kind_index()], e.kind());
+            assert_eq!(e.to_json(), line);
+        }
+        let series = TimeSeries::from_events(&events, WindowMode::EventAligned);
+        assert_eq!(series.rows.len(), 1);
+        assert_eq!(series.rows[0].kinds, [1; KINDS.len()]);
+        assert!(KINDS.iter().all(|k| series.count(k) == 1));
     }
 }

@@ -132,3 +132,20 @@ fn spec_grammar_round_trips() {
     assert!(TopoSpec::parse("mesh:hosts=4").is_err());
     assert!(TopoSpec::parse("star:hosts=0").is_err());
 }
+
+/// `fat-tree:k=K` derives `l1`, `l2` and `hosts`, so giving any of them
+/// next to it is refused rather than silently overridden.
+#[test]
+fn fat_tree_shorthand_refuses_the_long_form_keys() {
+    for s in [
+        "fat-tree:k=4,l1=2",
+        "fat-tree:l2=2,k=4",
+        "fat-tree:k=4,hosts=4",
+        "fattree:k=4,l1=32,l2=4,hosts=4",
+    ] {
+        let err = TopoSpec::parse(s).expect_err(s).to_string();
+        assert!(err.contains("give `k` alone"), "{s}: {err}");
+    }
+    assert!(TopoSpec::parse("fat-tree:k=4").is_ok());
+    assert!(TopoSpec::parse("fat-tree:l2=2,l1=4,hosts=4").is_ok());
+}

@@ -12,7 +12,7 @@ use metasim::{HostId, SimTime};
 use proptest::prelude::*;
 use proptest::strategy::Union;
 
-/// Strings over an alphabet chosen to stress `json_escape`: every
+/// Strings over an alphabet chosen to stress the string escaping: every
 /// escape class (quote, backslash, the named controls, other control
 /// bytes) plus non-ASCII and innocent filler.
 fn arb_string() -> impl Strategy<Value = String> {
@@ -24,7 +24,7 @@ fn arb_string() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
-/// Floats including the non-finite values `json_f64` spells as null.
+/// Floats including the non-finite values the writer spells as null.
 fn arb_f64() -> impl Strategy<Value = f64> {
     prop_oneof![
         8 => -1.0e6f64..1.0e6,
