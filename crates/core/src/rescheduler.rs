@@ -25,23 +25,23 @@ use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
 use metasim::{HostId, SimTime, Topology};
 use nws::WeatherService;
 
+/// Migrate only when the predicted remaining time under the new
+/// schedule, plus migration cost, undercuts the current schedule's
+/// predicted remaining time by this factor: `0.9` demands a 10%
+/// predicted saving.
+const IMPROVEMENT_THRESHOLD: f64 = 0.9;
+
 /// Configuration of a rescheduling run.
 #[derive(Debug, Clone, Copy)]
 pub struct ReschedulePolicy {
     /// Iterations executed between scheduling points.
     pub phase_iterations: usize,
-    /// Migrate only when the predicted remaining time under the new
-    /// schedule, plus migration cost, undercuts the current schedule's
-    /// predicted remaining time by this factor (e.g. `0.9` demands a
-    /// 10% predicted saving).
-    pub improvement_threshold: f64,
 }
 
 impl Default for ReschedulePolicy {
     fn default() -> Self {
         ReschedulePolicy {
             phase_iterations: 20,
-            improvement_threshold: 0.9,
         }
     }
 }
@@ -176,8 +176,7 @@ impl ReschedulingAgent {
                     let keep_pred = predict_remaining(&pool, cur, remaining)?;
                     let move_pred = predict_remaining(&pool, &cand, remaining)?;
                     let move_cost = migration_cost(topo, &template, cur, &cand, now)?;
-                    let migrate =
-                        move_pred + move_cost < keep_pred * self.policy.improvement_threshold;
+                    let migrate = move_pred + move_cost < keep_pred * IMPROVEMENT_THRESHOLD;
                     if sink.enabled() {
                         sink.record(TraceEvent::RescheduleDecision {
                             at: now,

@@ -211,12 +211,6 @@ impl Host {
         }
     }
 
-    /// Effective compute speed delivered to the application at time `t`
-    /// with the given resident set, in Mflop/s.
-    pub fn effective_speed_at(&self, t: SimTime, resident_mb: f64) -> f64 {
-        self.spec.mflops * self.avail.value_at(t) * self.memory_factor(resident_mb)
-    }
-
     /// Time at which `mflop` of work started at `start` completes,
     /// given a resident set of `resident_mb`.
     pub fn compute_finish(
@@ -383,15 +377,6 @@ mod tests {
         spec.sharing = SharingPolicy::SpaceShared { wait: s(3600.0) };
         let sp = Host::instantiate(HostId(1), spec, s(1.0), 0).unwrap();
         assert_eq!(sp.startup_wait(), s(3600.0));
-    }
-
-    #[test]
-    fn effective_speed_combines_load_and_memory() {
-        let spec = HostSpec::workstation("ws", 100.0, 100.0, seg(), LoadModel::Constant(0.5));
-        let h = Host::instantiate(HostId(0), spec, s(10.0), 0).unwrap();
-        let v = h.effective_speed_at(SimTime::ZERO, 200.0);
-        // 100 * 0.5 * (1/51)
-        assert!((v - 100.0 * 0.5 / 51.0).abs() < 1e-9);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl Link {
     pub fn capacity_at(&self, t: SimTime) -> f64 {
         self.spec.bandwidth_mbps * self.avail.value_at(t)
     }
-
-    /// Mean usable capacity over a window, in MB/s.
-    pub fn mean_capacity(&self, from: SimTime, to: SimTime) -> f64 {
-        self.spec.bandwidth_mbps * self.avail.mean(from, to)
-    }
 }
 
 /// Routing between segments: the ordered list of links a message

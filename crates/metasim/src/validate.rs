@@ -21,6 +21,7 @@
 //! construction), while `cli validate` prints the full list.
 
 use crate::fault::FaultSpec;
+use crate::load::StepSeries;
 use crate::net::{SegmentId, Topology};
 use crate::time::SimTime;
 use std::fmt;
@@ -287,6 +288,19 @@ impl fmt::Display for ValidationReport {
     }
 }
 
+/// The sign of an availability series' mean over `[0, horizon]`: 0 when
+/// the series is 0 throughout, 1 otherwise. Values are never negative,
+/// so the mean is 0 exactly when the series starts at 0 and first
+/// changes at or past the horizon. Reading only that first change
+/// realizes a lazy series about 1 024 s deep, not to the horizon.
+fn mean_sign(avail: &StepSeries, horizon: SimTime) -> f64 {
+    let dead = avail.value_at(SimTime::ZERO) <= 0.0
+        && avail
+            .next_change_after(SimTime::ZERO)
+            .is_none_or(|t| t >= horizon);
+    f64::from(u8::from(!dead))
+}
+
 /// Statically validate an instantiated topology.
 pub fn validate_topology(topo: &Topology) -> ValidationReport {
     let mut report = ValidationReport::default();
@@ -309,7 +323,9 @@ pub fn validate_topology(topo: &Topology) -> ValidationReport {
                 value: bw,
             });
         }
-        if horizon > SimTime::ZERO && link.mean_capacity(SimTime::ZERO, horizon) <= 0.0 {
+        // Bandwidth × mean availability: an infinite or NaN bandwidth
+        // over a dead series is NaN, which is not dead.
+        if horizon > SimTime::ZERO && bw * mean_sign(link.availability(), horizon) <= 0.0 {
             report.push(ConfigIssue::DeadLink {
                 link: link.spec.name.clone(),
             });
@@ -335,7 +351,7 @@ pub fn validate_topology(topo: &Topology) -> ValidationReport {
                 value: spec.mem_mb,
             });
         }
-        if horizon > SimTime::ZERO && host.mean_availability(SimTime::ZERO, horizon) <= 0.0 {
+        if horizon > SimTime::ZERO && mean_sign(host.availability(), horizon) <= 0.0 {
             report.push(ConfigIssue::DeadHost {
                 host: spec.name.clone(),
             });
@@ -473,7 +489,7 @@ pub fn memory_fit(topo: &Topology, what: &str, needed_mb_per_host: f64) -> Optio
 mod tests {
     use super::*;
     use crate::host::HostSpec;
-    use crate::load::StepSeries;
+    use crate::load::LoadModel;
     use crate::net::{LinkSpec, TopologyBuilder};
     use crate::testbed::{pcl_sdsc, TestbedConfig};
 
@@ -557,6 +573,79 @@ mod tests {
             .issues
             .iter()
             .any(|i| matches!(i, ConfigIssue::DeadLink { .. })));
+    }
+
+    /// Whether the report on `topo` with host 0 and link 0 on `avail`
+    /// names a dead host and a dead link, checked against the mean over
+    /// the horizon that the verdict stands for.
+    fn dead_verdicts(avail: &LoadModel, bandwidth: f64) -> (bool, bool) {
+        let horizon = SimTime::from_secs(3600);
+        let mut b = TopologyBuilder::new();
+        let seg = b.add_segment(LinkSpec::dedicated("eth", bandwidth, SimTime::ZERO));
+        b.add_host(HostSpec::dedicated("a", 50.0, 64.0, seg));
+        let mut topo = b.instantiate(horizon, 1).unwrap();
+        let series = || avail.realize(horizon, 1);
+        topo.host_mut(crate::HostId(0))
+            .unwrap()
+            .set_availability(series());
+        topo.link_mut(crate::LinkId(0))
+            .unwrap()
+            .set_availability(series());
+        let report = validate_topology(&topo);
+        let host = report.issues.iter().any(|i| i.code() == "dead-host");
+        let link = report.issues.iter().any(|i| i.code() == "dead-link");
+        let mean = series().mean(SimTime::ZERO, horizon);
+        assert_eq!(host, mean <= 0.0, "{avail:?}");
+        assert_eq!(link, bandwidth * mean <= 0.0, "{avail:?} at {bandwidth}");
+        (host, link)
+    }
+
+    #[test]
+    fn dead_verdict_reads_the_first_change_against_the_horizon() {
+        let h = SimTime::from_secs(3600);
+        let zero_until = |t: SimTime| LoadModel::Trace(vec![(SimTime::ZERO, 0.0), (t, 0.5)]);
+        // Back past the horizon: 0 throughout, dead.
+        let late = zero_until(h + SimTime::from_micros(1));
+        assert_eq!(dead_verdicts(&late, 10.0), (true, true));
+        // At the horizon itself the change adds nothing to the mean.
+        assert_eq!(dead_verdicts(&zero_until(h), 10.0), (true, true));
+        // Just before it: a sliver of capacity, alive.
+        let early = zero_until(h - SimTime::from_micros(1));
+        assert_eq!(dead_verdicts(&early, 10.0), (false, false));
+        // An infinite or NaN bandwidth over a dead series reads as the
+        // old product did: NaN, not dead.
+        for bw in [f64::INFINITY, f64::NAN] {
+            assert_eq!(dead_verdicts(&late, bw), (true, false));
+            assert_eq!(dead_verdicts(&LoadModel::Constant(1.0), bw), (false, false));
+        }
+    }
+
+    #[test]
+    fn dead_verdict_realizes_only_the_first_chunk() {
+        let horizon = SimTime::from_secs(400_000);
+        let mut b = TopologyBuilder::new();
+        let seg = b.add_segment(LinkSpec::dedicated("eth", 10.0, SimTime::ZERO));
+        b.add_host(HostSpec::dedicated("a", 50.0, 64.0, seg));
+        let mut topo = b.instantiate(horizon, 1).unwrap();
+        let walk = LoadModel::RandomWalk {
+            start: 0.5,
+            step: 0.1,
+            interval: SimTime::from_secs(10),
+            floor: 0.2,
+            ceil: 1.0,
+        };
+        topo.host_mut(crate::HostId(0))
+            .unwrap()
+            .set_availability(walk.realize(horizon, 7));
+        assert!(validate_topology(&topo).is_ok());
+        let until = topo.hosts()[0]
+            .availability()
+            .realized_until()
+            .expect("a tail is still pending");
+        assert!(
+            until <= SimTime::from_secs(1024 + 10),
+            "realized to {until}"
+        );
     }
 
     #[test]

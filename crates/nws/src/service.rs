@@ -308,19 +308,6 @@ impl WeatherService {
     pub fn keys(&self) -> impl Iterator<Item = ResourceKey> + '_ {
         self.monitored.keys().copied()
     }
-
-    /// Which predictor is currently winning for each resource, with its
-    /// decayed error — a monitoring dashboard's worth of introspection.
-    pub fn predictor_summary(&self) -> Vec<(ResourceKey, String, f64)> {
-        self.monitored
-            .iter()
-            .filter_map(|(&key, m)| {
-                let name = m.selector.best_name()?;
-                let err = m.selector.best_error().unwrap_or(f64::INFINITY);
-                Some((key, name, err))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -420,14 +407,15 @@ mod tests {
     }
 
     #[test]
-    fn predictor_summary_covers_every_resource() {
+    fn forecasts_cover_every_resource() {
         let topo = topo();
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, s(200.0));
-        let summary = ws.predictor_summary();
-        assert_eq!(summary.len(), 3); // 2 CPUs + 1 link
-        for (_, name, err) in summary {
-            assert!(!name.is_empty());
+        assert_eq!(ws.keys().count(), 3); // 2 CPUs + 1 link
+        for key in ws.keys() {
+            let f = ws.forecast(key).expect("a forecast per resource");
+            assert!(!f.method.is_empty());
+            let err = f.error;
             assert!(err < 1e-6, "constant signals should be nailed, err {err}");
         }
     }

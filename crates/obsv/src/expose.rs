@@ -112,19 +112,24 @@ pub fn snapshot_diff(left: &str, right: &str) -> Vec<SeriesDelta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold::Tally;
     use crate::registry::Registry;
+    use metasim::simtrace::TraceKind;
 
     #[test]
     fn parse_roundtrips_exposition() {
-        let mut r = Registry::new();
-        r.describe_counter("a_total", "A.");
-        r.inc("a_total", &[("k", "v")], 2.0);
-        r.describe_histogram("h", "H.", &[1.0]);
-        r.observe("h", &[], 0.5);
+        let mut tally = Tally::default();
+        tally.kinds[TraceKind::Actuated as usize] = 2;
+        tally.selection_candidates.observe(0.5);
+        let r = Registry { tally };
         let snap = Snapshot::parse(&r.expose());
-        assert_eq!(snap.series.get("a_total{k=\"v\"}"), Some(&2.0));
-        assert_eq!(snap.series.get("h_bucket{le=\"1\"}"), Some(&1.0));
-        assert_eq!(snap.series.get("h_count"), Some(&1.0));
+        let get = |series: &str| snap.series.get(series).copied();
+        assert_eq!(get("apples_events_total{kind=\"actuated\"}"), Some(2.0));
+        assert_eq!(
+            get("apples_selection_candidates_bucket{le=\"1\"}"),
+            Some(1.0)
+        );
+        assert_eq!(get("apples_selection_candidates_count"), Some(1.0));
     }
 
     #[test]

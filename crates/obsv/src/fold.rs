@@ -1,14 +1,17 @@
-//! The one fold over a trace that [`Profile`] and [`SpanTree`] are
-//! views of.
+//! The one fold over a trace that [`Profile`], [`SpanTree`] and the
+//! metrics registry are views of.
 //!
-//! A single loop over the events produces everything both need: per
-//! closed job, the five phase buckets (simprof's rows) together with
-//! each attempt's dispatch instant, its cause edges and the revocations
-//! it absorbed, and the transfer intervals of the job's attempts (the
-//! span tree's structure); per host, the totals and the compute
-//! intervals the gantt's host lanes are drawn from. Because the span
-//! leaves are cut from the same buckets in the same pass, spans and
-//! simprof reconcile to 0 µs by construction.
+//! [`Fold::add`] takes one event at a time, so the fold runs both over
+//! a stream in memory and live behind [`MetricsSink`]. It keeps
+//! everything the three views need: per closed job, the five phase
+//! buckets (simprof's rows) together with each attempt's dispatch
+//! instant, its cause edges and the revocations it absorbed, and the
+//! transfer intervals of the job's attempts (the span tree's
+//! structure); per host, the totals and the compute intervals the
+//! gantt's host lanes are drawn from; and the registry's typed
+//! accumulators ([`Tally`]). Because the span leaves are cut from the
+//! same buckets in the same pass, spans and simprof reconcile to 0 µs
+//! by construction.
 //!
 //! The grid service processes jobs sequentially in admission order, so
 //! executor events between a `job_dispatched` and the matching
@@ -18,16 +21,19 @@
 //!
 //! [`Profile`]: crate::Profile
 //! [`SpanTree`]: crate::SpanTree
+//! [`MetricsSink`]: crate::MetricsSink
 
 use std::collections::{BTreeMap, VecDeque};
 
-use metasim::simtrace::TraceEvent;
+use metasim::simtrace::{TraceEvent, KINDS};
 use metasim::{HostId, SimTime};
 
 use crate::profile::{secs_to_us, HostProfile, JobProfile, Profile};
+use crate::registry::Histogram;
 use crate::span::Cause;
 
 /// One dispatch of a job.
+#[derive(Debug)]
 pub(crate) struct Attempt {
     /// Dispatch instant.
     pub(crate) at: SimTime,
@@ -38,6 +44,7 @@ pub(crate) struct Attempt {
 }
 
 /// The span-tree half of one closed job.
+#[derive(Debug)]
 pub(crate) struct JobStructure {
     /// Attempts in dispatch order.
     pub(crate) attempts: Vec<Attempt>,
@@ -45,14 +52,89 @@ pub(crate) struct JobStructure {
     pub(crate) transfers: Vec<(u32, SimTime, SimTime)>,
 }
 
-/// The folded trace: the profile, and for each of its jobs (same
-/// order) the structure the span tree is built from.
-pub(crate) struct Fold {
-    pub(crate) profile: Profile,
-    pub(crate) structure: Vec<JobStructure>,
+/// What the metrics registry reads off the fold, accumulated in event
+/// order under the registry's rules: a counter takes only finite,
+/// non-negative increments and its series starts with the first one
+/// (`None` before it); a histogram takes every value, NaN included (it
+/// is counted as dropped).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tally {
+    /// Events by kind, indexed like [`KINDS`].
+    pub(crate) kinds: [u64; KINDS.len()],
+    /// Reschedule decisions by `migrated` (`false`, `true`).
+    pub(crate) migrated: [u64; 2],
+    pub(crate) work_mflop: Option<f64>,
+    pub(crate) transfer_mb: Option<f64>,
+    pub(crate) host_busy_seconds: BTreeMap<HostId, Option<f64>>,
+    /// Jobs submitted or awaiting retry but not yet dispatched (never
+    /// below 0) and its high-water mark, from the first queue event.
+    pub(crate) queue: Option<(i64, i64)>,
+    /// The time of the last event folded (not the latest time).
+    pub(crate) last_at: Option<SimTime>,
+    pub(crate) compute_seconds: Histogram,
+    pub(crate) transfer_seconds: Histogram,
+    pub(crate) contention_share: Histogram,
+    pub(crate) forecast_abs_error: Histogram,
+    pub(crate) selection_candidates: Histogram,
+    pub(crate) job_exec_seconds: Histogram,
 }
 
-#[derive(Default)]
+impl Default for Tally {
+    fn default() -> Tally {
+        let dur = Histogram::log_spaced(1e-3, 1e4, 3);
+        Tally {
+            kinds: [0; KINDS.len()],
+            migrated: [0; 2],
+            work_mflop: None,
+            transfer_mb: None,
+            host_busy_seconds: BTreeMap::new(),
+            queue: None,
+            last_at: None,
+            compute_seconds: dur.clone(),
+            transfer_seconds: dur.clone(),
+            contention_share: Histogram::with_boundaries(
+                (1..=10).map(|i| f64::from(i) / 10.0).collect(),
+            ),
+            forecast_abs_error: Histogram::log_spaced(1e-4, 10.0, 3),
+            selection_candidates: Histogram::with_boundaries(vec![
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
+            ]),
+            job_exec_seconds: dur,
+        }
+    }
+}
+
+impl Tally {
+    fn enqueue(&mut self, delta: i64) {
+        let (depth, peak) = self.queue.get_or_insert((0, 0));
+        *depth = (*depth + delta).max(0);
+        *peak = (*peak).max(*depth);
+    }
+}
+
+/// Add `by` to a registry counter; see [`Tally`].
+fn increment(counter: &mut Option<f64>, by: f64) {
+    if by.is_finite() && by.total_cmp(&0.0).is_ge() {
+        *counter.get_or_insert(0.0) += by;
+    }
+}
+
+/// The fold's state after the events added so far.
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    open: BTreeMap<usize, OpenJob>,
+    closed: Vec<(JobProfile, JobStructure)>,
+    hosts: BTreeMap<HostId, HostProfile>,
+    busy: BTreeMap<HostId, Vec<(f64, f64)>>,
+    open_transfers: BTreeMap<(HostId, HostId), VecDeque<SimTime>>,
+    /// Revocations emitted but not yet tied to a lifecycle event.
+    revocations: Vec<(HostId, SimTime)>,
+    current: Option<usize>,
+    span: Option<(SimTime, SimTime)>,
+    pub(crate) tally: Tally,
+}
+
+#[derive(Debug, Default)]
 struct OpenJob {
     kind: String,
     submit: SimTime,
@@ -134,36 +216,29 @@ fn finite(v: f64) -> f64 {
     }
 }
 
-/// Fold an event stream once.
-pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
-    let mut open: BTreeMap<usize, OpenJob> = BTreeMap::new();
-    let mut closed: Vec<(JobProfile, JobStructure)> = Vec::new();
-    let mut hosts: BTreeMap<HostId, HostProfile> = BTreeMap::new();
-    let mut busy: BTreeMap<HostId, Vec<(f64, f64)>> = BTreeMap::new();
-    let mut open_transfers: BTreeMap<(HostId, HostId), VecDeque<SimTime>> = BTreeMap::new();
-    // Revocations emitted but not yet tied to a lifecycle event.
-    let mut revocations: Vec<(HostId, SimTime)> = Vec::new();
-    let mut current: Option<usize> = None;
-    let mut span: Option<(SimTime, SimTime)> = None;
-
-    for e in events {
+impl Fold {
+    /// Fold one more event.
+    pub(crate) fn add(&mut self, e: &TraceEvent) {
         let at = e.at();
-        span = Some(match span {
-            None => (at, at),
-            Some((f, l)) => (f.min(at), l.max(at)),
-        });
+        let (first, last) = self.span.unwrap_or((at, at));
+        self.span = Some((first.min(at), last.max(at)));
+        let t = &mut self.tally;
+        t.kinds[e.kind_index()] += 1;
+        t.last_at = Some(at);
         match e {
             TraceEvent::JobSubmitted { job, kind, at } => {
+                t.enqueue(1);
                 let j = OpenJob {
                     kind: kind.clone(),
                     submit: *at,
                     ..OpenJob::default()
                 };
-                open.insert(*job, j);
+                self.open.insert(*job, j);
             }
             TraceEvent::JobDispatched { job, at, attempt } => {
-                current = Some(*job);
-                if let Some(j) = open.get_mut(job) {
+                t.enqueue(-1);
+                self.current = Some(*job);
+                if let Some(j) = self.open.get_mut(job) {
                     j.attempts = j.attempts.max(*attempt);
                     j.dispatches.push(Attempt {
                         at: *at,
@@ -179,24 +254,28 @@ pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
             TraceEvent::JobBackfilled {
                 job, reservation, ..
             } => {
-                if let Some(j) = open.get_mut(job) {
+                if let Some(j) = self.open.get_mut(job) {
                     j.pending_causes.push(Cause::Backfilled {
                         reservation: *reservation,
                     });
                 }
             }
-            TraceEvent::PlacementRevoked { host, at } => revocations.push((*host, *at)),
+            TraceEvent::PlacementRevoked { host, at } => self.revocations.push((*host, *at)),
             TraceEvent::JobRetried { job, attempt, .. } => {
-                if let Some(j) = open.get_mut(job) {
+                t.enqueue(1);
+                if let Some(j) = self.open.get_mut(job) {
                     j.pending_causes.push(Cause::Retried {
                         failed_attempt: *attempt,
                     });
-                    j.absorb(&mut revocations, true);
+                    j.absorb(&mut self.revocations, true);
                 }
             }
-            TraceEvent::ComputeStart { host, .. } => {
-                hosts.entry(*host).or_default().workers += 1;
-                if let Some(j) = current.and_then(|c| open.get_mut(&c)) {
+            TraceEvent::ComputeStart {
+                host, work_mflop, ..
+            } => {
+                increment(&mut t.work_mflop, *work_mflop);
+                self.hosts.entry(*host).or_default().workers += 1;
+                if let Some(j) = self.current.and_then(|c| self.open.get_mut(&c)) {
                     j.workers += 1;
                     if !j.hosts.contains(host) {
                         j.hosts.push(*host);
@@ -208,17 +287,20 @@ pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
                 at,
                 elapsed_seconds,
             } => {
+                t.compute_seconds.observe(*elapsed_seconds);
+                let busy = t.host_busy_seconds.entry(*host).or_default();
+                increment(busy, *elapsed_seconds);
                 let elapsed = finite(*elapsed_seconds);
-                hosts.entry(*host).or_default().compute_seconds += elapsed;
+                self.hosts.entry(*host).or_default().compute_seconds += elapsed;
                 let fin = at.as_secs_f64();
                 let start = (fin - elapsed_seconds.max(0.0)).max(0.0);
-                busy.entry(*host).or_default().push((start, fin));
-                if let Some(j) = current.and_then(|c| open.get_mut(&c)) {
+                self.busy.entry(*host).or_default().push((start, fin));
+                if let Some(j) = self.current.and_then(|c| self.open.get_mut(&c)) {
                     j.compute_ws += elapsed;
                 }
             }
             TraceEvent::TransferStart { from, to, at, .. } => {
-                open_transfers
+                self.open_transfers
                     .entry((*from, *to))
                     .or_default()
                     .push_back(*at);
@@ -230,28 +312,43 @@ pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
                 mb,
                 contention_share,
             } => {
+                increment(&mut t.transfer_mb, *mb);
+                t.contention_share.observe(*contention_share);
                 let mb = finite(*mb);
-                hosts.entry(*from).or_default().mb_sent += mb;
-                hosts.entry(*to).or_default().mb_received += mb;
-                let started = open_transfers
+                self.hosts.entry(*from).or_default().mb_sent += mb;
+                self.hosts.entry(*to).or_default().mb_received += mb;
+                let started = self
+                    .open_transfers
                     .get_mut(&(*from, *to))
                     .and_then(VecDeque::pop_front);
                 if let Some(started) = started {
                     let dur = at.saturating_sub(started).as_secs_f64();
+                    t.transfer_seconds.observe(dur);
                     let share = if contention_share.is_finite() {
                         contention_share.clamp(0.0, 1.0)
                     } else {
                         1.0
                     };
                     let ideal = dur * share;
-                    let h = hosts.entry(*from).or_default();
+                    let h = self.hosts.entry(*from).or_default();
                     h.border_seconds += ideal;
                     h.contention_seconds += dur - ideal;
-                    if let Some(j) = current.and_then(|c| open.get_mut(&c)) {
+                    if let Some(j) = self.current.and_then(|c| self.open.get_mut(&c)) {
                         j.border_ws += ideal;
                         j.transfers.push((j.dispatches.len() as u32, started, *at));
                     }
                 }
+            }
+            TraceEvent::ForecastIssued {
+                predicted,
+                observed,
+                ..
+            } => t.forecast_abs_error.observe((predicted - observed).abs()),
+            TraceEvent::ResourceSelection { candidates, .. } => {
+                t.selection_candidates.observe(*candidates as f64);
+            }
+            TraceEvent::RescheduleDecision { migrated, .. } => {
+                t.migrated[usize::from(*migrated)] += 1;
             }
             TraceEvent::JobWorkMeasured {
                 job,
@@ -263,44 +360,56 @@ pub(crate) fn fold(events: &[TraceEvent]) -> Fold {
                 // as pure contention. The measured dedicated seconds
                 // stand in for compute; the remainder of the window is
                 // dilution. Job-id keyed: no reliance on `current`.
-                if let Some(j) = open.get_mut(job) {
+                if let Some(j) = self.open.get_mut(job) {
                     j.compute_ws = finite(*dedicated_seconds).max(0.0);
                 }
             }
-            TraceEvent::JobCompleted { job, at, .. } => {
-                if let Some(mut j) = open.remove(job) {
-                    j.absorb(&mut revocations, false);
-                    closed.push(j.close(*job, *at, true));
+            TraceEvent::JobCompleted {
+                job,
+                at,
+                exec_seconds,
+            } => {
+                t.job_exec_seconds.observe(*exec_seconds);
+                if let Some(mut j) = self.open.remove(job) {
+                    j.absorb(&mut self.revocations, false);
+                    self.closed.push(j.close(*job, *at, true));
                 }
-                if current == Some(*job) {
-                    current = None;
+                if self.current == Some(*job) {
+                    self.current = None;
                 }
             }
             TraceEvent::JobFailed { job, at, attempts } => {
-                if let Some(mut j) = open.remove(job) {
-                    j.absorb(&mut revocations, false);
+                if let Some(mut j) = self.open.remove(job) {
+                    j.absorb(&mut self.revocations, false);
                     j.attempts = j.attempts.max(*attempts);
-                    closed.push(j.close(*job, *at, false));
+                    self.closed.push(j.close(*job, *at, false));
                 }
-                if current == Some(*job) {
-                    current = None;
+                if self.current == Some(*job) {
+                    self.current = None;
                 }
             }
             _ => {}
         }
     }
 
-    closed.sort_by_key(|(j, _)| j.job);
-    let (jobs, structure) = closed.into_iter().unzip();
-    Fold {
-        profile: Profile {
+    /// Fold an in-memory stream: the profile, and for each of its jobs
+    /// (same order) the structure the span tree is built from.
+    pub(crate) fn over(events: &[TraceEvent]) -> (Profile, Vec<JobStructure>) {
+        let mut fold = Fold::default();
+        for e in events {
+            fold.add(e);
+        }
+        let mut closed = fold.closed;
+        closed.sort_by_key(|(j, _)| j.job);
+        let (jobs, structure) = closed.into_iter().unzip();
+        let profile = Profile {
             jobs,
-            hosts,
-            span,
-            events: events.len(),
-            unclosed_jobs: open.len(),
-            busy,
-        },
-        structure,
+            hosts: fold.hosts,
+            span: fold.span,
+            events: fold.tally.kinds.iter().sum::<u64>() as usize,
+            unclosed_jobs: fold.open.len(),
+            busy: fold.busy,
+        };
+        (profile, structure)
     }
 }

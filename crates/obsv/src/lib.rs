@@ -5,15 +5,20 @@
 //! The AppLeS argument is that a scheduler wins by *seeing* what the
 //! testbed is doing; this crate is the seeing apparatus for the
 //! reproduction itself. It turns the [`metasim::simtrace`] event
-//! stream into three artifacts:
+//! stream into the artifacts below. One fold over the events, taking
+//! them one at a time, has three views: the metrics registry, the
+//! profile and the span trees; the time series is a windowed pass of
+//! its own.
 //!
 //! * a **metrics registry** ([`Registry`]) — counters, gauges and
 //!   fixed-boundary histograms with bucket-interpolated p50/p95/p99,
 //!   deterministic by construction: no wall-clock, no hash-map
-//!   iteration, canonical label ordering. [`MetricsSink`] implements
-//!   [`metasim::simtrace::EventSink`], so every `_with_sink` call site
-//!   in the stack feeds it without modification, and [`FanoutSink`]
-//!   lets JSONL tracing and metrics watch the same run;
+//!   iteration, series in label order. [`MetricsSink`] is the fold
+//!   behind a [`metasim::simtrace::EventSink`], so every `_with_sink`
+//!   call site in the stack feeds it without modification, and
+//!   [`MetricsSink::registry`] reads the registry off the fold (a
+//!   registry has no mutation API). [`FanoutSink`] lets JSONL tracing
+//!   and metrics watch the same run;
 //! * **simprof** ([`Profile`]) — a time-attribution profiler that
 //!   folds a trace into per-job/per-host/per-phase buckets
 //!   (queue-wait, retry-backoff, compute, border-exchange,
@@ -27,7 +32,7 @@
 //!   job → attempt → phase hierarchies with cause edges (retry,
 //!   revocation, backfill), whose partition leaves tile each makespan
 //!   exactly and reconcile with simprof to 0 µs (a span tree and a
-//!   [`Profile`] are two views of one fold over the trace), plus per-job
+//!   [`Profile`] are views of the one fold), plus per-job
 //!   critical paths and a per-trace [`Composition`] summary;
 //! * a **time-series engine** ([`TimeSeriesSink`]) — fixed-width or
 //!   event-aligned windows over the same stream: per-kind counts,

@@ -18,7 +18,7 @@
 //!   and any executor time the trace does not itemize.
 //!
 //! A [`Profile`] is one view of the crate's single trace fold
-//! (`fold.rs`); [`crate::SpanTree`] is the other, so the two agree to
+//! (`fold.rs`); [`crate::SpanTree`] is another, so the two agree to
 //! the microsecond. Accumulators reset on each dispatch, so only the
 //! final attempt's events shape the split of the execution window —
 //! earlier attempts are wall-clock inside retry-backoff. The fold keeps
@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use metasim::simtrace::TraceEvent;
 use metasim::{HostId, SimTime};
 
-use crate::fold::fold;
+use crate::fold::Fold;
 
 /// One attribution bucket. Order is significant: it is the emission
 /// order in folded stacks and tables.
@@ -172,7 +172,7 @@ pub struct Profile {
 impl Profile {
     /// Fold an in-memory event stream.
     pub fn from_events(events: &[TraceEvent]) -> Profile {
-        fold(events).profile
+        Fold::over(events).0
     }
 
     /// Trace-wide execution-time shares from the per-host totals.

@@ -3,13 +3,18 @@
 //!
 //! Determinism is the point. Prometheus client libraries lean on
 //! wall-clock timestamps and hash-map iteration; here both are banned.
-//! Families and series live in [`BTreeMap`]s keyed by name and by a
-//! canonical (sorted) label rendering, so two runs of the same seeded
-//! scenario produce byte-identical expositions — which is what lets CI
-//! diff two snapshots as a regression gate.
+//! A [`Registry`] is the trace fold's accumulators read through one
+//! table of families: families render in name order and series in
+//! label order, so two runs of the same seeded scenario produce
+//! byte-identical expositions — which is what lets CI diff two
+//! snapshots as a regression gate.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use metasim::simtrace::{TraceKind as K, KINDS};
+use metasim::SimTime;
+
+use crate::fold::Tally;
 
 /// Nearest-rank percentile over raw samples.
 ///
@@ -210,204 +215,255 @@ impl Histogram {
     }
 }
 
-/// What a metric family holds.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Counter(f64),
-    Gauge(f64),
-    Hist(Histogram),
+/// A series: its label's value (or key), and its value if it exists.
+type Series = (String, Option<f64>);
+
+/// How a family's series read off the fold's [`Tally`]; a `None` value
+/// is a series that does not exist yet.
+enum Read {
+    /// One unlabeled counter series.
+    Counter(fn(&Tally) -> Option<f64>),
+    /// One unlabeled gauge series.
+    Gauge(fn(&Tally) -> Option<f64>),
+    /// Counter series by the value of one label.
+    By(&'static str, fn(&Tally) -> Vec<Series>),
+    /// Counts of event kinds, by the value of one label.
+    Kinds(&'static str, &'static [(&'static str, K)]),
+    /// One unlabeled histogram.
+    Histogram(fn(&Tally) -> &Histogram),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-}
-
-impl Kind {
-    fn as_str(self) -> &'static str {
+impl Read {
+    /// The family's Prometheus type.
+    fn kind(&self) -> &'static str {
         match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram => "histogram",
+            Read::Gauge(_) => "gauge",
+            Read::Histogram(_) => "histogram",
+            Read::Counter(_) | Read::By(..) | Read::Kinds(..) => "counter",
         }
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct Family {
-    kind: Kind,
-    help: String,
-    /// Default boundaries for new histogram series of this family.
-    boundaries: Vec<f64>,
-    /// Canonical label rendering → series value.
-    series: BTreeMap<String, Value>,
+/// Every exposed family: name, help text and how it reads the fold.
+/// All names carry the `apples_` prefix.
+const FAMILIES: [(&str, &str, Read); 22] = [
+    (
+        "apples_events_total",
+        "Trace events observed, by kind.",
+        Read::By("kind", |t| {
+            let counts = KINDS.iter().zip(t.kinds);
+            counts.map(|(k, n)| (k.to_string(), nonzero(n))).collect()
+        }),
+    ),
+    (
+        "apples_jobs_total",
+        "Jobs that left the stream, by outcome (completed|failed).",
+        Read::Kinds(
+            "outcome",
+            &[("completed", K::JobCompleted), ("failed", K::JobFailed)],
+        ),
+    ),
+    (
+        "apples_job_attempts_total",
+        "Placement attempts dispatched (first tries and retries).",
+        Read::Counter(|t| t.count(K::JobDispatched)),
+    ),
+    (
+        "apples_job_retries_total",
+        "Failed attempts that were scheduled for retry after backoff.",
+        Read::Counter(|t| t.count(K::JobRetried)),
+    ),
+    (
+        "apples_backfills_total",
+        "Queued jobs started out of FCFS order by EASY backfilling.",
+        Read::Counter(|t| t.count(K::JobBackfilled)),
+    ),
+    (
+        "apples_queue_depth",
+        "Jobs submitted or awaiting retry but not yet dispatched.",
+        Read::Gauge(|t| t.queue.map(|(depth, _)| depth as f64)),
+    ),
+    (
+        "apples_queue_depth_peak",
+        "High-water mark of apples_queue_depth over the run.",
+        Read::Gauge(|t| t.queue.map(|(_, peak)| peak as f64)),
+    ),
+    (
+        "apples_compute_seconds",
+        "Per-worker compute wall-clock (load and paging slowdown included).",
+        Read::Histogram(|t| &t.compute_seconds),
+    ),
+    (
+        "apples_compute_work_mflop_total",
+        "Total work dispatched to workers, Mflop.",
+        Read::Counter(|t| t.work_mflop),
+    ),
+    (
+        "apples_transfer_mb_total",
+        "Payload delivered, MB.",
+        Read::Counter(|t| t.transfer_mb),
+    ),
+    (
+        "apples_transfer_seconds",
+        "Transfer admission-to-delivery wall-clock.",
+        Read::Histogram(|t| &t.transfer_seconds),
+    ),
+    (
+        "apples_transfer_contention_share",
+        "Achieved over nominal bottleneck bandwidth (1 = link to itself).",
+        Read::Histogram(|t| &t.contention_share),
+    ),
+    (
+        "apples_forecast_abs_error",
+        "Absolute error of each issued forecast against the observation.",
+        Read::Histogram(|t| &t.forecast_abs_error),
+    ),
+    (
+        "apples_faults_injected_total",
+        "Faults injected into the topology, by target (host|link).",
+        Read::Kinds(
+            "target",
+            &[
+                ("host", K::HostFaultInjected),
+                ("link", K::LinkFaultInjected),
+            ],
+        ),
+    ),
+    (
+        "apples_placements_revoked_total",
+        "Running placements revoked by host death.",
+        Read::Counter(|t| t.count(K::PlacementRevoked)),
+    ),
+    (
+        "apples_load_impositions_total",
+        "Background-load windows imposed on hosts by dispatched jobs.",
+        Read::Counter(|t| t.count(K::LoadImposed)),
+    ),
+    (
+        "apples_selection_candidates",
+        "Candidate resource sets per selection.",
+        Read::Histogram(|t| &t.selection_candidates),
+    ),
+    (
+        "apples_reschedule_decisions_total",
+        "Phase-boundary reschedule decisions, by migrated (true|false).",
+        Read::By("migrated", |t| {
+            let counts = ["false", "true"].iter().zip(t.migrated);
+            counts.map(|(m, n)| (m.to_string(), nonzero(n))).collect()
+        }),
+    ),
+    (
+        "apples_job_exec_seconds",
+        "Job admission-to-completion wall-clock.",
+        Read::Histogram(|t| &t.job_exec_seconds),
+    ),
+    (
+        "apples_actuations_total",
+        "Schedules actuated on the testbed.",
+        Read::Counter(|t| t.count(K::Actuated)),
+    ),
+    (
+        "apples_host_busy_seconds_total",
+        "Cumulative compute seconds, by host.",
+        Read::By("host", |t| {
+            let busy = t.host_busy_seconds.iter();
+            busy.map(|(h, &s)| (h.0.to_string(), s)).collect()
+        }),
+    ),
+    (
+        "apples_sim_last_event_seconds",
+        "Simulation timestamp of the most recent event.",
+        Read::Gauge(|t| t.last_at.map(SimTime::as_secs_f64)),
+    ),
+];
+
+/// An event count as a counter total: no series until it is nonzero.
+fn nonzero(n: u64) -> Option<f64> {
+    (n > 0).then_some(n as f64)
 }
 
-/// Render labels canonically: sorted by key, `{k="v",…}`, empty string
-/// for no labels. One rendering per label set means series identity is
-/// deterministic.
+impl Tally {
+    fn count(&self, kind: K) -> Option<f64> {
+        nonzero(self.kinds[kind as usize])
+    }
+}
+
+/// A series' key: its labels as `{k="v",…}`, empty without labels. No
+/// family has two labels, and no label value holds `"` or `\`.
 fn label_key(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return String::new();
     }
-    let mut pairs: Vec<(&str, &str)> = labels.to_vec();
-    pairs.sort();
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{k}=\"{}\"",
-            v.replace('\\', "\\\\").replace('"', "\\\"")
-        );
-    }
-    out.push('}');
-    out
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    format!("{{{}}}", pairs.join(","))
 }
 
-/// The registry: named metric families, each holding labeled series.
+/// The metrics registry: the fold's accumulators read through the
+/// crate's one table of families.
 ///
-/// All mutation goes through value-type-specific methods; a name
-/// registered as one kind silently ignores writes of another kind
-/// rather than panicking (the registry is observability plumbing — it
-/// must never take the simulation down).
+/// [`crate::MetricsSink::registry`] takes a copy of the accumulators;
+/// nothing else makes one, and nothing writes one. Every family is
+/// present (its `# HELP` and `# TYPE` lines appear even when it has no
+/// series); a counter series exists from its first finite, non-negative
+/// increment, a histogram series from its first observation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    families: BTreeMap<String, Family>,
+    pub(crate) tally: Tally,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    fn family(&mut self, name: &str, kind: Kind, help: &str, boundaries: &[f64]) -> &mut Family {
-        self.families
-            .entry(name.to_string())
-            .or_insert_with(|| Family {
-                kind,
-                help: help.to_string(),
-                boundaries: boundaries.to_vec(),
-                series: BTreeMap::new(),
-            })
-    }
-
-    /// Pre-register a counter family with help text.
-    pub fn describe_counter(&mut self, name: &str, help: &str) {
-        self.family(name, Kind::Counter, help, &[]);
-    }
-
-    /// Pre-register a gauge family with help text.
-    pub fn describe_gauge(&mut self, name: &str, help: &str) {
-        self.family(name, Kind::Gauge, help, &[]);
-    }
-
-    /// Pre-register a histogram family with help text and bucket
-    /// boundaries shared by every series of the family.
-    pub fn describe_histogram(&mut self, name: &str, help: &str, boundaries: &[f64]) {
-        self.family(name, Kind::Histogram, help, boundaries);
-    }
-
-    /// Add `by` to a counter series (auto-registered on first touch).
-    /// Negative and non-finite increments are ignored — counters only
-    /// go up.
-    pub fn inc(&mut self, name: &str, labels: &[(&str, &str)], by: f64) {
-        if !by.is_finite() || by.total_cmp(&0.0).is_lt() {
-            return;
-        }
-        let key = label_key(labels);
-        let fam = self.family(name, Kind::Counter, "", &[]);
-        if fam.kind != Kind::Counter {
-            return;
-        }
-        if let Value::Counter(v) = fam.series.entry(key).or_insert(Value::Counter(0.0)) {
-            *v += by;
-        }
-    }
-
-    /// Set a gauge series to `v` (auto-registered on first touch).
-    pub fn set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let fam = self.family(name, Kind::Gauge, "", &[]);
-        if fam.kind != Kind::Gauge {
-            return;
-        }
-        fam.series.insert(key, Value::Gauge(v));
-    }
-
-    /// Add `delta` (may be negative) to a gauge series.
-    pub fn add(&mut self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        let key = label_key(labels);
-        let fam = self.family(name, Kind::Gauge, "", &[]);
-        if fam.kind != Kind::Gauge {
-            return;
-        }
-        if let Value::Gauge(v) = fam.series.entry(key).or_insert(Value::Gauge(0.0)) {
-            *v += delta;
-        }
-    }
-
-    /// Record an observation into a histogram series. Undescribed
-    /// families get default log-spaced duration buckets (1 ms–10 ks).
-    pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let key = label_key(labels);
-        let fam = if let Some(f) = self.families.get_mut(name) {
-            f
-        } else {
-            let bounds = Histogram::log_spaced(1e-3, 1e4, 3);
-            let bounds = bounds.boundaries().to_vec();
-            self.family(name, Kind::Histogram, "", &bounds)
+    /// A counter or gauge family's series that exist, as canonical
+    /// label key and value, in key order.
+    fn numbers(&self, read: &Read) -> Vec<(String, f64)> {
+        let t = &self.tally;
+        let series: Vec<Series> = match read {
+            Read::Counter(read) | Read::Gauge(read) => vec![(String::new(), read(t))],
+            Read::By(label, read) => read(t)
+                .into_iter()
+                .map(|(value, v)| (label_key(&[(label, &value)]), v))
+                .collect(),
+            Read::Kinds(label, kinds) => kinds
+                .iter()
+                .map(|&(value, kind)| (label_key(&[(label, value)]), t.count(kind)))
+                .collect(),
+            Read::Histogram(_) => Vec::new(),
         };
-        if fam.kind != Kind::Histogram {
-            return;
-        }
-        let bounds = fam.boundaries.clone();
-        if let Value::Hist(h) = fam
-            .series
-            .entry(key)
-            .or_insert_with(|| Value::Hist(Histogram::with_boundaries(bounds)))
-        {
-            h.observe(v);
-        }
+        let mut series: Vec<(String, f64)> = series
+            .into_iter()
+            .filter_map(|(key, v)| Some((key, v?)))
+            .collect();
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        series
+    }
+
+    fn number(&self, name: &str, labels: &[(&str, &str)], kind: &str) -> Option<f64> {
+        let (_, _, read) = FAMILIES
+            .iter()
+            .find(|f| f.0 == name && f.2.kind() == kind)?;
+        let key = label_key(labels);
+        let series = self.numbers(read);
+        series.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.families.get(name)?.series.get(&label_key(labels))? {
-            Value::Counter(v) => Some(*v),
-            _ => None,
-        }
+        self.number(name, labels, "counter")
     }
 
     /// Current value of a gauge series, if it exists.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        match self.families.get(name)?.series.get(&label_key(labels))? {
-            Value::Gauge(v) => Some(*v),
-            _ => None,
-        }
+        self.number(name, labels, "gauge")
     }
 
     /// A histogram series, if it exists.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        match self.families.get(name)?.series.get(&label_key(labels))? {
-            Value::Hist(h) => Some(h),
+        match FAMILIES.iter().find(|f| f.0 == name)? {
+            (_, _, Read::Histogram(read)) if labels.is_empty() => {
+                let h = read(&self.tally);
+                (h.count() + h.nan_dropped > 0).then_some(h)
+            }
             _ => None,
         }
-    }
-
-    /// Number of registered families.
-    pub fn len(&self) -> usize {
-        self.families.len()
-    }
-
-    /// Whether no family is registered.
-    pub fn is_empty(&self) -> bool {
-        self.families.is_empty()
     }
 
     /// Render the registry in the Prometheus text exposition format:
@@ -417,39 +473,29 @@ impl Registry {
     /// series in canonical label order, floats in shortest round-trip
     /// form, no timestamps.
     pub fn expose(&self) -> String {
+        let mut families: Vec<_> = FAMILIES.iter().collect();
+        families.sort_by_key(|f| f.0);
         let mut out = String::new();
-        for (name, fam) in &self.families {
-            if !fam.help.is_empty() {
-                let _ = writeln!(out, "# HELP {name} {}", fam.help);
+        for (name, help, read) in families {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} {}", read.kind());
+            for (labels, v) in self.numbers(read) {
+                let _ = writeln!(out, "{name}{labels} {}", fmt_value(v));
             }
-            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.as_str());
-            for (labels, value) in &fam.series {
-                match value {
-                    Value::Counter(v) | Value::Gauge(v) => {
-                        let _ = writeln!(out, "{name}{labels} {}", fmt_value(*v));
-                    }
-                    Value::Hist(h) => {
-                        let le_labels = |le: &str| -> String {
-                            if labels.is_empty() {
-                                format!("{{le=\"{le}\"}}")
-                            } else {
-                                format!("{},le=\"{le}\"}}", &labels[..labels.len() - 1])
-                            }
-                        };
-                        let mut cum = 0u64;
-                        for (i, &n) in h.counts().iter().enumerate() {
-                            cum += n;
-                            let le = match h.boundaries().get(i) {
-                                Some(b) => fmt_value(*b),
-                                None => "+Inf".to_string(),
-                            };
-                            let _ = writeln!(out, "{name}_bucket{} {cum}", le_labels(&le));
-                        }
-                        let _ = writeln!(out, "{name}_sum{labels} {}", fmt_value(h.sum()));
-                        let _ = writeln!(out, "{name}_count{labels} {}", h.count());
-                    }
-                }
+            let Some(h) = self.histogram(name, &[]) else {
+                continue;
+            };
+            let mut cum = 0u64;
+            for (i, &n) in h.counts().iter().enumerate() {
+                cum += n;
+                let le = match h.boundaries().get(i) {
+                    Some(b) => fmt_value(*b),
+                    None => "+Inf".to_string(),
+                };
+                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
             }
+            let _ = writeln!(out, "{name}_sum {}", fmt_value(h.sum()));
+            let _ = writeln!(out, "{name}_count {}", h.count());
         }
         out
     }
@@ -475,6 +521,7 @@ fn fmt_value(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metasim::HostId;
 
     #[test]
     fn percentile_edge_cases() {
@@ -549,50 +596,61 @@ mod tests {
     }
 
     #[test]
-    fn registry_roundtrip_and_exposition() {
-        let mut r = Registry::new();
-        r.describe_counter("jobs_total", "Jobs seen.");
-        r.inc("jobs_total", &[("outcome", "completed")], 3.0);
-        r.inc("jobs_total", &[("outcome", "failed")], 1.0);
-        r.inc("jobs_total", &[("outcome", "completed")], -5.0); // ignored
-        r.set("depth", &[], 4.0);
-        r.add("depth", &[], -1.0);
-        r.describe_histogram("lat", "Latency.", &[0.1, 1.0]);
-        r.observe("lat", &[], 0.05);
-        r.observe("lat", &[], 0.5);
-        r.observe("lat", &[], 2.0);
+    fn registry_reads_the_tally_through_the_family_table() {
+        let mut tally = Tally::default();
+        tally.kinds[K::JobCompleted as usize] = 3;
+        tally.kinds[K::JobFailed as usize] = 1;
+        tally.queue = Some((2, 3));
+        for v in [0.05, 0.5, 2.0] {
+            tally.job_exec_seconds.observe(v);
+        }
+        let busy = &mut tally.host_busy_seconds;
+        busy.insert(HostId(2), Some(0.5));
+        busy.insert(HostId(3), None);
+        busy.insert(HostId(10), Some(1.5));
+        let r = Registry { tally };
+        let outcome = |o| [("outcome", o)];
         assert_eq!(
-            r.counter_value("jobs_total", &[("outcome", "completed")]),
+            r.counter_value("apples_jobs_total", &outcome("completed")),
             Some(3.0)
         );
-        assert_eq!(r.gauge_value("depth", &[]), Some(3.0));
-        assert_eq!(r.histogram("lat", &[]).unwrap().count(), 3);
+        assert_eq!(r.gauge_value("apples_queue_depth_peak", &[]), Some(3.0));
+        assert_eq!(
+            r.histogram("apples_job_exec_seconds", &[]).unwrap().count(),
+            3
+        );
+        // A lookup of the wrong kind, or of a series that never fired,
+        // finds nothing.
+        assert_eq!(r.gauge_value("apples_jobs_total", &outcome("failed")), None);
+        assert_eq!(r.counter_value("apples_queue_depth", &[]), None);
+        assert_eq!(r.counter_value("apples_job_retries_total", &[]), None);
+        let host = |h| [("host", h)];
+        assert_eq!(
+            r.counter_value("apples_host_busy_seconds_total", &host("3")),
+            None
+        );
+        assert!(r.histogram("apples_compute_seconds", &[]).is_none());
         let text = r.expose();
-        assert!(text.contains("# TYPE jobs_total counter"));
-        assert!(text.contains("jobs_total{outcome=\"completed\"} 3"));
-        assert!(text.contains("# TYPE lat histogram"));
-        assert!(text.contains("lat_bucket{le=\"0.1\"} 1"));
-        assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("lat_count 3"));
-        // Exposition is deterministic.
+        // Every family is declared once, in name order, series or not.
+        let names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect();
+        assert_eq!(names.len(), FAMILIES.len());
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert!(text.contains("# TYPE apples_job_retries_total counter\n# HELP apples_jobs_total"));
+        assert!(text.contains(
+            "apples_jobs_total{outcome=\"completed\"} 3\napples_jobs_total{outcome=\"failed\"} 1\n"
+        ));
+        // Labels sort as text: host 10 before host 2.
+        assert!(text.contains(
+            "apples_host_busy_seconds_total{host=\"10\"} 1.5\n\
+             apples_host_busy_seconds_total{host=\"2\"} 0.5\n"
+        ));
+        assert!(text.contains("apples_job_exec_seconds_bucket{le=\"+Inf\"} 3\n"));
+        assert!(
+            text.contains("apples_job_exec_seconds_sum 2.55\napples_job_exec_seconds_count 3\n")
+        );
         assert_eq!(text, r.expose());
-    }
-
-    #[test]
-    fn kind_conflicts_are_ignored_not_fatal() {
-        let mut r = Registry::new();
-        r.inc("m", &[], 1.0);
-        r.set("m", &[], 9.0); // wrong kind: ignored
-        r.observe("m", &[], 9.0); // wrong kind: ignored
-        assert_eq!(r.counter_value("m", &[]), Some(1.0));
-    }
-
-    #[test]
-    fn label_order_is_canonical() {
-        let mut r = Registry::new();
-        r.inc("m", &[("b", "2"), ("a", "1")], 1.0);
-        r.inc("m", &[("a", "1"), ("b", "2")], 1.0);
-        assert_eq!(r.counter_value("m", &[("a", "1"), ("b", "2")]), Some(2.0));
-        assert!(r.expose().contains("m{a=\"1\",b=\"2\"} 2"));
     }
 }

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use metasim::simtrace::TraceEvent;
 use metasim::{HostId, SimTime};
 
-use crate::fold::{fold, Fold, JobStructure};
+use crate::fold::{Fold, JobStructure};
 use crate::profile::{JobProfile, Phase, PHASES};
 
 /// What a span represents.
@@ -334,7 +334,7 @@ pub struct SpanTree {
 impl SpanTree {
     /// Fold an in-memory event stream into span trees.
     pub fn from_events(events: &[TraceEvent]) -> SpanTree {
-        let Fold { profile, structure } = fold(events);
+        let (profile, structure) = Fold::over(events);
         SpanTree {
             jobs: profile
                 .jobs
