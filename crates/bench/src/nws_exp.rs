@@ -8,7 +8,7 @@
 
 use metasim::load::LoadModel;
 use metasim::SimTime;
-use nws::forecast::{standard_suite, Forecaster};
+use nws::forecast::{MEMBERS, NAMES};
 use nws::AdaptiveSelector;
 
 /// A named test signal.
@@ -67,46 +67,29 @@ pub fn sample_signal(model: &LoadModel, horizon_s: u64, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// One-step-ahead MAE of a forecaster on a value stream (the first
-/// `skip` postcasts are ignored as warm-up).
-pub fn score_forecaster(f: &mut dyn Forecaster, values: &[f64], skip: usize) -> f64 {
-    let mut err = 0.0;
-    let mut n = 0usize;
-    for (i, &v) in values.iter().enumerate() {
-        if let Some(p) = f.forecast() {
-            if i >= skip {
-                err += (p - v).abs();
-                n += 1;
-            }
-        }
-        f.update(v);
-    }
-    if n == 0 {
-        f64::INFINITY
-    } else {
-        err / n as f64
-    }
-}
-
-/// One-step-ahead MAE of the adaptive selector on a value stream.
-pub fn score_selector(values: &[f64], skip: usize) -> f64 {
+/// One-step-ahead MAE of every battery member, in
+/// [`nws::forecast::NAMES`] order, and of the adaptive selector on a
+/// value stream (the first `skip` postcasts are ignored as warm-up).
+/// A score with no postcast is infinite.
+pub fn score_battery(values: &[f64], skip: usize) -> ([f64; MEMBERS], f64) {
     let mut s = AdaptiveSelector::new();
-    let mut err = 0.0;
+    let mut err = [0.0; MEMBERS];
+    let mut selector_err = 0.0;
     let mut n = 0usize;
     for (i, &v) in values.iter().enumerate() {
-        if let Some(p) = s.forecast() {
+        if let (Some(members), Some(p)) = (s.member_forecasts(), s.forecast()) {
             if i >= skip {
-                err += (p - v).abs();
+                for (e, m) in err.iter_mut().zip(members) {
+                    *e += (m - v).abs();
+                }
+                selector_err += (p - v).abs();
                 n += 1;
             }
         }
         s.update(v);
     }
-    if n == 0 {
-        f64::INFINITY
-    } else {
-        err / n as f64
-    }
+    let mae = |e: f64| if n == 0 { f64::INFINITY } else { e / n as f64 };
+    (err.map(mae), mae(selector_err))
 }
 
 /// Accuracy table: per signal, the MAE of every suite member plus the
@@ -125,14 +108,13 @@ pub fn run(horizon_s: u64, seed: u64) -> Vec<AccuracyRow> {
         .into_iter()
         .map(|sig| {
             let values = sample_signal(&sig.model, horizon_s, seed);
-            let mut scores: Vec<(String, f64)> = standard_suite()
-                .into_iter()
-                .map(|mut f| {
-                    let mae = score_forecaster(f.as_mut(), &values, SKIP);
-                    (f.name(), mae)
-                })
+            let (members, selector) = score_battery(&values, SKIP);
+            let mut scores: Vec<(String, f64)> = NAMES
+                .iter()
+                .zip(members)
+                .map(|(name, mae)| ((*name).into(), mae))
                 .collect();
-            scores.push(("adaptive-selector".into(), score_selector(&values, SKIP)));
+            scores.push(("adaptive-selector".into(), selector));
             AccuracyRow {
                 signal: sig.name,
                 scores,
@@ -171,8 +153,9 @@ mod tests {
 
     #[test]
     fn scoring_handles_short_streams() {
-        let mut f = nws::forecast::LastValue::new();
-        let mae = score_forecaster(&mut f, &[0.5], 0);
-        assert!(mae.is_infinite()); // no postcast possible
+        // No postcast is possible on one sample.
+        let (members, selector) = score_battery(&[0.5], 0);
+        assert!(members.iter().all(|m| m.is_infinite()));
+        assert!(selector.is_infinite());
     }
 }

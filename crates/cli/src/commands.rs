@@ -203,9 +203,18 @@ pub fn compare(p: &Parsed) -> CmdResult {
 
 /// `apples-cli forecast`
 pub fn forecast(p: &Parsed) -> CmdResult {
+    let until: u64 = p.get_parsed("until", 3600u64)?;
+    // Past the horizon every load holds its last value, so the service
+    // would track a flat signal the testbed never realized.
+    let horizon_s = apples_grid::GridConfig::default().horizon.as_micros() / 1_000_000;
+    if until > horizon_s {
+        return Err(ArgError(format!(
+            "--until {until}: past the testbed's {horizon_s} s load horizon"
+        ))
+        .into());
+    }
     let tb = build_testbed(p)?;
     let host = HostId(p.get_parsed("host", 1usize)?);
-    let until: u64 = p.get_parsed("until", 3600u64)?;
     let name = &tb.topo.host(host)?.spec.name;
     println!("NWS tracking {name} for {until} s:");
     let mut ws = WeatherService::for_topology(&tb.topo, WeatherServiceConfig::default());

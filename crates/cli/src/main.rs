@@ -34,7 +34,8 @@ USAGE:
       AppLeS vs static Strip vs HPF Blocked, back-to-back (Figure 5 trial).
   apples-cli forecast  [--host I] [--until SECS] [--profile P] [--seed N]
                        [--sp2]
-      Watch the Network Weather Service track one host.
+      Watch the Network Weather Service track one host. --until may
+      not pass the testbed's 400000 s load horizon.
   apples-cli react     [--unit U] [--depth D] [--seed N]
       The 3D-REACT pipeline on the CASA testbed (T-REACT): single-site
       vs pipelined hours, the pipeline-depth sweep at the best unit

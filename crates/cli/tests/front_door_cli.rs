@@ -122,6 +122,21 @@ fn commands_reject_flags_they_would_ignore_or_repeat() {
     }
 }
 
+#[test]
+fn forecast_until_stops_at_the_testbed_horizon() {
+    // 400 000 s is the testbed's load horizon: its last row is the
+    // twelfth 33 333 s step.
+    let text = run_ok(&["forecast", "--host", "3", "--until", "400000"]);
+    assert_eq!(row(&text, "399996").len(), 5, "{text}");
+    let out = cli(&["forecast", "--host", "3", "--until", "400001"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--until 400001: past the testbed's 400000 s load horizon"),
+        "{err}"
+    );
+}
+
 const REPRODUCE_IDS: [&str; 18] = [
     "FIG1", "FIG3", "FIG4", "FIG5", "FIG6", "T-NWS", "ABL-1", "ABL-2", "ABL-3", "ABL-4", "T-EST",
     "T-MULTI", "T-PRED", "T-FIXED", "T-GRID", "T-FAULT", "T-PROF", "CHECKS",

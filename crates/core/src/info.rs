@@ -63,7 +63,6 @@ pub struct InfoPool<'a> {
     source: ForecastSource,
     now: SimTime,
     oracle_window: SimTime,
-    nws_horizon: Option<SimTime>,
     memo: Memo,
 }
 
@@ -125,7 +124,6 @@ impl<'a> InfoPool<'a> {
             source,
             now,
             oracle_window: SimTime::from_secs(600),
-            nws_horizon: None,
             memo: Memo::for_topology(topo),
         }
     }
@@ -165,19 +163,6 @@ impl<'a> InfoPool<'a> {
     pub fn with_oracle_window(self, oracle_window: SimTime) -> Self {
         InfoPool {
             oracle_window,
-            memo: Memo::for_topology(self.topo),
-            ..self
-        }
-    }
-
-    /// This pool with NWS forecasts of the mean over `horizon` via
-    /// [`WeatherService::forecast_mean_over`] — the expected duration
-    /// of the run being scheduled (§3.2: forecasts "for the time frame
-    /// in which the application will be scheduled"). `None`, the
-    /// default, uses one-step forecasts.
-    pub fn with_nws_horizon(self, nws_horizon: Option<SimTime>) -> Self {
-        InfoPool {
-            nws_horizon,
             memo: Memo::for_topology(self.topo),
             ..self
         }
@@ -238,12 +223,8 @@ impl<'a> InfoPool<'a> {
                 .clamp(0.0, 1.0),
             ForecastSource::Nws => self
                 .weather
-                .and_then(|w| match self.nws_horizon {
-                    Some(h) => w.forecast_mean_over(key, h),
-                    None => w.forecast(key),
-                })
-                .map(|f| f.value)
-                .unwrap_or(1.0),
+                .and_then(|w| w.forecast(key))
+                .map_or(1.0, |f| f.value),
         };
         if let Some(slot) = slot {
             slot.set(Some(v));
@@ -400,44 +381,6 @@ mod tests {
         assert!((pool.cpu_availability(HostId(0)) - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn horizon_forecast_discounts_transient_states() {
-        // A host that flaps between 0.9 and 0.1 with ~2 min holding
-        // times: the one-step forecast tracks the current state, but a
-        // pool scheduling a very long run should see something close to
-        // the long-run mean instead.
-        let mut b = TopologyBuilder::new();
-        let seg = b.add_segment(LinkSpec::dedicated("seg", 10.0, SimTime::ZERO));
-        b.add_host(HostSpec::workstation(
-            "flapper",
-            100.0,
-            64.0,
-            seg,
-            LoadModel::MarkovOnOff {
-                idle_avail: 0.9,
-                busy_avail: 0.1,
-                mean_idle: SimTime::from_secs(120),
-                mean_busy: SimTime::from_secs(120),
-            },
-        ));
-        let topo = b.instantiate(s(1_000_000.0), 5).unwrap();
-        let hat = jacobi2d_hat(100, 1);
-        let user = UserSpec::default();
-        let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
-        ws.advance(&topo, s(50_000.0));
-
-        let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, s(50_000.0));
-        let one_step = pool.cpu_availability(HostId(0));
-        let pool = pool.with_nws_horizon(Some(s(100_000.0)));
-        let long = pool.cpu_availability(HostId(0));
-        // The one-step forecast sits near one of the two levels; the
-        // long-horizon forecast regresses toward the middle.
-        assert!(
-            (long - 0.5).abs() < (one_step - 0.5).abs() + 1e-12,
-            "long {long} should be nearer the mean than one-step {one_step}"
-        );
-    }
-
     /// Two hosts on one shared segment, every load fluctuating, so each
     /// forecast source gives a different answer.
     fn fluctuating_topo() -> Topology {
@@ -480,7 +423,6 @@ mod tests {
         let now = s(20_000.0);
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, now);
-        let horizon = s(5_000.0);
         let window = s(600.0);
         let keys = [
             ResourceKey::Cpu(HostId(0)),
@@ -489,7 +431,7 @@ mod tests {
         ];
         // Each source's answer computed straight from the weather
         // service or the realized load, with no pool in between.
-        let direct = |source: ForecastSource, horizon: Option<SimTime>, key: ResourceKey| {
+        let direct = |source: ForecastSource, key: ResourceKey| {
             let series = match key {
                 ResourceKey::Cpu(h) => topo.host(h).unwrap().availability(),
                 ResourceKey::Link(l) => topo.link(l).unwrap().availability(),
@@ -498,14 +440,7 @@ mod tests {
                 ForecastSource::StaticNominal => 1.0,
                 ForecastSource::Oracle => series.mean(now, now + window),
                 ForecastSource::LastValue => ws.current(key).unwrap().clamp(0.0, 1.0),
-                ForecastSource::Nws => {
-                    match horizon {
-                        Some(h) => ws.forecast_mean_over(key, h),
-                        None => ws.forecast(key),
-                    }
-                    .unwrap()
-                    .value
-                }
+                ForecastSource::Nws => ws.forecast(key).unwrap().value,
             }
         };
         let query = |pool: &InfoPool<'_>, key: ResourceKey| match key {
@@ -513,43 +448,40 @@ mod tests {
             ResourceKey::Link(l) => pool.link_availability(l),
         };
 
-        let settings = [
-            (ForecastSource::Nws, None),
-            (ForecastSource::Nws, Some(horizon)),
-            (ForecastSource::LastValue, None),
-            (ForecastSource::Oracle, None),
-            (ForecastSource::StaticNominal, None),
+        let sources = [
+            ForecastSource::Nws,
+            ForecastSource::LastValue,
+            ForecastSource::Oracle,
+            ForecastSource::StaticNominal,
         ];
         // Latency plus payload over the route's bottleneck, walked link
         // by link with the directly computed availabilities.
-        let direct_transfer = |source, horizon, a: HostId, b: HostId, mb: f64| {
+        let direct_transfer = |source, a: HostId, b: HostId, mb: f64| {
             if a == b || mb <= 0.0 {
                 return 0.0;
             }
             let mut bw = f64::INFINITY;
             for &l in topo.route(a, b).unwrap() {
-                let avail = direct(source, horizon, ResourceKey::Link(l));
+                let avail = direct(source, ResourceKey::Link(l));
                 bw = bw.min(topo.link(l).unwrap().spec.bandwidth_mbps * avail);
             }
             topo.route_latency(a, b).unwrap().as_secs_f64() + mb / bw
         };
         let hosts = [HostId(0), HostId(1)];
 
-        for (source, h) in settings {
-            let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, now)
-                .with_source(source)
-                .with_nws_horizon(h);
+        for source in sources {
+            let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, now).with_source(source);
             // The first query fills the memo, the second reads it.
             for _ in 0..2 {
                 for key in keys {
-                    let (got, want) = (query(&pool, key), direct(source, h, key));
-                    assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {h:?} {key:?}");
+                    let (got, want) = (query(&pool, key), direct(source, key));
+                    assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {key:?}");
                 }
                 for a in hosts {
                     for b in hosts {
                         for mb in [0.0, 0.25, 40.0] {
                             let got = pool.transfer_seconds(a, b, mb).unwrap();
-                            let want = direct_transfer(source, h, a, b, mb);
+                            let want = direct_transfer(source, a, b, mb);
                             assert_eq!(got.to_bits(), want.to_bits(), "{source:?} {a}->{b}");
                             if a != b && mb > 0.0 {
                                 let composed = pool.route_latency(a, b).unwrap().as_secs_f64()
@@ -565,27 +497,14 @@ mod tests {
         // A settings change after a query never serves the old answer.
         for key in keys {
             let pool = InfoPool::with_nws(&topo, &ws, &hat, &user, now);
-            let one_step = query(&pool, key);
-            let pool = pool.with_nws_horizon(Some(horizon));
-            let mean_over = query(&pool, key);
-            assert_eq!(
-                mean_over.to_bits(),
-                direct(ForecastSource::Nws, Some(horizon), key).to_bits()
-            );
-            assert_ne!(
-                one_step, mean_over,
-                "{key:?}: horizon must change the forecast"
-            );
+            let nws = query(&pool, key);
             let pool = pool.with_source(ForecastSource::Oracle);
             let oracle = query(&pool, key);
             assert_eq!(
                 oracle.to_bits(),
-                direct(ForecastSource::Oracle, None, key).to_bits()
+                direct(ForecastSource::Oracle, key).to_bits()
             );
-            assert_ne!(
-                oracle, mean_over,
-                "{key:?}: the oracle must differ from the NWS"
-            );
+            assert_ne!(oracle, nws, "{key:?}: the oracle must differ from the NWS");
             let pool = pool.with_oracle_window(s(60.0));
             let series = match key {
                 ResourceKey::Cpu(h) => topo.host(h).unwrap().availability(),

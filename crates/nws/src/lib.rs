@@ -10,12 +10,12 @@
 //!
 //! This crate reproduces the NWS design:
 //!
-//! * [`series::TimeSeries`] — timestamped measurement streams,
 //! * [`sensor`] — CPU and link sensors that periodically sample a
 //!   [`metasim`] system (seeing only the past, never the future),
-//! * [`forecast`] — a suite of cheap predictors: last value, running
-//!   mean, sliding-window mean/median, exponential smoothing, an
-//!   adaptive-window mean, and an autoregressive model,
+//! * [`forecast`] — a battery of cheap predictors over one shared
+//!   window of each stream: last value, running mean, sliding-window
+//!   mean/median, exponential smoothing, an adaptive-window mean, an
+//!   autoregressive model, a trimmed mean and a linear trend,
 //! * [`selector::AdaptiveSelector`] — NWS's key idea: run every
 //!   predictor in parallel, track each one's *postcast* error on the
 //!   measurements as they arrive, and answer forecasts with the
@@ -30,11 +30,9 @@ pub mod error;
 pub mod forecast;
 pub mod selector;
 pub mod sensor;
-pub mod series;
 pub mod service;
 
 pub use error::{mae, mean_error, rmse};
 pub use selector::AdaptiveSelector;
 pub use sensor::{CpuSensor, LinkSensor, Sensor};
-pub use series::TimeSeries;
 pub use service::{ResourceKey, WeatherService, WeatherServiceConfig};

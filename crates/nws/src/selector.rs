@@ -14,7 +14,7 @@
 //! scored postcasts. The weight is a running sum updated with each
 //! postcast, so a query costs O(1) however long the history is.
 
-use crate::forecast::{standard_suite, Forecaster};
+use crate::forecast::{Battery, MEMBERS, NAMES};
 
 /// Exponential decay applied to accumulated errors so the selector can
 /// abandon a predictor whose regime has passed.
@@ -27,7 +27,7 @@ fn decay_weight(k: u64) -> f64 {
     ERROR_DECAY.powi(i32::try_from(k).unwrap_or(i32::MAX))
 }
 
-/// A battery of forecasters with postcast-error-driven selection.
+/// The standard [`Battery`] with postcast-error-driven selection.
 ///
 /// ```
 /// use nws::AdaptiveSelector;
@@ -40,187 +40,157 @@ fn decay_weight(k: u64) -> f64 {
 /// let f = s.forecast().unwrap();
 /// assert!((f - 0.5).abs() < 0.11);
 /// ```
-#[derive(Clone)]
+///
+/// A clone is an exact fork: it continues, bit for bit, as the original
+/// would.
+#[derive(Debug, Clone, Default)]
 pub struct AdaptiveSelector {
-    members: Vec<Box<dyn Forecaster>>,
+    battery: Battery,
     /// Decayed sum of absolute errors per member.
-    err: Vec<f64>,
+    err: [f64; MEMBERS],
     /// Decayed weight behind each `err`: `Σ_{k<scored} ERROR_DECAY^k`,
     /// kept as a running sum so [`AdaptiveSelector::best_error`] is O(1).
-    weight: Vec<f64>,
-    /// Number of scored postcasts per member.
-    scored: Vec<u64>,
-    samples_seen: u64,
-}
-
-impl Default for AdaptiveSelector {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Every member forecasts from the first sample on, so every member
+    /// has been scored as often and shares it.
+    weight: f64,
+    /// Number of postcasts scored, the same for every member.
+    scored: u64,
 }
 
 impl AdaptiveSelector {
     /// A selector over the standard NWS-style battery.
     pub fn new() -> Self {
-        Self::with_members(standard_suite())
-    }
-
-    /// A selector over a caller-supplied battery.
-    ///
-    /// # Panics
-    /// Panics if `members` is empty.
-    pub fn with_members(members: Vec<Box<dyn Forecaster>>) -> Self {
-        // simlint: allow(panic-in-lib): documented `# Panics` constructor precondition
-        assert!(!members.is_empty(), "selector needs at least one member");
-        let n = members.len();
-        AdaptiveSelector {
-            members,
-            err: vec![0.0; n],
-            weight: vec![0.0; n],
-            scored: vec![0; n],
-            samples_seen: 0,
-        }
+        Self::default()
     }
 
     /// Feed a new measurement: score everyone's pending forecast, then
     /// update everyone.
     pub fn update(&mut self, value: f64) {
-        // Members that started forecasting together share one scored
-        // count, so the decay term is computed once per distinct count
-        // rather than once per member.
-        let mut term: Option<(u64, f64)> = None;
-        for (i, m) in self.members.iter().enumerate() {
-            if let Some(p) = m.forecast() {
-                let k = self.scored[i];
-                let w = match term {
-                    Some((tk, w)) if tk == k => w,
-                    _ => term.insert((k, decay_weight(k))).1,
-                };
-                self.err[i] = self.err[i] * ERROR_DECAY + (p - value).abs();
-                self.weight[i] += w;
-                self.scored[i] += 1;
+        if let Some(pending) = self.battery.forecasts() {
+            for (e, p) in self.err.iter_mut().zip(pending) {
+                *e = *e * ERROR_DECAY + (p - value).abs();
             }
+            self.weight += decay_weight(self.scored);
+            self.scored += 1;
         }
-        for m in &mut self.members {
-            m.update(value);
-        }
-        self.samples_seen += 1;
+        self.battery.update(value);
     }
 
-    /// Index of the member with the lowest decayed error. Members that
-    /// have never been scored rank last.
+    /// Index of the member with the lowest decayed error, the first on
+    /// a tie (so the first member before any postcast is scored); `None`
+    /// until the battery can forecast.
     fn best_index(&self) -> Option<usize> {
-        (0..self.members.len())
-            .filter(|&i| self.scored[i] > 0)
-            .min_by(|&a, &b| self.err[a].total_cmp(&self.err[b]))
-            .or_else(|| {
-                // Nothing scored yet: any member that can forecast.
-                (0..self.members.len()).find(|&i| self.members[i].forecast().is_some())
-            })
+        self.battery.forecasts()?;
+        (0..MEMBERS).min_by(|&a, &b| self.err[a].total_cmp(&self.err[b]))
     }
 
     /// Forecast the next measurement using the best member so far.
     pub fn forecast(&self) -> Option<f64> {
-        self.best_index().and_then(|i| self.members[i].forecast())
+        let forecasts = self.battery.forecasts()?;
+        self.best_index().map(|i| forecasts[i])
+    }
+
+    /// Every member's forecast of the next measurement, in
+    /// [`crate::forecast::NAMES`] order; `None` before the first sample.
+    pub fn member_forecasts(&self) -> Option<&[f64; MEMBERS]> {
+        self.battery.forecasts()
     }
 
     /// Name of the member currently answering forecasts.
-    pub fn best_name(&self) -> Option<String> {
-        self.best_index().map(|i| self.members[i].name())
+    pub fn best_name(&self) -> Option<&'static str> {
+        self.best_index().map(|i| NAMES[i])
     }
 
     /// Decayed mean absolute error of the winning member (a confidence
     /// signal callers can use to discount the forecast).
     pub fn best_error(&self) -> Option<f64> {
         self.best_index().map(|i| {
-            if self.scored[i] == 0 {
+            if self.scored == 0 {
                 f64::INFINITY
             } else {
                 // Normalize the decayed sum by its decayed weight.
-                self.err[i] / self.weight[i]
+                self.err[i] / self.weight
             }
         })
     }
 
     /// Number of measurements consumed.
     pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
+        self.battery.samples()
     }
 
     /// Discard all history.
     pub fn reset(&mut self) {
-        for m in &mut self.members {
-            m.reset();
-        }
-        self.err.iter_mut().for_each(|e| *e = 0.0);
-        self.weight.iter_mut().for_each(|w| *w = 0.0);
-        self.scored.iter_mut().for_each(|s| *s = 0);
-        self.samples_seen = 0;
+        *self = Self::new();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forecast::{LastValue, RunningMean};
-
-    #[test]
-    fn empty_selector_rejected() {
-        let r = std::panic::catch_unwind(|| AdaptiveSelector::with_members(vec![]));
-        assert!(r.is_err());
-    }
 
     #[test]
     fn forecasts_after_first_sample() {
         let mut s = AdaptiveSelector::new();
         assert_eq!(s.forecast(), None);
+        assert_eq!(s.best_name(), None);
         s.update(0.6);
-        assert!(s.forecast().is_some());
+        assert_eq!(s.forecast(), Some(0.6));
+        assert_eq!(s.best_name(), Some("last_value"));
+        assert_eq!(s.best_error(), Some(f64::INFINITY));
         assert_eq!(s.samples_seen(), 1);
     }
 
     #[test]
-    fn selects_last_value_on_a_trending_signal() {
-        // A steadily ramping signal: last-value beats the running mean.
-        let mut s = AdaptiveSelector::with_members(vec![
-            Box::new(LastValue::new()),
-            Box::new(RunningMean::new()),
-        ]);
+    fn selects_a_trend_follower_on_a_ramp() {
+        let mut s = AdaptiveSelector::new();
         for i in 0..200 {
-            s.update(i as f64 * 0.01);
+            s.update(f64::from(i) * 0.01);
         }
-        assert_eq!(s.best_name().unwrap(), "last_value");
+        let best = s.best_name().unwrap();
+        assert!(
+            ["linear_trend(12)", "ar(2,64)"].contains(&best),
+            "{best} won a ramp"
+        );
+    }
+
+    /// Uncorrelated noise in `[0.4, 0.6)` around a fixed level.
+    fn noise(i: u32) -> f64 {
+        // SplitMix64's finalizer.
+        let mut z = u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        0.4 + 0.2 * ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     #[test]
-    fn selects_mean_on_alternating_noise() {
-        let mut s = AdaptiveSelector::with_members(vec![
-            Box::new(LastValue::new()),
-            Box::new(RunningMean::new()),
-        ]);
-        for i in 0..200 {
-            s.update(if i % 2 == 0 { 0.0 } else { 1.0 });
+    fn selects_a_long_mean_on_level_noise() {
+        let mut s = AdaptiveSelector::new();
+        for i in 0..400 {
+            s.update(noise(i));
         }
-        assert_eq!(s.best_name().unwrap(), "running_mean");
+        let best = s.best_name().unwrap();
+        assert!(
+            ["running_mean", "sw_mean(64)", "adaptive_mean(4,8,16,32,64)"].contains(&best),
+            "{best} won level noise"
+        );
     }
 
     #[test]
     fn adapts_when_the_regime_changes() {
-        let mut s = AdaptiveSelector::with_members(vec![
-            Box::new(LastValue::new()),
-            Box::new(RunningMean::new()),
-        ]);
-        // Regime 1: alternating noise ⇒ mean wins.
-        for i in 0..300 {
-            s.update(if i % 2 == 0 { 0.4 } else { 0.6 });
+        let mut s = AdaptiveSelector::new();
+        for i in 0..400 {
+            s.update(noise(i));
         }
-        assert_eq!(s.best_name().unwrap(), "running_mean");
-        // Regime 2: a hard level shift the all-history mean never
-        // recovers from, while last-value is exact.
-        for _ in 0..600 {
-            s.update(0.05);
+        // A steady ramp: the means lag it, the trend followers are exact.
+        for i in 0..600 {
+            s.update(0.05 + f64::from(i) * 1e-3);
         }
-        assert_eq!(s.best_name().unwrap(), "last_value");
+        let best = s.best_name().unwrap();
+        assert!(
+            ["linear_trend(12)", "ar(2,64)"].contains(&best),
+            "{best} won the ramp"
+        );
     }
 
     #[test]
@@ -238,10 +208,10 @@ mod tests {
     /// decay normalizer rebuilt from scratch on every call.
     fn summed_best_error(s: &AdaptiveSelector) -> Option<f64> {
         s.best_index().map(|i| {
-            if s.scored[i] == 0 {
+            if s.scored == 0 {
                 f64::INFINITY
             } else {
-                let w: f64 = (0..s.scored[i]).map(|k| ERROR_DECAY.powi(k as i32)).sum();
+                let w: f64 = (0..s.scored).map(|k| ERROR_DECAY.powi(k as i32)).sum();
                 s.err[i] / w
             }
         })
@@ -292,8 +262,8 @@ mod tests {
         for v in [0.5, 0.4, 0.7] {
             s.update(v);
         }
-        s.scored.iter_mut().for_each(|k| *k = 1 << 31);
-        let before = s.weight.clone();
+        s.scored = 1 << 31;
+        let before = s.weight;
         s.update(0.6);
         assert_eq!(s.weight, before);
         assert!(s.best_error().is_some_and(f64::is_finite));

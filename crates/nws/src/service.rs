@@ -8,7 +8,6 @@
 
 use crate::selector::AdaptiveSelector;
 use crate::sensor::{CpuSensor, LinkSensor, Sensor};
-use crate::series::TimeSeries;
 use metasim::simtrace::{EventSink, NoopSink, TraceEvent};
 use metasim::{HostId, LinkId, SimTime, Topology};
 use std::collections::BTreeMap;
@@ -65,25 +64,8 @@ pub struct Forecast {
 struct Monitored {
     sensor: Box<dyn Sensor>,
     selector: AdaptiveSelector,
-    history: TimeSeries,
-}
-
-/// Lag-1 autocorrelation of a sample; `None` when variance vanishes.
-fn lag1_autocorrelation(values: &[f64]) -> Option<f64> {
-    let n = values.len();
-    if n < 3 {
-        return None;
-    }
-    let mean = values.iter().sum::<f64>() / n as f64;
-    let var: f64 = values.iter().map(|v| (v - mean).powi(2)).sum();
-    if var < 1e-15 {
-        return None;
-    }
-    let cov: f64 = values
-        .windows(2)
-        .map(|w| (w[0] - mean) * (w[1] - mean))
-        .sum();
-    Some(cov / var)
+    /// The latest sample, `(time, value)`.
+    last: Option<(SimTime, f64)>,
 }
 
 /// Monitoring and forecasting for every resource in a topology.
@@ -134,7 +116,7 @@ impl WeatherService {
                         cfg.noise_seed,
                     )),
                     selector: AdaptiveSelector::new(),
-                    history: TimeSeries::new(),
+                    last: None,
                 },
             );
         }
@@ -149,7 +131,7 @@ impl WeatherService {
                         cfg.noise_seed,
                     )),
                     selector: AdaptiveSelector::new(),
-                    history: TimeSeries::new(),
+                    last: None,
                 },
             );
         }
@@ -182,7 +164,11 @@ impl WeatherService {
             };
             let mut last_observed = None;
             for (t, v) in m.sensor.poll(topo, now) {
-                m.history.push(t, v);
+                if let Some((last, _)) = m.last {
+                    // simlint: allow(panic-in-lib): a sample not after the last one is a sensor logic bug that would corrupt every forecast
+                    assert!(t > last, "measurement at {t:?} not after {last:?}");
+                }
+                m.last = Some((t, v));
                 m.selector.update(v);
                 last_observed = Some(v);
             }
@@ -198,7 +184,7 @@ impl WeatherService {
                         predicted: predicted.clamp(0.0, 1.0),
                         observed,
                         error: m.selector.best_error().unwrap_or(f64::INFINITY),
-                        method: m.selector.best_name().unwrap_or_default(),
+                        method: m.selector.best_name().unwrap_or_default().into(),
                     });
                 }
             }
@@ -218,7 +204,7 @@ impl WeatherService {
     pub fn last_sample_at(&self) -> Option<SimTime> {
         self.monitored
             .values()
-            .filter_map(|m| m.history.last())
+            .filter_map(|m| m.last)
             .map(|(t, _)| t)
             .max()
     }
@@ -231,63 +217,7 @@ impl WeatherService {
             // Availability is a fraction; clamp model excursions.
             value: value.clamp(0.0, 1.0),
             error: m.selector.best_error().unwrap_or(f64::INFINITY),
-            method: m.selector.best_name().unwrap_or_default(),
-        })
-    }
-
-    /// Forecast the *mean* availability of a resource over the next
-    /// `horizon` — the §3.2 requirement that predictions cover "the
-    /// time frame in which the application will be scheduled".
-    ///
-    /// A one-step forecast is the best guess for the immediate future,
-    /// but availability signals mean-revert: over horizons long
-    /// compared to the signal's correlation time, the long-run mean is
-    /// the better predictor of the *average*. Modelling the signal as
-    /// an exponentially-correlated (AR(1)-like) process with
-    /// correlation time `τ` estimated from the measured lag-1
-    /// autocorrelation, the expected mean over `[now, now+h]` is
-    ///
-    /// ```text
-    /// m + (f₁ - m) · (τ/h) · (1 - e^(−h/τ))
-    /// ```
-    ///
-    /// where `f₁` is the one-step forecast and `m` the historical mean.
-    pub fn forecast_mean_over(&self, key: ResourceKey, horizon: SimTime) -> Option<Forecast> {
-        let m = self.monitored.get(&key)?;
-        let one_step = self.forecast(key)?;
-        let n = m.history.len();
-        if n < 8 {
-            return Some(one_step);
-        }
-        let values: Vec<f64> = m.history.tail(512).iter().map(|&(_, v)| v).collect();
-        let mean = values.iter().sum::<f64>() / values.len() as f64;
-
-        let sample_period = {
-            let pts = m.history.tail(2);
-            (pts[1].0 - pts[0].0).as_secs_f64()
-        };
-        let h = horizon.as_secs_f64();
-        if h <= 0.0 || sample_period <= 0.0 {
-            return Some(one_step);
-        }
-
-        let rho = match lag1_autocorrelation(&values) {
-            Some(r) => r.clamp(0.0, 0.999_999),
-            None => 0.0, // degenerate (constant) series: any weight works
-        };
-        // Correlation time from the lag-1 autocorrelation; white noise
-        // (rho -> 0) gives tau -> 0 and the long-run mean wins.
-        let weight = if rho <= 0.0 {
-            0.0
-        } else {
-            let tau = -sample_period / rho.ln();
-            (tau / h) * (1.0 - (-h / tau).exp())
-        };
-        let value = (mean + (one_step.value - mean) * weight).clamp(0.0, 1.0);
-        Some(Forecast {
-            value,
-            error: one_step.error,
-            method: format!("{} ⊕ mean (w={weight:.2})", one_step.method),
+            method: m.selector.best_name().unwrap_or_default().into(),
         })
     }
 
@@ -295,13 +225,8 @@ impl WeatherService {
     pub fn current(&self, key: ResourceKey) -> Option<f64> {
         self.monitored
             .get(&key)
-            .and_then(|m| m.history.last())
+            .and_then(|m| m.last)
             .map(|(_, v)| v)
-    }
-
-    /// Full measurement history of a resource.
-    pub fn history(&self, key: ResourceKey) -> Option<&TimeSeries> {
-        self.monitored.get(&key).map(|m| &m.history)
     }
 
     /// Keys of every monitored resource.
@@ -383,18 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn advance_is_incremental_and_history_grows() {
+    fn advance_is_incremental() {
         let topo = topo();
         let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
         ws.advance(&topo, s(50.0));
-        let n1 = ws.history(ResourceKey::Cpu(HostId(0))).unwrap().len();
+        assert_eq!(ws.last_sample_at(), Some(s(50.0)));
         ws.advance(&topo, s(100.0));
-        let n2 = ws.history(ResourceKey::Cpu(HostId(0))).unwrap().len();
-        assert!(n2 > n1);
+        assert_eq!(ws.last_sample_at(), Some(s(100.0)));
         // Re-advancing to an earlier time adds nothing.
+        let before = ws.monitored[&ResourceKey::Cpu(HostId(0))]
+            .selector
+            .samples_seen();
         ws.advance(&topo, s(80.0));
-        let n3 = ws.history(ResourceKey::Cpu(HostId(0))).unwrap().len();
-        assert_eq!(n2, n3);
+        let after = ws.monitored[&ResourceKey::Cpu(HostId(0))]
+            .selector
+            .samples_seen();
+        assert_eq!((before, after), (21, 21));
         assert_eq!(ws.now(), s(100.0));
     }
 
@@ -514,8 +443,21 @@ mod tests {
         assert!(sink.events.is_empty(), "{:?}", sink.events);
 
         clone.advance(&topo, t2);
+        // An independent service advanced in 5 s steps, recording the
+        // range each signal spans.
         let mut fresh = WeatherService::for_topology(&topo, cfg);
-        fresh.advance(&topo, t2);
+        let mut range = BTreeMap::new();
+        let mut t = SimTime::ZERO;
+        while t < t2 {
+            t = (t + s(5.0)).min(t2);
+            fresh.advance(&topo, t);
+            for key in fresh.keys() {
+                if let Some(v) = fresh.current(key) {
+                    let (lo, hi) = range.entry(key).or_insert((1.0f64, 0.0f64));
+                    (*lo, *hi) = (lo.min(v), hi.max(v));
+                }
+            }
+        }
         assert_eq!(base.now(), t1, "advancing the clone moved the original");
         assert_eq!(clone.now(), fresh.now());
         assert_eq!(clone.last_sample_at(), fresh.last_sample_at());
@@ -529,29 +471,12 @@ mod tests {
                 forecast_bits(fresh.forecast(key)),
                 "{key:?} forecast"
             );
-            for h in [s(5.0), s(300.0), s(20_000.0)] {
-                assert_eq!(
-                    forecast_bits(clone.forecast_mean_over(key, h)),
-                    forecast_bits(fresh.forecast_mean_over(key, h)),
-                    "{key:?} forecast over {h:?}"
-                );
-            }
             assert_eq!(
                 clone.current(key).map(f64::to_bits),
                 fresh.current(key).map(f64::to_bits),
                 "{key:?} current"
             );
-            let bits = |ws: &WeatherService| -> Vec<(SimTime, u64)> {
-                ws.history(key)
-                    .unwrap()
-                    .points()
-                    .iter()
-                    .map(|&(t, v)| (t, v.to_bits()))
-                    .collect()
-            };
-            assert_eq!(bits(&clone), bits(&fresh), "{key:?} history");
-            let values = fresh.history(key).unwrap().values();
-            let (lo, hi) = values.fold((1.0f64, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            let (lo, hi) = range[&key];
             assert!(hi - lo > 0.3, "{key:?} barely fluctuates: [{lo}, {hi}]");
         }
     }
@@ -575,80 +500,8 @@ mod tests {
         ws.advance(&topo, s(100.0));
         assert_eq!(ws.now(), s(100.0));
         assert_eq!(ws.last_sample_at(), Some(s(98.0)));
-        let link = ws.history(ResourceKey::Link(LinkId(0))).unwrap();
-        assert_eq!(link.last().map(|(t, _)| t), Some(s(91.0)));
-    }
-
-    #[test]
-    fn lag1_autocorrelation_basics() {
-        // Alternating series: strong negative lag-1 correlation.
-        let alt: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 0.0 } else { 1.0 })
-            .collect();
-        assert!(lag1_autocorrelation(&alt).unwrap() < -0.9);
-        // Slow ramp: strong positive correlation.
-        let ramp: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        assert!(lag1_autocorrelation(&ramp).unwrap() > 0.9);
-        // Constant: undefined.
-        assert!(lag1_autocorrelation(&[0.5; 50]).is_none());
-        assert!(lag1_autocorrelation(&[0.1, 0.2]).is_none());
-    }
-
-    #[test]
-    fn horizon_forecast_blends_toward_the_mean() {
-        use metasim::load::LoadModel;
-        // A persistent on/off signal whose current level differs from
-        // its long-run mean.
-        let mut b = TopologyBuilder::new();
-        let seg = b.add_segment(LinkSpec::dedicated("seg", 10.0, SimTime::ZERO));
-        b.add_host(HostSpec::workstation(
-            "flapper",
-            10.0,
-            64.0,
-            seg,
-            LoadModel::MarkovOnOff {
-                idle_avail: 0.9,
-                busy_avail: 0.1,
-                mean_idle: SimTime::from_secs(120),
-                mean_busy: SimTime::from_secs(120),
-            },
-        ));
-        let topo = b.instantiate(s(1_000_000.0), 3).unwrap();
-        let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
-        ws.advance(&topo, s(50_000.0));
-        let key = ResourceKey::Cpu(HostId(0));
-
-        let one_step = ws.forecast(key).unwrap().value;
-        let short = ws.forecast_mean_over(key, s(5.0)).unwrap().value;
-        let long = ws.forecast_mean_over(key, s(50_000.0)).unwrap().value;
-        // The blend's anchor is the empirical mean of the recent
-        // window (the realized mean wanders around the theoretical 0.5
-        // over a finite window).
-        let hist = ws.history(key).unwrap();
-        let recent: Vec<f64> = hist.tail(512).iter().map(|&(_, v)| v).collect();
-        let mean = recent.iter().sum::<f64>() / recent.len() as f64;
-
-        // A short horizon stays near the one-step forecast; a long one
-        // converges to the windowed mean.
-        assert!(
-            (short - one_step).abs() < (long - one_step).abs(),
-            "short {short} should hug one-step {one_step}; long {long}"
-        );
-        assert!(
-            (long - mean).abs() < 0.05,
-            "long-horizon forecast {long} should approach the windowed mean {mean}"
-        );
-    }
-
-    #[test]
-    fn horizon_forecast_on_constant_signal_is_exact() {
-        let topo = topo();
-        let mut ws = WeatherService::for_topology(&topo, WeatherServiceConfig::default());
-        ws.advance(&topo, s(500.0));
-        let f = ws
-            .forecast_mean_over(ResourceKey::Cpu(HostId(0)), s(10_000.0))
-            .unwrap();
-        assert!((f.value - 0.5).abs() < 1e-9);
+        let link = &ws.monitored[&ResourceKey::Link(LinkId(0))];
+        assert_eq!(link.last.map(|(t, _)| t), Some(s(91.0)));
     }
 
     #[test]

@@ -1,20 +1,447 @@
-//! Differential tests: the incremental forecasters against the
-//! straightforward versions they replaced.
+//! Differential tests: the shared-window battery against the
+//! standalone forecasters it replaced, and those against the
+//! straightforward versions they replaced in turn.
 //!
-//! `AutoRegressive` fits once per update over a contiguous slice, and
-//! `SlidingWindowMedian` / `TrimmedMean` keep a sorted copy of their
-//! window. The `Old*` types below are the previous implementations,
-//! kept verbatim in the test: they collect, centre and sort the window
-//! on every forecast. Every forecast must agree in `to_bits`, as must
-//! the selector's forecast, error and winner at every step, or the
+//! `nws::forecast::Battery` runs the thirteen members over one shared
+//! window and computes each forecast once per sample. The member types
+//! below are the standalone forecasters the library used to box one by
+//! one, kept verbatim in the test; the `Old*` types are the versions
+//! before those, which collect, centre and sort the window on every
+//! forecast. Every forecast must agree in `to_bits`, as must the
+//! selector's forecast, error and winner at every step, or the
 //! simulator's outputs would move.
 
-use nws::forecast::{
-    standard_suite, AdaptiveWindowMean, AutoRegressive, ExpSmoothing, Forecaster, LastValue,
-    LinearTrend, RunningMean, SlidingWindowMean, SlidingWindowMedian, TrimmedMean,
-};
+use nws::forecast::{Battery, MEMBERS, NAMES};
 use nws::AdaptiveSelector;
 use std::collections::VecDeque;
+
+/// A one-step-ahead predictor over a regularly-sampled series.
+trait Forecaster {
+    fn name(&self) -> String;
+    fn update(&mut self, value: f64);
+    fn forecast(&self) -> Option<f64>;
+    fn reset(&mut self);
+}
+
+#[derive(Clone, Default)]
+struct LastValue {
+    last: Option<f64>,
+}
+
+impl Forecaster for LastValue {
+    fn name(&self) -> String {
+        "last_value".into()
+    }
+    fn update(&mut self, value: f64) {
+        self.last = Some(value);
+    }
+    fn forecast(&self) -> Option<f64> {
+        self.last
+    }
+    fn reset(&mut self) {
+        self.last = None;
+    }
+}
+
+#[derive(Clone, Default)]
+struct RunningMean {
+    sum: f64,
+    n: u64,
+}
+
+impl Forecaster for RunningMean {
+    fn name(&self) -> String {
+        "running_mean".into()
+    }
+    fn update(&mut self, value: f64) {
+        self.sum += value;
+        self.n += 1;
+    }
+    fn forecast(&self) -> Option<f64> {
+        if self.n == 0 {
+            None
+        } else {
+            Some(self.sum / self.n as f64)
+        }
+    }
+    fn reset(&mut self) {
+        self.sum = 0.0;
+        self.n = 0;
+    }
+}
+
+#[derive(Clone)]
+struct ExpSmoothing {
+    alpha: f64,
+    state: Option<f64>,
+}
+
+impl ExpSmoothing {
+    fn new(alpha: f64) -> Self {
+        ExpSmoothing { alpha, state: None }
+    }
+}
+
+impl Forecaster for ExpSmoothing {
+    fn name(&self) -> String {
+        format!("exp_smooth({})", self.alpha)
+    }
+    fn update(&mut self, value: f64) {
+        self.state = Some(match self.state {
+            None => value,
+            Some(s) => self.alpha * value + (1.0 - self.alpha) * s,
+        });
+    }
+    fn forecast(&self) -> Option<f64> {
+        self.state
+    }
+    fn reset(&mut self) {
+        self.state = None;
+    }
+}
+
+#[derive(Clone)]
+struct SlidingWindowMean {
+    k: usize,
+    buf: VecDeque<f64>,
+}
+
+impl SlidingWindowMean {
+    fn new(k: usize) -> Self {
+        SlidingWindowMean {
+            k,
+            buf: VecDeque::with_capacity(k),
+        }
+    }
+}
+
+impl Forecaster for SlidingWindowMean {
+    fn name(&self) -> String {
+        format!("sw_mean({})", self.k)
+    }
+    fn update(&mut self, value: f64) {
+        self.buf.push_back(value);
+        if self.buf.len() > self.k {
+            self.buf.pop_front();
+        }
+    }
+    fn forecast(&self) -> Option<f64> {
+        if self.buf.is_empty() {
+            None
+        } else {
+            Some(self.buf.iter().sum::<f64>() / self.buf.len() as f64)
+        }
+    }
+    fn reset(&mut self) {
+        self.buf.clear();
+    }
+}
+
+/// The last `k` samples in arrival order and sorted, the sorted copy
+/// kept by one binary search and shift per insertion and eviction.
+#[derive(Clone)]
+struct SortedWindow {
+    k: usize,
+    arrivals: VecDeque<f64>,
+    sorted: Vec<f64>,
+}
+
+impl SortedWindow {
+    fn new(k: usize) -> Self {
+        SortedWindow {
+            k,
+            arrivals: VecDeque::with_capacity(k),
+            sorted: Vec::with_capacity(k),
+        }
+    }
+    fn push(&mut self, value: f64) {
+        if self.arrivals.len() == self.k {
+            if let Some(old) = self.arrivals.pop_front() {
+                if let Ok(i) = self.sorted.binary_search_by(|x| x.total_cmp(&old)) {
+                    self.sorted.remove(i);
+                }
+            }
+        }
+        self.arrivals.push_back(value);
+        let at = self.sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+        self.sorted.insert(at, value);
+    }
+    fn clear(&mut self) {
+        self.arrivals.clear();
+        self.sorted.clear();
+    }
+}
+
+#[derive(Clone)]
+struct SlidingWindowMedian {
+    window: SortedWindow,
+}
+
+impl SlidingWindowMedian {
+    fn new(k: usize) -> Self {
+        SlidingWindowMedian {
+            window: SortedWindow::new(k),
+        }
+    }
+}
+
+impl Forecaster for SlidingWindowMedian {
+    fn name(&self) -> String {
+        format!("sw_median({})", self.window.k)
+    }
+    fn update(&mut self, value: f64) {
+        self.window.push(value);
+    }
+    fn forecast(&self) -> Option<f64> {
+        let v = &self.window.sorted;
+        let n = v.len();
+        if n == 0 {
+            return None;
+        }
+        Some(if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        })
+    }
+    fn reset(&mut self) {
+        self.window.clear();
+    }
+}
+
+#[derive(Clone)]
+struct AdaptiveWindowMean {
+    candidates: Vec<SlidingWindowMean>,
+    err: Vec<f64>,
+}
+
+impl AdaptiveWindowMean {
+    fn new(windows: &[usize]) -> Self {
+        AdaptiveWindowMean {
+            candidates: windows.iter().map(|&k| SlidingWindowMean::new(k)).collect(),
+            err: vec![0.0; windows.len()],
+        }
+    }
+}
+
+impl Forecaster for AdaptiveWindowMean {
+    fn name(&self) -> String {
+        let ks: Vec<String> = self.candidates.iter().map(|c| c.k.to_string()).collect();
+        format!("adaptive_mean({})", ks.join(","))
+    }
+    fn update(&mut self, value: f64) {
+        for (c, e) in self.candidates.iter().zip(self.err.iter_mut()) {
+            if let Some(p) = c.forecast() {
+                *e += (p - value).abs();
+            }
+        }
+        for c in &mut self.candidates {
+            c.update(value);
+        }
+    }
+    fn forecast(&self) -> Option<f64> {
+        let best = self
+            .err
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)?;
+        self.candidates[best].forecast()
+    }
+    fn reset(&mut self) {
+        for c in &mut self.candidates {
+            c.reset();
+        }
+        self.err.iter_mut().for_each(|e| *e = 0.0);
+    }
+}
+
+/// AR(p) fitted once per update over a contiguous slice: each normal
+/// equation entry its own dot product summed from `0.0` in ascending
+/// `t`, the matrix filled symmetric from its upper triangle.
+#[derive(Clone)]
+struct AutoRegressive {
+    order: usize,
+    window: usize,
+    buf: Vec<f64>,
+    system: Vec<f64>,
+    next: Option<f64>,
+}
+
+impl AutoRegressive {
+    fn new(order: usize, window: usize) -> Self {
+        AutoRegressive {
+            order,
+            window,
+            buf: Vec::with_capacity(2 * window),
+            system: vec![0.0; order * order + order],
+            next: None,
+        }
+    }
+}
+
+fn predict(data: &[f64], p: usize, system: &mut [f64]) -> Option<f64> {
+    let n = data.len();
+    if n == 0 {
+        return None;
+    }
+    let mean = data.iter().sum::<f64>() / n as f64;
+    if n < p + 2 {
+        return Some(mean);
+    }
+    let (a, b) = system.split_at_mut(p * p);
+    let lag = |i: usize| data[p - 1 - i..n - 1 - i].iter().map(|x| x - mean);
+    for i in 0..p {
+        for j in i..p {
+            let dot = lag(i).zip(lag(j)).fold(0.0, |s, (x, y)| s + x * y);
+            a[i * p + j] = dot;
+            a[j * p + i] = dot;
+        }
+        b[i] = lag(i)
+            .zip(&data[p..])
+            .fold(0.0, |s, (x, y)| s + x * (y - mean));
+    }
+    let Some(coeffs) = old_solve_linear(a, b, p) else {
+        return Some(mean);
+    };
+    let mut pred = 0.0;
+    for (i, &ci) in coeffs.iter().enumerate() {
+        pred += ci * (data[n - 1 - i] - mean);
+    }
+    Some(mean + pred)
+}
+
+impl Forecaster for AutoRegressive {
+    fn name(&self) -> String {
+        format!("ar({},{})", self.order, self.window)
+    }
+    fn update(&mut self, value: f64) {
+        if self.buf.len() == 2 * self.window {
+            self.buf.drain(..self.window);
+        }
+        self.buf.push(value);
+        let data = &self.buf[self.buf.len().saturating_sub(self.window)..];
+        self.next = predict(data, self.order, &mut self.system);
+    }
+    fn forecast(&self) -> Option<f64> {
+        self.next
+    }
+    fn reset(&mut self) {
+        self.buf.clear();
+        self.next = None;
+    }
+}
+
+#[derive(Clone)]
+struct TrimmedMean {
+    trim: usize,
+    window: SortedWindow,
+}
+
+impl TrimmedMean {
+    fn new(k: usize, trim: usize) -> Self {
+        TrimmedMean {
+            trim,
+            window: SortedWindow::new(k),
+        }
+    }
+}
+
+impl Forecaster for TrimmedMean {
+    fn name(&self) -> String {
+        format!("trimmed_mean({},{})", self.window.k, self.trim)
+    }
+    fn update(&mut self, value: f64) {
+        self.window.push(value);
+    }
+    fn forecast(&self) -> Option<f64> {
+        let v = &self.window.sorted;
+        if v.is_empty() {
+            return None;
+        }
+        let t = self.trim.min((v.len() - 1) / 2);
+        let kept = &v[t..v.len() - t];
+        Some(kept.iter().sum::<f64>() / kept.len() as f64)
+    }
+    fn reset(&mut self) {
+        self.window.clear();
+    }
+}
+
+#[derive(Clone)]
+struct LinearTrend {
+    k: usize,
+    buf: VecDeque<f64>,
+}
+
+impl LinearTrend {
+    fn new(k: usize) -> Self {
+        LinearTrend {
+            k,
+            buf: VecDeque::with_capacity(k),
+        }
+    }
+}
+
+impl Forecaster for LinearTrend {
+    fn name(&self) -> String {
+        format!("linear_trend({})", self.k)
+    }
+    fn update(&mut self, value: f64) {
+        self.buf.push_back(value);
+        if self.buf.len() > self.k {
+            self.buf.pop_front();
+        }
+    }
+    fn forecast(&self) -> Option<f64> {
+        let n = self.buf.len();
+        if n == 0 {
+            return None;
+        }
+        if n == 1 {
+            return self.buf.front().copied();
+        }
+        let nf = n as f64;
+        let sx = nf * (nf - 1.0) / 2.0;
+        let sxx = (nf - 1.0) * nf * (2.0 * nf - 1.0) / 6.0;
+        let sy: f64 = self.buf.iter().sum();
+        let sxy: f64 = self
+            .buf
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| i as f64 * y)
+            .sum();
+        let denom = nf * sxx - sx * sx;
+        if denom.abs() < 1e-12 {
+            return Some(sy / nf);
+        }
+        let slope = (nf * sxy - sx * sy) / denom;
+        let intercept = (sy - slope * sx) / nf;
+        Some(intercept + slope * nf)
+    }
+    fn reset(&mut self) {
+        self.buf.clear();
+    }
+}
+
+/// The battery as the library boxed it, member by member.
+fn standard_suite() -> Vec<Box<dyn Forecaster>> {
+    vec![
+        Box::new(LastValue::default()),
+        Box::new(RunningMean::default()),
+        Box::new(SlidingWindowMean::new(4)),
+        Box::new(SlidingWindowMean::new(16)),
+        Box::new(SlidingWindowMean::new(64)),
+        Box::new(SlidingWindowMedian::new(5)),
+        Box::new(SlidingWindowMedian::new(21)),
+        Box::new(ExpSmoothing::new(0.2)),
+        Box::new(ExpSmoothing::new(0.6)),
+        Box::new(AdaptiveWindowMean::new(&[4, 8, 16, 32, 64])),
+        Box::new(AutoRegressive::new(2, 64)),
+        Box::new(TrimmedMean::new(9, 2)),
+        Box::new(LinearTrend::new(12)),
+    ]
+}
 
 /// The AR(p) predictor as it was: a fresh `Vec` per step, normal
 /// equations accumulated row by row over `t`, fit in `forecast`.
@@ -217,8 +644,8 @@ const ERROR_DECAY: f64 = 0.995;
 impl OldSelector {
     fn new() -> Self {
         let members: Vec<Box<dyn Forecaster>> = vec![
-            Box::new(LastValue::new()),
-            Box::new(RunningMean::new()),
+            Box::new(LastValue::default()),
+            Box::new(RunningMean::default()),
             Box::new(SlidingWindowMean::new(4)),
             Box::new(SlidingWindowMean::new(16)),
             Box::new(SlidingWindowMean::new(64)),
@@ -435,15 +862,42 @@ fn signed_zeros_and_ties_leave_the_sorted_window_exact() {
 }
 
 #[test]
+fn battery_matches_every_member_at_every_step() {
+    let mut members = standard_suite();
+    assert_eq!(members.iter().map(|m| m.name()).collect::<Vec<_>>(), NAMES);
+    let mut battery = Battery::new();
+    let same = |battery: &Battery, members: &[Box<dyn Forecaster>], step: &str| {
+        for (i, m) in members.iter().enumerate() {
+            let (a, b) = (battery.forecasts().map(|f| f[i]), m.forecast());
+            assert_eq!(
+                a.map(f64::to_bits),
+                b.map(f64::to_bits),
+                "{} at {step}: {a:?} vs {b:?}",
+                NAMES[i]
+            );
+        }
+    };
+    same(&battery, &members, "start");
+    for i in 0..6_000 {
+        let v = signal(i);
+        battery.update(v);
+        members.iter_mut().for_each(|m| m.update(v));
+        same(&battery, &members, &format!("sample {i}"));
+        if i == 3_517 {
+            battery.reset();
+            members.iter_mut().for_each(|m| m.reset());
+            same(&battery, &members, "reset");
+        }
+    }
+}
+
+#[test]
 fn selector_matches_the_per_member_loop_at_every_step() {
     let mut new = AdaptiveSelector::new();
     let mut old = OldSelector::new();
     assert_eq!(
-        standard_suite()
-            .iter()
-            .map(|m| m.name())
-            .collect::<Vec<_>>(),
-        old.members.iter().map(|m| m.name()).collect::<Vec<_>>()
+        old.members.iter().map(|m| m.name()).collect::<Vec<_>>(),
+        NAMES
     );
     let same = |new: &AdaptiveSelector, old: &OldSelector, i: u64| {
         assert_eq!(
@@ -456,7 +910,11 @@ fn selector_matches_the_per_member_loop_at_every_step() {
             old.best_error().map(f64::to_bits),
             "best_error at {i}"
         );
-        assert_eq!(new.best_name(), old.best_name(), "best_name at {i}");
+        assert_eq!(
+            new.best_name(),
+            old.best_name().as_deref(),
+            "best_name at {i}"
+        );
     };
     for i in 0..6_000 {
         if i == 4_000 {
@@ -468,4 +926,63 @@ fn selector_matches_the_per_member_loop_at_every_step() {
         old.update(v);
         same(&new, &old, i);
     }
+}
+
+/// The selector's observable state, in bits.
+fn selector_bits(s: &AdaptiveSelector) -> (Option<u64>, Option<u64>, Option<&str>, Vec<u64>) {
+    (
+        s.forecast().map(f64::to_bits),
+        s.best_error().map(f64::to_bits),
+        s.best_name(),
+        s.member_forecasts()
+            .map_or(vec![], |f| f.iter().map(|x| x.to_bits()).collect()),
+    )
+}
+
+#[test]
+fn a_clone_continues_exactly_from_every_step() {
+    // Forks taken at every step from 0 to 300 cover windows still
+    // filling and every point where the shared buffer drops its older
+    // half (128, 192, 256, ...); the forks taken after the reset at
+    // step 400 cover them again.
+    const RESET_AT: u64 = 400;
+    let forks_at = |i: u64| i <= 300 || (RESET_AT..=RESET_AT + 150).contains(&i);
+    let mut sel = AdaptiveSelector::new();
+    let mut old = OldSelector::new();
+    let mut forks: Vec<(u64, AdaptiveSelector)> = Vec::new();
+    for i in 0..700 {
+        if i == RESET_AT {
+            sel.reset();
+            old.reset();
+            forks.clear();
+        }
+        if forks_at(i) {
+            forks.push((i, sel.clone()));
+        }
+        let v = signal(i);
+        sel.update(v);
+        old.update(v);
+        assert_eq!(
+            sel.forecast().map(f64::to_bits),
+            old.forecast().map(f64::to_bits),
+            "forecast at {i}"
+        );
+        assert_eq!(
+            sel.best_error().map(f64::to_bits),
+            old.best_error().map(f64::to_bits),
+            "best_error at {i}"
+        );
+        assert_eq!(
+            sel.best_name(),
+            old.best_name().as_deref(),
+            "best_name at {i}"
+        );
+        let want = selector_bits(&sel);
+        for (from, fork) in &mut forks {
+            fork.update(v);
+            assert_eq!(selector_bits(fork), want, "fork from {from} at {i}");
+        }
+    }
+    assert_eq!(forks.len(), 151);
+    assert_eq!(sel.member_forecasts().map(|f| f.len()), Some(MEMBERS));
 }
