@@ -12,9 +12,9 @@
 //! Where [`apples::Coordinator`] schedules one application once, this
 //! crate streams a whole *workload* through the system:
 //!
-//! 1. [`workload`] describes who arrives when — Poisson, fixed-gap, or
-//!    trace-replay arrivals over a mix of Jacobi2D stencils, 3D-REACT
-//!    style pipelines and NILE event farms;
+//! 1. [`workload`] describes who arrives when — Poisson or fixed-gap
+//!    arrivals over a mix of Jacobi2D stencils, 3D-REACT style
+//!    pipelines and NILE event farms;
 //! 2. [`service`] admits jobs FCFS (optionally bounded in-flight),
 //!    spawns a Coordinator per job against the *live* system state,
 //!    actuates the winning schedule, and feeds the job's realized
@@ -57,10 +57,7 @@ pub mod workload;
 pub use obsv;
 
 pub use metrics::{percentile, slowdown_of, FleetMetrics, JobRecord};
-pub use sched::{
-    run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, run_solo_references,
-    BackfillEntry, BatchLog, FractionalLog, SchedRegime, ShareSample,
-};
+pub use sched::{run_regime_jobs_with_sink, run_solo_references, SchedRegime};
 pub use service::{
     validate_config, Diagnostic, FaultInjection, GridConfig, GridError, GridOutcome, GridService,
     Regime,

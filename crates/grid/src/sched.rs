@@ -27,22 +27,24 @@
 //!   every arrival and departure. A job's rate is the minimum share
 //!   across its hosts; its dedicated-equivalent work (measured by a
 //!   what-if actuation on the pristine testbed) drains at that rate.
-//!   The realized per-host occupancy is written back onto the live
-//!   topology at the end of the run, as one batched in-place
-//!   [`StepSeries::impose`] per host: `O(log n + w)` for the `w`
-//!   change points the windows cover, plus one tail move.
+//!   The realized per-host occupancy is traced as `LoadImposed`
+//!   windows; the live topology is not touched, since no later
+//!   decision reads it.
 //!
 //! Each regime supplies only its policy. Setup, per-job state, the
 //! lifecycle events and records, the retry-or-fail decision and the
 //! final fold are shared (`crate::lifecycle`).
 //!
+//! Each centralized regime checks its own invariant where it decides,
+//! on every stream: a batch backfill that pushes the head-of-queue
+//! reservation later, or fractional shares that sum past 1 on a host,
+//! end the run with [`GridError::Internal`].
+//!
 //! ## Entry points
 //!
 //! [`run_regime_jobs_with_sink`] streams a job list, such as a realized
 //! [`WorkloadConfig`]; [`GridService::run`] validates the config and
-//! workload first, then realizes and streams it.
-//! [`run_batch_with_log`] and [`run_fractional_with_log`] also return
-//! the audit logs the invariant tests read. Every one takes an
+//! workload first, then realizes and streams it. Both take an
 //! [`EventSink`]; pass [`NoopSink`] for none. [`run_solo_references`]
 //! runs each job kind alone on the fault-free testbed, from one shared
 //! Weather Service warm-up, for the race's dedicated-execution
@@ -76,7 +78,6 @@
 //! `max_in_flight` or realized link faults under fractional
 //! (processor sharing has no admission queue and models hosts only).
 //!
-//! [`StepSeries::impose`]: metasim::load::StepSeries::impose
 //! [`FaultSpec`]: metasim::FaultSpec
 //! [`GridService::run`]: crate::GridService::run
 //! [`WorkloadConfig`]: crate::WorkloadConfig
@@ -169,8 +170,8 @@ pub fn run_regime_jobs_with_sink(
             let ws = WeatherService::for_topology(&life.live, WeatherServiceConfig::default());
             run_selfish(life, ws, sink)
         }
-        SchedRegime::Batch => BatchRun::new(life, sink).run().map(|(o, _)| o),
-        SchedRegime::Fractional => FracRun::new(life, sink).run().map(|(o, _)| o),
+        SchedRegime::Batch => BatchRun::new(life, sink).run(),
+        SchedRegime::Fractional => FracRun::new(life, sink).run(),
     }
 }
 
@@ -277,28 +278,6 @@ fn predicted_end(now: SimTime, seconds: f64) -> SimTime {
 // Batch: FCFS + EASY backfilling
 // ---------------------------------------------------------------------
 
-/// One backfill decision, for auditing the EASY invariant: starting a
-/// job out of order must never push the head-of-queue reservation
-/// later.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackfillEntry {
-    /// Submission-order id of the backfilled job.
-    pub job: usize,
-    /// When it was started out of order.
-    pub at: SimTime,
-    /// Head-of-queue reservation before the backfill started.
-    pub reservation_before: SimTime,
-    /// Head-of-queue reservation after — must be `<= reservation_before`.
-    pub reservation_after: SimTime,
-}
-
-/// Audit log of the batch scheduler's out-of-order decisions.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchLog {
-    /// Every backfill, in decision order.
-    pub backfills: Vec<BackfillEntry>,
-}
-
 /// Event classes at equal times: completions free hosts before
 /// (re-)enqueues observe the queue.
 const EV_COMPLETED: u8 = 0;
@@ -329,21 +308,7 @@ struct BatchRun<'a> {
     queue: Vec<(SimTime, usize, usize)>,
     running: Vec<Running>,
     events: EventQueue<(SimTime, u8), BatchEvent>,
-    log: BatchLog,
     sink: &'a mut dyn EventSink,
-}
-
-/// Run the centralized batch queue, returning the outcome and the
-/// backfill audit log.
-pub fn run_batch_with_log(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
-    sink: &mut dyn EventSink,
-) -> Result<(GridOutcome, BatchLog), GridError> {
-    let life = Lifecycle::new(cfg, SchedRegime::Batch, jobs, duration, retry, sink)?;
-    BatchRun::new(life, sink).run()
 }
 
 impl<'a> BatchRun<'a> {
@@ -358,12 +323,11 @@ impl<'a> BatchRun<'a> {
             queue: Vec::new(),
             running: Vec::new(),
             events,
-            log: BatchLog::default(),
             sink,
         }
     }
 
-    fn run(mut self) -> Result<(GridOutcome, BatchLog), GridError> {
+    fn run(mut self) -> Result<GridOutcome, GridError> {
         while let Some(((now, _), _, ev)) = self.events.pop() {
             match ev {
                 BatchEvent::Completed { idx } => self.running.retain(|r| r.idx != idx),
@@ -371,7 +335,7 @@ impl<'a> BatchRun<'a> {
             }
             self.try_start_queued(now)?;
         }
-        Ok((self.life.finish(), self.log))
+        Ok(self.life.finish())
     }
 
     fn process_enqueue(&mut self, idx: usize, now: SimTime) -> Result<(), GridError> {
@@ -506,12 +470,12 @@ impl<'a> BatchRun<'a> {
             }
             self.start_job(idx, now)?;
             let after = self.reservation_for(&head_hosts, now);
-            self.log.backfills.push(BackfillEntry {
-                job: id,
-                at: now,
-                reservation_before: resv,
-                reservation_after: after,
-            });
+            if after > resv {
+                return Err(GridError::Internal(format!(
+                    "backfilling job {id} at {now} delayed the head reservation \
+                     from {resv} to {after}"
+                )));
+            }
         }
     }
 
@@ -552,29 +516,6 @@ impl<'a> BatchRun<'a> {
 /// what guarantees every predicted departure actually completes a job.
 const WORK_EPS: f64 = 1e-6;
 
-/// One constant-share interval on one host: between two consecutive
-/// scheduling events the resident set is fixed, so the summed share is
-/// too. `total_share` over a host never exceeds 1.0 — the property the
-/// share-conservation test pins down.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShareSample {
-    /// The host whose capacity is being split.
-    pub host: HostId,
-    /// Interval start (inclusive).
-    pub from: SimTime,
-    /// Interval end (exclusive).
-    pub to: SimTime,
-    /// Sum of resident jobs' shares on this host over the interval.
-    pub total_share: f64,
-}
-
-/// Audit log of the fractional scheduler's share assignments.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FractionalLog {
-    /// Every constant-share interval, in simulation order.
-    pub samples: Vec<ShareSample>,
-}
-
 /// Event classes at equal times: recoveries first (a re-queued job may
 /// use the recovered host), then crashes (an arrival must not plan
 /// onto a host dying this instant), then enqueues.
@@ -602,22 +543,8 @@ struct FracRun<'a> {
     active: Vec<ActiveJob>,
     down: BTreeSet<HostId>,
     events: EventQueue<(SimTime, u8), FracEvent>,
-    samples: Vec<ShareSample>,
     impositions: BTreeMap<HostId, Vec<Imposition>>,
     sink: &'a mut dyn EventSink,
-}
-
-/// Run the dynamic fractional-sharing scheduler, returning the outcome
-/// and the share audit log.
-pub fn run_fractional_with_log(
-    cfg: &GridConfig,
-    jobs: &[JobSpec],
-    duration: SimTime,
-    retry: RetryPolicy,
-    sink: &mut dyn EventSink,
-) -> Result<(GridOutcome, FractionalLog), GridError> {
-    let life = Lifecycle::new(cfg, SchedRegime::Fractional, jobs, duration, retry, sink)?;
-    FracRun::new(life, sink).run()
 }
 
 impl<'a> FracRun<'a> {
@@ -637,13 +564,12 @@ impl<'a> FracRun<'a> {
             active: Vec::new(),
             down: BTreeSet::new(),
             events,
-            samples: Vec::new(),
             impositions: BTreeMap::new(),
             sink,
         }
     }
 
-    fn run(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
+    fn run(mut self) -> Result<GridOutcome, GridError> {
         let mut now = SimTime::ZERO;
         loop {
             let dep = self.next_departure(now);
@@ -653,7 +579,7 @@ impl<'a> FracRun<'a> {
                 // Departures win ties: a finished job must release its
                 // shares before a simultaneous arrival sees the pool.
                 (Some((t, _)), stat) if stat.is_none_or(|s| t <= s.0) => {
-                    self.advance_to(now, t);
+                    self.advance_to(now, t)?;
                     now = t;
                     self.complete_ready(now)?;
                 }
@@ -661,7 +587,7 @@ impl<'a> FracRun<'a> {
                     let Some(((t, _), _, ev)) = self.events.pop() else {
                         break;
                     };
-                    self.advance_to(now, t);
+                    self.advance_to(now, t)?;
                     now = t;
                     match ev {
                         FracEvent::HostUp(h) => {
@@ -708,11 +634,11 @@ impl<'a> FracRun<'a> {
 
     /// Drain every active job's work over `[now, until)` at the shares
     /// in force (no event fires inside the interval, so shares are
-    /// constant), and record the per-host occupancy for the final
-    /// write-back.
-    fn advance_to(&mut self, now: SimTime, until: SimTime) {
+    /// constant), and record the per-host occupancy for the trace.
+    /// Shares summing past 1 on a host are an internal error.
+    fn advance_to(&mut self, now: SimTime, until: SimTime) -> Result<(), GridError> {
         if until <= now || self.active.is_empty() {
-            return;
+            return Ok(());
         }
         let dt = until.saturating_sub(now).as_secs_f64();
         let shares: Vec<f64> = self.active.iter().map(|j| self.share_of(j)).collect();
@@ -723,12 +649,11 @@ impl<'a> FracRun<'a> {
             }
         }
         for (h, total) in per_host {
-            self.samples.push(ShareSample {
-                host: h,
-                from: now,
-                to: until,
-                total_share: total,
-            });
+            if total > 1.0 + 1e-9 {
+                return Err(GridError::Internal(format!(
+                    "host {h:?} oversubscribed: shares sum to {total} on [{now}, {until})"
+                )));
+            }
             let factor = (1.0 - total).max(0.0);
             let imps = self.impositions.entry(h).or_default();
             match imps.last_mut() {
@@ -747,6 +672,7 @@ impl<'a> FracRun<'a> {
         for (j, s) in self.active.iter_mut().zip(shares.iter()) {
             j.remaining -= dt * *s;
         }
+        Ok(())
     }
 
     /// Complete every active job whose work has drained, in id order.
@@ -846,15 +772,9 @@ impl<'a> FracRun<'a> {
         Ok(())
     }
 
-    /// Write the realized per-host occupancy back onto the live
-    /// topology: one batched in-place [`impose`] per host, costing
-    /// `O(log n + w)` for the `w` points the run's windows cover plus
-    /// one tail move.
-    ///
-    /// [`impose`]: metasim::load::StepSeries::impose
-    fn finish(mut self) -> Result<(GridOutcome, FractionalLog), GridError> {
+    /// Trace the realized per-host occupancy, host by host.
+    fn finish(self) -> Result<GridOutcome, GridError> {
         for (h, imps) in &self.impositions {
-            self.life.live.host_mut(*h)?.availability_mut().impose(imps);
             if self.sink.enabled() {
                 for imp in imps {
                     self.sink.record(TraceEvent::LoadImposed {
@@ -866,10 +786,7 @@ impl<'a> FracRun<'a> {
                 }
             }
         }
-        let log = FractionalLog {
-            samples: self.samples,
-        };
-        Ok((self.life.finish(), log))
+        Ok(self.life.finish())
     }
 }
 
@@ -878,6 +795,7 @@ mod tests {
     use super::*;
     use crate::service::{FaultInjection, GridService, Regime};
     use crate::workload::{ArrivalProcess, JobMix, WorkloadConfig};
+    use metasim::simtrace::VecSink;
     use metasim::{FaultSpec, HostFault, LinkFault, LinkId};
 
     fn small_workload(seed: u64) -> WorkloadConfig {
@@ -949,9 +867,24 @@ mod tests {
         }
     }
 
+    /// Stream `jobs` under `regime` into a fresh `VecSink`. Each
+    /// centralized regime checks its own invariant as it decides, so
+    /// `Ok` means no backfill delayed the head reservation and no host
+    /// was oversubscribed.
+    fn run_traced(
+        regime: SchedRegime,
+        jobs: &[JobSpec],
+        duration: SimTime,
+        retry: RetryPolicy,
+    ) -> (GridOutcome, Vec<TraceEvent>) {
+        let mut sink = VecSink::new();
+        let out = run_regime_jobs_with_sink(&cfg(), regime, jobs, duration, retry, &mut sink)
+            .unwrap_or_else(|e| panic!("{regime} stream: {e}"));
+        (out, sink.events)
+    }
+
     #[test]
     fn batch_backfills_never_delay_the_head_reservation() {
-        let cfg = cfg();
         // Dense stream to force queueing and give EASY room to work.
         let w = WorkloadConfig {
             arrivals: ArrivalProcess::Uniform {
@@ -961,27 +894,18 @@ mod tests {
             ..small_workload(11)
         };
         let jobs = w.realize();
-        let (out, log) =
-            run_batch_with_log(&cfg, &jobs, w.duration, w.retry, &mut NoopSink).unwrap();
+        let (out, events) = run_traced(SchedRegime::Batch, &jobs, w.duration, w.retry);
         assert_eq!(out.records.len(), jobs.len());
         assert!(
-            !log.backfills.is_empty(),
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::JobBackfilled { .. })),
             "a dense stream must exercise EASY backfilling, or this test is vacuous"
         );
-        for b in &log.backfills {
-            assert!(
-                b.reservation_after <= b.reservation_before,
-                "backfill of job {} delayed the head reservation: {:?} -> {:?}",
-                b.job,
-                b.reservation_before,
-                b.reservation_after
-            );
-        }
     }
 
     #[test]
     fn fractional_shares_never_oversubscribe_a_host() {
-        let cfg = cfg();
         let w = WorkloadConfig {
             arrivals: ArrivalProcess::Uniform {
                 gap: SimTime::from_secs(120),
@@ -990,31 +914,19 @@ mod tests {
             ..small_workload(13)
         };
         let jobs = w.realize();
-        let (out, log) =
-            run_fractional_with_log(&cfg, &jobs, w.duration, w.retry, &mut NoopSink).unwrap();
+        let (out, events) = run_traced(SchedRegime::Fractional, &jobs, w.duration, w.retry);
         assert_eq!(out.records.len(), jobs.len());
         assert!(
-            !log.samples.is_empty(),
-            "a busy stream must produce samples"
+            events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::LoadImposed { .. })),
+            "a busy stream must share hosts, or this test is vacuous"
         );
-        for s in &log.samples {
-            assert!(
-                s.total_share <= 1.0 + 1e-9,
-                "host {:?} oversubscribed: total share {} on [{:?}, {:?})",
-                s.host,
-                s.total_share,
-                s.from,
-                s.to
-            );
-            assert!(s.total_share > 0.0);
-            assert!(s.from < s.to);
-        }
     }
 
     #[test]
     fn fractional_single_job_runs_at_full_speed() {
-        let cfg = cfg();
-        let jobs = vec![JobSpec {
+        let jobs = [JobSpec {
             id: 0,
             submit: SimTime::ZERO,
             kind: JobKind::Jacobi {
@@ -1022,23 +934,32 @@ mod tests {
                 iterations: 60,
             },
         }];
-        let (out, log) = run_fractional_with_log(
-            &cfg,
+        let (out, events) = run_traced(
+            SchedRegime::Fractional,
             &jobs,
             SimTime::from_secs(100),
             RetryPolicy::default(),
-            &mut NoopSink,
-        )
-        .unwrap();
+        );
         let r = &out.records[0];
         assert!(r.completed);
-        // Alone in the system: share is 1.0 everywhere, so the PS
-        // finish equals the dedicated what-if duration (up to the
-        // microsecond rounding of the departure event).
-        for s in &log.samples {
-            assert!((s.total_share - 1.0).abs() < 1e-12);
-        }
-        assert!(r.exec_seconds > 0.0);
+        // Alone in the system: its share is 1.0 everywhere, so the PS
+        // window equals the dedicated what-if duration, up to the
+        // microsecond rounding of the departure event.
+        let dedicated = events
+            .iter()
+            .find_map(|e| match *e {
+                TraceEvent::JobWorkMeasured {
+                    dedicated_seconds, ..
+                } => Some(dedicated_seconds),
+                _ => None,
+            })
+            .expect("the what-if run publishes the job's work");
+        assert!(dedicated > 0.0);
+        assert!(
+            (r.exec_seconds - dedicated).abs() <= 1e-6,
+            "exec {} vs dedicated {dedicated}",
+            r.exec_seconds
+        );
     }
 
     #[test]

@@ -32,8 +32,6 @@ pub enum ArrivalProcess {
         /// Fixed inter-arrival gap.
         gap: SimTime,
     },
-    /// Replay explicit arrival offsets (need not be sorted).
-    Trace(Vec<SimTime>),
 }
 
 impl ArrivalProcess {
@@ -56,15 +54,14 @@ impl ArrivalProcess {
                     ));
                 }
             }
-            ArrivalProcess::Trace(_) => {}
         }
         Ok(())
     }
 
-    /// Arrival offsets within `[0, duration]`, sorted ascending,
-    /// deterministic per `seed`.
+    /// Arrival offsets within `[0, duration]`, ascending (both arms
+    /// generate them in order), deterministic per `seed`.
     pub fn realize(&self, duration: SimTime, seed: u64) -> Vec<SimTime> {
-        let mut out = match self {
+        match self {
             ArrivalProcess::Poisson { rate_hz } => {
                 // simlint: allow(panic-in-lib): the front doors (GridService::run, sweep_seeds, validate_config, run_race_with) reject non-positive and non-finite rates before any stream is realized
                 assert!(
@@ -108,10 +105,7 @@ impl ArrivalProcess {
                 }
                 arrivals
             }
-            ArrivalProcess::Trace(ts) => ts.iter().copied().filter(|&t| t <= duration).collect(),
-        };
-        out.sort_unstable();
-        out
+        }
     }
 }
 
@@ -537,12 +531,6 @@ mod tests {
         let u = ArrivalProcess::Uniform { gap: s(60.0) };
         let a = u.realize(s(300.0), 0);
         assert_eq!(a, vec![s(60.0), s(120.0), s(180.0), s(240.0), s(300.0)]);
-    }
-
-    #[test]
-    fn trace_arrivals_filter_and_sort() {
-        let t = ArrivalProcess::Trace(vec![s(50.0), s(10.0), s(999.0)]);
-        assert_eq!(t.realize(s(100.0), 0), vec![s(10.0), s(50.0)]);
     }
 
     #[test]

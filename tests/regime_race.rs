@@ -1,14 +1,13 @@
-//! Property tests for the scheduling-regime layer (PR 9): whatever
-//! the seed, all three regimes must schedule exactly the same job set,
-//! EASY backfilling must never delay the head-of-queue reservation,
-//! and fractional shares must never oversubscribe a host.
+//! Property tests for the scheduling-regime layer: whatever the seed,
+//! all three regimes must schedule exactly the same job set, EASY
+//! backfilling must never delay the head-of-queue reservation, and
+//! fractional shares must never oversubscribe a host. The last two
+//! are checked by the regimes themselves on every stream: a violation
+//! is a `GridError::Internal`, so here a stream must simply succeed.
 
 use apples_grid::workload::{ArrivalProcess, JobMix, RetryPolicy, WorkloadConfig};
-use apples_grid::{
-    run_batch_with_log, run_fractional_with_log, run_regime_jobs_with_sink, FaultInjection,
-    GridConfig, SchedRegime,
-};
-use metasim::simtrace::{NoopSink, TraceEvent, VecSink};
+use apples_grid::{run_regime_jobs_with_sink, FaultInjection, GridConfig, SchedRegime};
+use metasim::simtrace::{TraceEvent, VecSink};
 use metasim::{FaultModel, SimTime};
 use proptest::prelude::*;
 
@@ -120,15 +119,11 @@ proptest! {
         let w = workload(seed, 60);
         let cfg = grid(seed, 0.0);
         let jobs = w.realize();
-        let (_, log) = run_batch_with_log(&cfg, &jobs, w.duration, w.retry, &mut NoopSink)
-            .expect("batch stream");
-        for b in &log.backfills {
-            prop_assert!(
-                b.reservation_after <= b.reservation_before,
-                "backfill of job {} delayed the reservation {:?} -> {:?}",
-                b.job, b.reservation_before, b.reservation_after
-            );
-        }
+        let mut sink = VecSink::new();
+        let out = run_regime_jobs_with_sink(
+            &cfg, SchedRegime::Batch, &jobs, w.duration, w.retry, &mut sink,
+        ).unwrap_or_else(|e| panic!("batch stream: {e}"));
+        prop_assert_eq!(out.records.len(), jobs.len());
     }
 
     /// Processor sharing conserves capacity: on every host, over every
@@ -138,16 +133,10 @@ proptest! {
         let w = workload(seed, 90);
         let cfg = grid(seed, 0.0);
         let jobs = w.realize();
-        let (out, log) = run_fractional_with_log(&cfg, &jobs, w.duration, w.retry, &mut NoopSink)
-            .expect("fractional stream");
+        let mut sink = VecSink::new();
+        let out = run_regime_jobs_with_sink(
+            &cfg, SchedRegime::Fractional, &jobs, w.duration, w.retry, &mut sink,
+        ).unwrap_or_else(|e| panic!("fractional stream: {e}"));
         prop_assert_eq!(out.records.len(), jobs.len());
-        for s in &log.samples {
-            prop_assert!(
-                s.total_share <= 1.0 + 1e-9,
-                "host {:?} oversubscribed: {} on [{:?}, {:?})",
-                s.host, s.total_share, s.from, s.to
-            );
-            prop_assert!(s.from < s.to, "zero-length share sample");
-        }
     }
 }
