@@ -543,6 +543,7 @@ struct FracRun<'a> {
     active: Vec<ActiveJob>,
     down: BTreeSet<HostId>,
     events: EventQueue<(SimTime, u8), FracEvent>,
+    /// Per-host occupancy windows, kept only while the sink is enabled.
     impositions: BTreeMap<HostId, Vec<Imposition>>,
     sink: &'a mut dyn EventSink,
 }
@@ -648,11 +649,16 @@ impl<'a> FracRun<'a> {
                 *per_host.entry(h).or_insert(0.0) += *s;
             }
         }
+        let traced = self.sink.enabled();
         for (h, total) in per_host {
             if total > 1.0 + 1e-9 {
                 return Err(GridError::Internal(format!(
                     "host {h:?} oversubscribed: shares sum to {total} on [{now}, {until})"
                 )));
+            }
+            // Only the closing `LoadImposed` events read the windows.
+            if !traced {
+                continue;
             }
             let factor = (1.0 - total).max(0.0);
             let imps = self.impositions.entry(h).or_default();
@@ -772,18 +778,17 @@ impl<'a> FracRun<'a> {
         Ok(())
     }
 
-    /// Trace the realized per-host occupancy, host by host.
+    /// Trace the realized per-host occupancy, host by host (nothing
+    /// when untraced: no window was kept).
     fn finish(self) -> Result<GridOutcome, GridError> {
         for (h, imps) in &self.impositions {
-            if self.sink.enabled() {
-                for imp in imps {
-                    self.sink.record(TraceEvent::LoadImposed {
-                        host: *h,
-                        at: imp.from,
-                        until: imp.to,
-                        factor: imp.factor,
-                    });
-                }
+            for imp in imps {
+                self.sink.record(TraceEvent::LoadImposed {
+                    host: *h,
+                    at: imp.from,
+                    until: imp.to,
+                    factor: imp.factor,
+                });
             }
         }
         Ok(self.life.finish())

@@ -12,12 +12,36 @@
 //! bandwidth contention — concurrent exchanges crossing the same shared
 //! Ethernet segment slow each other down, which is exactly the effect
 //! that makes naive partitions underperform on the paper's testbed.
+//!
+//! **Steady iterations are replayed, not re-simulated.** The executor
+//! keeps the last simulated iteration as a template: its start and
+//! length, each worker's compute duration and rate, the transfer events
+//! its exchange emitted, and the earliest availability change after its
+//! start over the job's hosts and the links on its exchange routes. The
+//! next iteration is replayed when it would end strictly before that
+//! change and every worker still takes `StepSeries::time_to_complete`'s
+//! first-segment branch from the new start (`rate * (change - at) >=
+//! work`, `rate > 0`; the change comes no later than the worker's own
+//! host's). A replay adds the template's integer-µs compute and sync
+//! durations, shifts its events by the start difference, and checks each
+//! worker's crash windows as `Host::compute_finish_checked` does. Any
+//! other iteration is simulated and becomes the template.
+//!
+//! The replay is bit-exact. [`SimTime`] is integer microseconds. Over
+//! one constant segment, `time_to_complete` returns `start +
+//! from_secs_f64(work / rate)`, and each fluid-engine step reads only
+//! differences of times and the constant capacities. The engine orders
+//! same-time events by request index, which a shift leaves alone. So a
+//! shifted iteration yields the same durations, the same event order
+//! and the same floats. `tests/spmd_replay.rs` checks this against the
+//! per-iteration loop.
 
 use crate::error::SimError;
-use crate::host::HostId;
+use crate::host::{Host, HostId};
 use crate::net::{simulate_transfers, Topology, TransferReq};
-use crate::simtrace::{EventSink, TraceEvent};
+use crate::simtrace::{EventSink, TraceEvent, VecSink};
 use crate::time::SimTime;
+use std::ops::Range;
 
 /// One worker's placement and per-iteration behaviour.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,11 +131,16 @@ pub fn simulate_spmd(
         }
     }
 
+    let hosts = job
+        .placements
+        .iter()
+        .map(|p| topo.host(p.host))
+        .collect::<Result<Vec<_>, _>>()?;
+
     // Co-allocation: wait for the slowest host acquisition.
     let mut barrier = job.start;
-    for p in &job.placements {
-        let ready = job.start + topo.host(p.host)?.startup_wait();
-        barrier = barrier.max(ready);
+    for host in &hosts {
+        barrier = barrier.max(job.start + host.startup_wait());
     }
 
     if sink.enabled() {
@@ -127,44 +156,97 @@ pub fn simulate_spmd(
     let mut iteration_ends = Vec::with_capacity(job.iterations);
     let mut compute_time = vec![SimTime::ZERO; n];
     let mut sync_time = vec![SimTime::ZERO; n];
-    // The last iteration's compute instants: all the closing
-    // ComputeFinish events read.
-    let mut last_compute_done = Vec::new();
+    // This iteration's compute instants; after the loop, the last
+    // iteration's, which the closing ComputeFinish events read.
+    let mut compute_done = vec![barrier; n];
+    let mut reqs = Vec::new();
+    let mut template: Option<Template> = None;
 
     for _ in 0..job.iterations {
+        let replay = template
+            .as_ref()
+            .filter(|t| t.replays_at(barrier, &job.placements));
+
         // Compute phase.
-        let mut compute_done = Vec::with_capacity(n);
         for (w, p) in job.placements.iter().enumerate() {
-            let host = topo.host(p.host)?;
-            let done = host.compute_finish_checked(barrier, p.work_mflop, p.resident_mb)?;
+            let done = match replay {
+                // The same in-segment duration `time_to_complete`
+                // would return, under the crash check of
+                // `compute_finish_checked`.
+                Some(t) => {
+                    let done = barrier + t.compute[w];
+                    if let Some(at) = hosts[w].first_fault_within(barrier, done) {
+                        return Err(SimError::PlacementLost { host: p.host.0, at });
+                    }
+                    done
+                }
+                None => hosts[w].compute_finish_checked(barrier, p.work_mflop, p.resident_mb)?,
+            };
             compute_time[w] += done - barrier;
-            compute_done.push(done);
+            compute_done[w] = done;
         }
 
-        // Exchange phase: all sends enter the network together.
-        let mut reqs = Vec::new();
-        for (w, p) in job.placements.iter().enumerate() {
-            for &(dst, mb) in &p.sends {
-                reqs.push(TransferReq {
-                    from: p.host,
-                    to: job.placements[dst].host,
-                    mb,
-                    start: compute_done[w],
-                    tag: w,
-                });
+        let next_barrier = match replay {
+            Some(t) => {
+                if sink.enabled() {
+                    let shift = barrier - t.start;
+                    for e in &t.events {
+                        let mut e = e.clone();
+                        *e.at_mut() += shift;
+                        sink.record(e);
+                    }
+                }
+                barrier + t.len
             }
-        }
-        let mut next_barrier = compute_done.iter().copied().fold(barrier, SimTime::max);
-        if !reqs.is_empty() {
-            for r in simulate_transfers(topo, &reqs, sink)? {
-                next_barrier = next_barrier.max(r.delivered);
+            None => {
+                // Exchange phase: all sends enter the network together.
+                reqs.clear();
+                for (w, p) in job.placements.iter().enumerate() {
+                    for &(dst, mb) in &p.sends {
+                        reqs.push(TransferReq {
+                            from: p.host,
+                            to: job.placements[dst].host,
+                            mb,
+                            start: compute_done[w],
+                            tag: w,
+                        });
+                    }
+                }
+                let mut next_barrier = compute_done.iter().copied().fold(barrier, SimTime::max);
+                let mut events = Vec::new();
+                if !reqs.is_empty() {
+                    let results = if sink.enabled() {
+                        // Keep the events for replays, in emission order.
+                        let mut capture = VecSink::new();
+                        let results = simulate_transfers(topo, &reqs, &mut capture);
+                        for e in &capture.events {
+                            sink.record(e.clone());
+                        }
+                        events = capture.events;
+                        results?
+                    } else {
+                        simulate_transfers(topo, &reqs, sink)?
+                    };
+                    for r in results {
+                        next_barrier = next_barrier.max(r.delivered);
+                    }
+                }
+                template = Some(Template::record(
+                    topo,
+                    job,
+                    &hosts,
+                    &reqs,
+                    barrier..next_barrier,
+                    &compute_done,
+                    events,
+                )?);
+                next_barrier
             }
-        }
+        };
 
         for (w, &done) in compute_done.iter().enumerate() {
             sync_time[w] += next_barrier - done;
         }
-        last_compute_done = compute_done;
         barrier = next_barrier;
         iteration_ends.push(barrier);
     }
@@ -176,10 +258,9 @@ pub fn simulate_spmd(
 
     if sink.enabled() {
         for (w, p) in job.placements.iter().enumerate() {
-            let last_done = last_compute_done.get(w).copied().unwrap_or(barrier);
             sink.record(TraceEvent::ComputeFinish {
                 host: p.host,
-                at: last_done,
+                at: compute_done[w],
                 elapsed_seconds: compute_seconds[w],
             });
         }
@@ -191,6 +272,92 @@ pub fn simulate_spmd(
         compute_seconds,
         sync_seconds,
     })
+}
+
+/// The last fully simulated iteration of a job, kept so that
+/// following iterations under the same availability are replayed
+/// rather than re-simulated (see the module docs).
+struct Template {
+    /// Barrier the iteration started at.
+    start: SimTime,
+    /// Barrier-to-barrier length.
+    len: SimTime,
+    /// Per worker: compute duration.
+    compute: Vec<SimTime>,
+    /// Per worker: compute rate in Mflop/s (speed, paging factor and
+    /// availability), as `StepSeries::time_to_complete` forms it.
+    rate: Vec<f64>,
+    /// Earliest availability change after `start` over the job's hosts
+    /// and the links on its exchange routes; `None` if none ever changes.
+    until: Option<SimTime>,
+    /// The exchange's transfer events (none when the sink is disabled).
+    events: Vec<TraceEvent>,
+}
+
+impl Template {
+    /// Capture the iteration that ran over `span`, from barrier to
+    /// barrier.
+    fn record(
+        topo: &Topology,
+        job: &SpmdJob,
+        hosts: &[&Host],
+        reqs: &[TransferReq],
+        span: Range<SimTime>,
+        compute_done: &[SimTime],
+        events: Vec<TraceEvent>,
+    ) -> Result<Template, SimError> {
+        let start = span.start;
+        let mut until: Option<SimTime> = None;
+        let mut fold = |change: Option<SimTime>| {
+            if let Some(c) = change {
+                until = Some(until.map_or(c, |u| u.min(c)));
+            }
+        };
+        let mut rate = Vec::with_capacity(hosts.len());
+        for (host, p) in hosts.iter().zip(&job.placements) {
+            let avail = host.availability();
+            let speed = host.spec.mflops * host.memory_factor(p.resident_mb);
+            rate.push(speed * avail.value_at(start));
+            fold(avail.next_change_after(start));
+        }
+        // Only payloads that enter the network see their route's links.
+        for r in reqs.iter().filter(|r| r.mb > 0.0) {
+            for &l in topo.route(r.from, r.to)? {
+                fold(topo.link(l)?.availability().next_change_after(start));
+            }
+        }
+        Ok(Template {
+            start,
+            len: span.end - start,
+            compute: compute_done.iter().map(|&done| done - start).collect(),
+            rate,
+            until,
+            events,
+        })
+    }
+
+    /// Whether an iteration starting at `at` repeats this one: it ends
+    /// strictly before the next availability change, and every worker
+    /// takes `time_to_complete`'s first-segment branch from `at`. The
+    /// branch test runs against that change, which comes no later than
+    /// the worker's own host's next change, so it passes only where
+    /// `time_to_complete`'s does.
+    fn replays_at(&self, at: SimTime, placements: &[SpmdPlacement]) -> bool {
+        let Some(end) = at.checked_add(self.len) else {
+            return false;
+        };
+        let span = match self.until {
+            Some(until) if end >= until => return false,
+            Some(until) => (until - at).as_secs_f64(),
+            // No change ever: `time_to_complete` takes its final-segment
+            // branch, which only needs a positive rate.
+            None => f64::INFINITY,
+        };
+        placements
+            .iter()
+            .zip(&self.rate)
+            .all(|(p, &rate)| rate * span >= p.work_mflop && rate > 0.0)
+    }
 }
 
 #[cfg(test)]

@@ -94,6 +94,13 @@ macro_rules! trace_events {
                 }
             }
 
+            /// The event's absolute timestamp, for shifting in place.
+            pub fn at_mut(&mut self) -> &mut SimTime {
+                match self {
+                    $(TraceEvent::$variant { at, .. })|* => at,
+                }
+            }
+
             /// Serialize the event as one line of JSON (hand-rolled; the
             /// workspace carries no serialization dependency). [`SimTime`]
             /// fields are integer microseconds so streams compare
